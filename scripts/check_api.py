@@ -545,6 +545,22 @@ def main() -> int:
     predict_params = inspect.signature(meta.CostModel.predict).parameters
     check("executor" in predict_params, "CostModel.predict(...executor...) missing")
 
+    # The benchmark's per-layer tracer (perfbench/tracer.py) wraps these
+    # by name and reads X's rows from the first positional argument of
+    # fit; a rename would silently zero the gbdt.* / cost_model.* metrics.
+    from repro.learn import GradientBoostedTrees
+
+    for owner, method, params in (
+        (GradientBoostedTrees, "fit", ["self", "X", "y"]),
+        (meta.CostModel, "update", ["self", "funcs", "cycles"]),
+        (meta.CostModel, "predict", ["self", "funcs"]),
+    ):
+        fn = vars(owner).get(method)
+        check(
+            callable(fn) and list(inspect.signature(fn).parameters)[: len(params)] == params,
+            f"{owner.__name__}.{method}({', '.join(params[1:])}, ...) missing",
+        )
+
     verify_params = inspect.signature(repro.verify).parameters
     for param in ("func", "target", "ctx"):
         check(param in verify_params, f"verify(...{param}...) missing")

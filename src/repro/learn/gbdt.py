@@ -4,9 +4,29 @@ The paper's cost model is an XGBoost ensemble (§4.4); offline we build
 the same model class ourselves: least-squares boosting over depth-limited
 regression trees with exact greedy splits.
 
-Kept deliberately small and dependency-free; the datasets involved
-(thousands of measured schedules x ~30 features) need no histogram
-tricks.
+The search refits on every measurement so far: 20 features and 8-32
+rows per fit at its trial counts.  On arrays that small numpy's per-call
+overhead, not arithmetic, sets the cost, so the fit is laid out to make
+its number of numpy calls follow the number of tree nodes:
+
+* every column is argsorted once per fit (stable), and each node
+  carries its (features x rows) block of sorted row ids, narrowed for
+  the children by stable boolean filtering — no node sorts;
+* a node scans all features in one pass: prefix sums along the sorted
+  axis, one gain matrix with the invalid splits (between equal values)
+  at ``-inf``, and one row-major ``argmax``;
+* each training row's leaf value is recorded while a tree is built, so
+  boosting needs no predict pass over the training set.
+
+Trees are bit-identical to a per-feature loop that re-sorts at every
+node (``tests/learn`` keeps that loop as the oracle), which rests on
+three rules.  Node totals and means reduce the node's rows in their
+original order: numpy's pairwise sum rounds differently from a prefix
+sum.  Prefix sums are sequential ``cumsum`` along the sorted axis, and
+the error of a split keeps its elementwise form.  Ties go to the first
+feature whose best gain strictly beats every earlier feature's, then to
+the first split position in it — exactly what the row-major ``argmax``
+picks.
 """
 
 from __future__ import annotations
@@ -16,6 +36,20 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 __all__ = ["RegressionTree", "GradientBoostedTrees"]
+
+
+def _as_xy(X, y) -> Tuple[np.ndarray, np.ndarray]:
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or len(X) != len(y):
+        raise ValueError("X must be (n, d) with matching y")
+    return X, y
+
+
+def _presort(X: np.ndarray) -> np.ndarray:
+    """Row ids of each column of ``X`` in stable ascending order, one
+    row per feature."""
+    return np.argsort(X.T, axis=1, kind="stable")
 
 
 class _Node:
@@ -43,65 +77,76 @@ class RegressionTree:
         self.root: Optional[_Node] = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RegressionTree":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2 or len(X) != len(y):
-            raise ValueError("X must be (n, d) with matching y")
-        self.root = self._build(X, y, depth=0)
+        X, y = _as_xy(X, y)
+        self._fit_sorted(X, y, _presort(X))
         return self
 
-    def _build(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        node = _Node(float(y.mean()))
-        if depth >= self.max_depth or len(y) < 2 * self.min_samples_leaf:
-            return node
-        best = self._best_split(X, y)
-        if best is None:
-            return node
-        feature, threshold, gain = best
-        mask = X[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(X[mask], y[mask], depth + 1)
-        node.right = self._build(X[~mask], y[~mask], depth + 1)
-        return node
+    def _fit_sorted(self, X: np.ndarray, y: np.ndarray, order: np.ndarray) -> np.ndarray:
+        """Grow the tree given ``order = _presort(X)``; returns the leaf
+        value of every training row."""
+        leaf = np.empty(len(y))
+        Xt = X.T
+        features = np.arange(X.shape[1])[:, None]
 
-    def _best_split(self, X: np.ndarray, y: np.ndarray) -> Optional[Tuple[int, float, float]]:
-        n, d = X.shape
-        total_sum = y.sum()
-        total_sq = (y**2).sum()
-        base_err = total_sq - total_sum**2 / n
-        best_gain = self.min_gain
-        best: Optional[Tuple[int, float, float]] = None
-        # Candidate split after position i (1-based prefix length).  The
-        # whole i-scan is vectorized per feature; elementwise arithmetic
-        # matches the scalar loop exactly and ``argmax`` picks the first
-        # index attaining the max, which is the same winner a sequential
-        # strict-improvement scan selects.
-        candidates = np.arange(self.min_samples_leaf, n - self.min_samples_leaf + 1)
-        candidates = candidates[candidates < n]
-        if not len(candidates):
+        def build(rows: np.ndarray, sorted_rows: np.ndarray, depth: int) -> _Node:
+            # rows: the node's row ids in original order; sorted_rows:
+            # the same ids sorted per feature (features x rows).
+            yn = y[rows]
+            total_sum = yn.sum()
+            node = _Node(float(total_sum / len(rows)))
+            split = None
+            if depth < self.max_depth and len(rows) >= 2 * self.min_samples_leaf:
+                split = self._best_split(
+                    Xt[features, sorted_rows], y[sorted_rows], yn, total_sum
+                )
+            if split is None:
+                leaf[rows] = node.value
+                return node
+            node.feature, node.threshold = split
+            goes_left = X[:, node.feature] <= node.threshold
+            left, sorted_left = goes_left[rows], goes_left[sorted_rows]
+            d = len(sorted_rows)
+            node.left = build(
+                rows[left], sorted_rows[sorted_left].reshape(d, -1), depth + 1
+            )
+            node.right = build(
+                rows[~left], sorted_rows[~sorted_left].reshape(d, -1), depth + 1
+            )
+            return node
+
+        self.root = build(np.arange(len(y)), order, 0)
+        return leaf
+
+    def _best_split(
+        self, xs: np.ndarray, ys: np.ndarray, yn: np.ndarray, total_sum: float
+    ) -> Optional[Tuple[int, float]]:
+        """The best (feature, threshold) over every feature at once.
+
+        ``xs``/``ys`` hold the node's feature values and targets sorted
+        per feature (features x rows); ``yn`` its targets in original
+        order.  A split after sorted position ``i`` must leave at least
+        ``min_samples_leaf`` rows on each side.
+        """
+        n = len(yn)
+        lo, hi = self.min_samples_leaf, min(n - self.min_samples_leaf, n - 1)
+        if hi < lo or not len(xs):
             return None
-        for f in range(d):
-            order = np.argsort(X[:, f], kind="stable")
-            xs = X[order, f]
-            ys = y[order]
-            csum = np.cumsum(ys)
-            csq = np.cumsum(ys**2)
-            # thresholds between equal sorted values are not valid splits
-            i = candidates[xs[candidates - 1] != xs[candidates]]
-            if not len(i):
-                continue
-            left_sum, left_sq = csum[i - 1], csq[i - 1]
-            right_sum = total_sum - left_sum
-            right_sq = total_sq - left_sq
-            err = left_sq - left_sum**2 / i + right_sq - right_sum**2 / (n - i)
-            gain = base_err - err
-            j = int(np.argmax(gain))
-            if gain[j] > best_gain:
-                best_gain = float(gain[j])
-                split = int(i[j])
-                best = (f, float((xs[split - 1] + xs[split]) / 2.0), best_gain)
-        return best
+        total_sq = (yn**2).sum()
+        base_err = total_sq - total_sum**2 / n
+        i = np.arange(lo, hi + 1)
+        left_sum = ys.cumsum(axis=1)[:, lo - 1 : hi]
+        left_sq = (ys**2).cumsum(axis=1)[:, lo - 1 : hi]
+        right_sum = total_sum - left_sum
+        right_sq = total_sq - left_sq
+        err = left_sq - left_sum**2 / i + right_sq - right_sum**2 / (n - i)
+        gain = base_err - err
+        # thresholds between equal sorted values are not valid splits
+        gain[xs[:, lo - 1 : hi] == xs[:, lo : hi + 1]] = -np.inf
+        feature, j = divmod(int(gain.argmax()), gain.shape[1])
+        if not gain[feature, j] > self.min_gain:
+            return None
+        split = lo + j
+        return feature, float((xs[feature, split - 1] + xs[feature, split]) / 2.0)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.root is None:
@@ -133,35 +178,23 @@ class GradientBoostedTrees:
         learning_rate: float = 0.15,
         max_depth: int = 4,
         min_samples_leaf: int = 2,
-        subsample: float = 1.0,
-        seed: int = 0,
     ):
         self.n_trees = n_trees
         self.learning_rate = learning_rate
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
-        self.subsample = subsample
-        self.seed = seed
         self.base: float = 0.0
         self.trees: List[RegressionTree] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedTrees":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        rng = np.random.default_rng(self.seed)
+        X, y = _as_xy(X, y)
+        order = _presort(X)
         self.base = float(y.mean()) if len(y) else 0.0
         self.trees = []
         pred = np.full(len(y), self.base)
         for _ in range(self.n_trees):
-            residual = y - pred
-            if self.subsample < 1.0 and len(y) > 8:
-                idx = rng.choice(len(y), size=max(4, int(len(y) * self.subsample)), replace=False)
-            else:
-                idx = np.arange(len(y))
             tree = RegressionTree(self.max_depth, self.min_samples_leaf)
-            tree.fit(X[idx], residual[idx])
-            update = tree.predict(X)
-            pred = pred + self.learning_rate * update
+            pred = pred + self.learning_rate * tree._fit_sorted(X, y - pred, order)
             self.trees.append(tree)
         return self
 

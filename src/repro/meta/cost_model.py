@@ -3,15 +3,16 @@
 Wraps the from-scratch GBDT over program features.  The model predicts a
 *score* (negative log-cycles, so higher is better) and is updated online
 with every batch of measured candidates, mirroring the paper's
-measure-and-update loop.  Before any data arrives the model falls back
-to ranking by the analytical estimate's feature proxy (random, in
-effect) — the search still works, just less guided.
+measure-and-update loop.  The refit runs when the model is next read,
+so the last batch of a search, which nothing ranks with, is never
+fitted.  Before any data arrives the model falls back to ranking by the
+analytical estimate's feature proxy (random, in effect) — the search
+still works, just less guided.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -25,18 +26,17 @@ __all__ = ["CostModel"]
 
 
 class CostModel:
-    def __init__(self, target: Target, seed: int = 0, min_data: int = 8, recorder=None):
+    def __init__(self, target: Target, min_data: int = 8, recorder=None):
         self.target = target
         self.min_data = min_data
         self._X: List[np.ndarray] = []
         self._y: List[float] = []
         self._model: Optional[GradientBoostedTrees] = None
-        self._seed = seed
-        #: optional :class:`repro.obs.Recorder` — every refit is emitted
+        #: samples the current model was fitted on
+        self._fitted = 0
+        #: optional :class:`repro.obs.Recorder` — every update is emitted
         #: as a ``model-update`` event on the flight recording.
         self.recorder = recorder
-        self._pending: Optional[threading.Thread] = None
-        self._pending_model: Optional[GradientBoostedTrees] = None
 
     @property
     def n_samples(self) -> int:
@@ -44,72 +44,29 @@ class CostModel:
 
     @property
     def is_trained(self) -> bool:
-        return self._model is not None
+        """Whether there are enough samples (``min_data``) to fit on."""
+        return len(self._y) >= self.min_data
 
     def features(self, func: PrimFunc) -> np.ndarray:
         return extract_features(func, self.target)
 
-    def _append(self, funcs: Sequence[PrimFunc], cycles: Sequence[float]) -> bool:
-        """Absorb measurements; emit the recorder event *now* (so the
-        flight recording's event order never depends on when a refit
-        actually runs) and report whether a refit is due."""
+    def update(self, funcs: Sequence[PrimFunc], cycles: Sequence[float]) -> None:
+        """Record measured results; the model refits when next read."""
         for func, c in zip(funcs, cycles):
             self._X.append(self.features(func))
             self._y.append(-math.log(max(c, 1.0)))  # higher = faster
-        due = len(self._y) >= self.min_data
         if self.recorder is not None:
-            self.recorder.model_update(len(self._y), due or self._model is not None)
-        return due
+            self.recorder.model_update(len(self._y), self.is_trained)
 
-    def _fit(self) -> GradientBoostedTrees:
-        X = np.stack(self._X)
-        y = np.array(self._y)
-        return GradientBoostedTrees(
-            n_trees=40, learning_rate=0.2, max_depth=4, seed=self._seed
-        ).fit(X, y)
-
-    def update(self, funcs: Sequence[PrimFunc], cycles: Sequence[float]) -> None:
-        """Record measured results and refit."""
-        self.commit_update()
-        if self._append(funcs, cycles):
-            self._model = self._fit()
-
-    def update_async(self, funcs: Sequence[PrimFunc], cycles: Sequence[float]) -> None:
-        """Like :meth:`update`, but the refit runs on a background
-        thread so the caller can overlap it with other work (candidate
-        evaluation on a pool, say).
-
-        Deterministic by construction: the fit is a pure function of the
-        accumulated ``(X, y, seed)``, which this thread finalizes before
-        spawning, and :meth:`commit_update` installs the result before
-        the next prediction.  Only the *wall-clock overlap* differs from
-        the synchronous path — never a predicted score.
-        """
-        self.commit_update()
-        if not self._append(funcs, cycles):
-            return
-        snapshot_len = len(self._y)
-
-        def fit() -> None:
-            # _X/_y only grow, and only after commit_update() joins this
-            # thread — the slices below are stable.
-            assert len(self._y) == snapshot_len
-            self._pending_model = self._fit()
-
-        self._pending = threading.Thread(
-            target=fit, name="cost-model-fit", daemon=True
-        )
-        self._pending.start()
-
-    def commit_update(self) -> None:
-        """Install any refit still in flight; must run before the model
-        is next read (predict) or written (update)."""
-        if self._pending is not None:
-            self._pending.join()
-            self._pending = None
-            if self._pending_model is not None:
-                self._model = self._pending_model
-                self._pending_model = None
+    def refit(self) -> None:
+        """Fit on every sample so far, unless the model already has or
+        there are too few.  :meth:`predict` calls it; the search calls it
+        first to time the refit on its own."""
+        if self.is_trained and self._fitted != len(self._y):
+            self._model = GradientBoostedTrees(
+                n_trees=40, learning_rate=0.2, max_depth=4
+            ).fit(np.stack(self._X), np.array(self._y))
+            self._fitted = len(self._y)
 
     def predict(
         self, funcs: Sequence[PrimFunc], executor=None, features=None
@@ -123,7 +80,7 @@ class CostModel:
         both preserve input order, so results are identical to the
         serial path.
         """
-        self.commit_update()
+        self.refit()
         if features is not None and len(features) == len(funcs):
             feats = np.stack(list(features))
         elif executor is not None and len(funcs) > 1:

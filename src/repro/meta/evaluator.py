@@ -141,17 +141,12 @@ class Evaluator:
 
     Subclasses implement :meth:`evaluate`; everything else has working
     defaults.  ``workers`` is the parallel width the backend exposes
-    (``SearchStats.eval_batch_slots`` accounting), ``counters()`` the
-    occupancy/latency telemetry the search folds into its report, and
-    ``overlap_model_updates`` tells the search whether cost-model refits
-    may run concurrently with the next pool fill (safe whenever
-    evaluation does not need the coordinating thread).
+    (``SearchStats.eval_batch_slots`` accounting) and ``counters()`` the
+    occupancy/latency telemetry the search folds into its report.
     """
 
     name = "abstract"
     workers = 1
-    #: may the search overlap cost-model refits with candidate builds?
-    overlap_model_updates = False
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -222,7 +217,6 @@ class ThreadEvaluator(Evaluator):
     """
 
     name = "threads"
-    overlap_model_updates = True
 
     def __init__(self, workers: int = 2):
         super().__init__()
@@ -382,7 +376,6 @@ class ProcessEvaluator(Evaluator):
     """
 
     name = "processes"
-    overlap_model_updates = True
 
     def __init__(self, workers: int = 2):
         super().__init__()

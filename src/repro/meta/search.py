@@ -315,7 +315,7 @@ def evolutionary_search(
     if recorder is None and config.obs.enabled:
         recorder = Recorder(config.obs, telemetry=telemetry)
     recording = recorder is not None and recorder.enabled
-    model = cost_model or CostModel(target, seed=config.seed, recorder=recorder)
+    model = cost_model or CostModel(target, recorder=recorder)
     stats = SearchStats()
     result = TuneResult(func.name, None, float("inf"), None, None, stats=stats)
     task = task or func.name
@@ -410,6 +410,12 @@ def evolutionary_search(
                 # that pays (order-preserving, so scores are identical
                 # to inline extraction).
                 pool_funcs = [c.func for c in pool]
+                # The model refits here, on read, if measurements
+                # arrived since its last fit.
+                t0 = time.perf_counter()
+                gen_starts["model-update"] = t0
+                model.refit()
+                timings["model-update"] += time.perf_counter() - t0
                 scores = model.predict(
                     pool_funcs,
                     features=evaluator.map_features(pool_funcs, target),
@@ -478,14 +484,7 @@ def evolutionary_search(
                     elites.append((report.cycles, cand))
                 if measured_funcs:
                     t0 = time.perf_counter()
-                    gen_starts.setdefault("model-update", t0)
-                    if evaluator.overlap_model_updates:
-                        # Refit on a background thread, overlapped with
-                        # the next generation's pool fill; committed
-                        # before the next prediction reads the model.
-                        model.update_async(measured_funcs, measured_cycles)
-                    else:
-                        model.update(measured_funcs, measured_cycles)
+                    model.update(measured_funcs, measured_cycles)
                     timings["model-update"] += time.perf_counter() - t0
                 elites.sort(key=lambda t: t[0])
                 del elites[max(4, population // 2) :]
@@ -509,10 +508,6 @@ def evolutionary_search(
                                 stage, seconds, task, start=gen_starts.get(stage)
                             )
     finally:
-        # Any refit still in flight is installed now, so the model a
-        # caller (tune(), the next sketch's search) sees is the same one
-        # a synchronous update would have left.
-        model.commit_update()
         # Per-backend occupancy/latency deltas.  Telemetry counters and
         # the recorder's *meta* section get them — never the event
         # stream or the trial ledger, which must stay hash-identical

@@ -331,6 +331,7 @@ class TuningSession:
             session_evaluator.warm_up()
         cache_before = _cache.snapshot_counts()
         eval_before = session_evaluator.counters()
+        telemetry_before = self.telemetry.mark()
         with self.telemetry.span("session") as session_span:
             # Worker-thread spans have an empty thread-local stack; the
             # root link attaches them to this session span.
@@ -367,6 +368,9 @@ class TuningSession:
                 eval_delta,
             )
 
+        # The report covers this run alone, also on a collector shared
+        # with earlier runs (a server's).
+        run_telemetry = self.telemetry.since(telemetry_before, session_span)
         ordered = [reports[t.name] for t in self._tasks]
         totals = {
             "tasks": float(len(ordered)),
@@ -378,10 +382,10 @@ class TuningSession:
         }
         if self.buckets is not None:
             totals["tasks_bucket_replayed"] = float(
-                self.telemetry.counters.get("tasks_bucket_replayed", 0)
+                run_telemetry.counters.get("tasks_bucket_replayed", 0)
             )
             totals["tasks_bucket_fallback"] = float(
-                self.telemetry.counters.get("tasks_bucket_fallback", 0)
+                run_telemetry.counters.get("tasks_bucket_fallback", 0)
             )
         obs_summary: Dict[str, object] = {}
         if self.recorder.enabled:
@@ -390,15 +394,15 @@ class TuningSession:
             obs_summary["sink_path"] = self.recorder.config.sink_path
         return SessionReport(
             target=self.target.name,
-            workers=self.telemetry.threads_used("evolve") or 1,
+            workers=run_telemetry.threads_used("evolve") or 1,
             tasks=ordered,
             totals=totals,
-            telemetry=self.telemetry.report(),
+            telemetry=run_telemetry.report(),
             wall_seconds=time.perf_counter() - t_run,
             invalid_by_code={
                 code: int(count)
                 for code, count in sorted(
-                    self.telemetry.counters_by_prefix("rejected_by_code").items()
+                    run_telemetry.counters_by_prefix("rejected_by_code").items()
                 )
             },
             cache_stats=cache_delta,

@@ -38,7 +38,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 __all__ = ["Span", "Telemetry"]
 
@@ -62,6 +62,23 @@ class Span:
     #: needs the stamp — descendants are reachable via ``parent_id``
     #: links (:meth:`Telemetry.span_tree`).
     request: Optional[str] = None
+
+
+def _subtree(spans: List[Span], roots: Set[int]) -> List[Span]:
+    """The spans among ``spans`` (in record order) that are a root or
+    descend from one, in record order.
+
+    A span is recorded when it closes, after its children (``add``
+    records at once, under a parent still open), so one newest-first
+    pass meets every parent before its children.
+    """
+    keep = set(roots)
+    out = []
+    for s in reversed(spans):
+        if s.span_id in keep or s.parent_id in keep:
+            keep.add(s.span_id)
+            out.append(s)
+    return out[::-1]
 
 
 class Telemetry:
@@ -171,23 +188,9 @@ class Telemetry:
         """
         with self._lock:
             spans = list(self.spans)
-        keep = {s.span_id for s in spans if s.request == request}
-        if not keep:
-            return []
-        grew = True
-        while grew:
-            grew = False
-            for s in spans:
-                if (
-                    s.span_id not in keep
-                    and s.parent_id is not None
-                    and s.parent_id in keep
-                ):
-                    keep.add(s.span_id)
-                    grew = True
+        roots = {s.span_id for s in spans if s.request == request}
         return sorted(
-            (s for s in spans if s.span_id in keep),
-            key=lambda s: (s.start, s.span_id),
+            _subtree(spans, roots), key=lambda s: (s.start, s.span_id)
         )
 
     def _leaf_spans(self) -> List[Span]:
@@ -260,6 +263,35 @@ class Telemetry:
                 for name, value in self.counters.items()
                 if name.startswith(head)
             }
+
+    # -- windows -------------------------------------------------------
+    def mark(self) -> Tuple[int, Dict[str, float]]:
+        """Where this collector stands now — the start of a
+        :meth:`since` window."""
+        with self._lock:
+            return len(self.spans), dict(self.counters)
+
+    def since(self, mark: Tuple[int, Dict[str, float]], root: int) -> "Telemetry":
+        """A new collector holding what was recorded after ``mark``
+        under span ``root`` (the root and its descendants), with each
+        counter's growth since ``mark``.
+
+        How one run reports only itself on a collector that outlives it
+        (a server's, shared by every tuning session it starts): the cost
+        follows the window, not everything recorded before it.
+        """
+        start, before = mark
+        with self._lock:
+            recent = self.spans[start:]
+            counters = dict(self.counters)
+        out = Telemetry(self._clock)
+        out.spans = _subtree(recent, {root})
+        out.counters = {
+            name: value - before.get(name, 0)
+            for name, value in counters.items()
+            if name not in before or value != before[name]
+        }
+        return out
 
     # -- reporting -----------------------------------------------------
     def report(self) -> dict:

@@ -117,7 +117,7 @@ def tune(
         if not sketches:
             raise ValueError(f"no applicable sketches for {func.name}")
 
-        model = CostModel(target, seed=config.seed, recorder=recorder)
+        model = CostModel(target, recorder=recorder)
         best: Optional[TuneResult] = None
         combined_stats = SearchStats()
         records = []

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro import TuneConfig, TuningDatabase, TuningSession, tune
+from repro import Telemetry, TuneConfig, TuningDatabase, TuningSession, tune
 from repro.frontend import LayerSpec, NetworkSpec, network_latency, ops
 from repro.meta import estimated_cost
 from repro.sim import SimGPU
@@ -150,6 +150,32 @@ class TestTelemetryReport:
         stages = report.telemetry["stage_seconds"]
         for stage in ("sketch-gen", "evolve", "validate", "measure", "model-update", "replay"):
             assert stage in stages, stage
+
+    def test_sessions_sharing_telemetry_report_only_their_run(self):
+        """A collector that outlives its sessions (a server's) must not
+        leak one session's spans or counters into the next report."""
+        telemetry = Telemetry()
+        reports = []
+        for n in (64, 128):
+            session = TuningSession(SimGPU(), TuneConfig(trials=4, seed=0), telemetry=telemetry)
+            session.add(ops.matmul(n, n, n))
+            reports.append(session.run())
+        span_ids = [{s["span_id"] for s in r.telemetry["spans"]} for r in reports]
+        assert span_ids[0] and span_ids[1] and not span_ids[0] & span_ids[1]
+        assert len(span_ids[0]) + len(span_ids[1]) == len(telemetry.spans)
+        for r in reports:
+            assert [s["stage"] for s in r.telemetry["spans"]].count("session") == 1
+            assert r.telemetry["counters"]["tasks_searched"] == 1
+            assert r.totals["tasks_searched"] == 1
+        assert telemetry.counters["tasks_searched"] == 2
+        for name, total in telemetry.counters.items():
+            assert sum(r.telemetry["counters"].get(name, 0) for r in reports) == (
+                pytest.approx(total)
+            ), name
+        rejected = telemetry.counters_by_prefix("rejected_by_code")
+        assert {
+            code: sum(r.invalid_by_code.get(code, 0) for r in reports) for code in rejected
+        } == rejected
 
 
 class TestBudgetAllocation:
