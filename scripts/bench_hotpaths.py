@@ -460,7 +460,7 @@ def run_obs_overhead(workloads, trials, seed, out_path, reps=5):
                 doc = json.load(fh)
         except (json.JSONDecodeError, OSError):
             doc = {}
-    doc.update(report)  # keep sibling sections (serve_obs) intact
+    doc.update(report)  # keep sibling sections intact
     with open(out_path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -472,315 +472,6 @@ def run_obs_overhead(workloads, trials, seed, out_path, reps=5):
     elif not ok:
         print("FAIL: recording overhead above the 15% contract", file=sys.stderr)
     return 0 if ok else 1
-
-
-def run_serve_obs(trials, seed, out_path, smoke=False):
-    """Serving-metrics bench (``--serve-obs``): the observability layer
-    must be close to free on the hot path, and honest everywhere else.
-
-    A/B of the warm-hit serve path with the metrics registry enabled
-    (the default) vs disabled (``ServeConfig.metrics=False`` swaps in
-    no-op instruments), on two fresh single-workload servers with the
-    same seed.  Four contracts:
-
-    * **<2% warm-hit overhead** — timed on ONE server by toggling its
-      instrumentation gates between alternating rounds.  Two freshly
-      built servers disagree by up to ~10% on *identical* code
-      (per-object allocator and dict-layout luck), so a cross-server
-      timing comparison cannot resolve a 2% gate; clearing the gates on
-      the live metrics-on server reproduces the exact branches a
-      metrics-off server takes, and the alternating same-object A/B
-      times nothing but the gated instrumentation work.  The statistic
-      is the median of per-*pair* deltas (adjacent-in-time rounds, so
-      clock drift cancels inside each pair), minimized over several
-      passes — timeit's repeat-and-take-min rationale, since noise
-      contaminates additively.
-    * **identical programs** — both modes serve the byte-identical best
-      script (the registry must not perturb the search).
-    * **health() == histograms** — ``ScheduleServer.health()`` p50/p95/
-      p99 must equal the quantiles recomputed from the rolling windows
-      in the exported ``serve_latency_seconds`` snapshot (with sampled
-      hit latencies replicated by the sampling factor, exactly as
-      ``health()`` pools them): one source of truth, two views.
-    * **request ids round-trip** — the miss *and* a hit response each
-      carry a ``request_id`` whose ``Telemetry.span_tree`` is non-empty
-      and survives the Chrome-trace exporter's ``--request`` filter
-      span-for-span.
-
-    Results merge into ``BENCH_obs.json`` under ``serve_obs``.
-    ``smoke=True`` shrinks the rep counts and skips the timing gate
-    (CI machines are noisy); every correctness gate still applies.
-    """
-    import tempfile
-
-    from repro.meta import Telemetry
-    from repro.obs import chrome_trace
-    from repro.serve import ScheduleServer, ServeConfig
-
-    target = SimGPU()
-    func = ops.matmul(64, 64, 64)
-    reps = 3 if smoke else 15
-    hits_per_rep = 20 if smoke else 1000
-    bench = {
-        "config": {
-            "trials": trials, "seed": seed, "smoke": smoke,
-            "reps": reps, "hits_per_rep": hits_per_rep,
-        },
-    }
-    failures = []
-
-    def timed_round(server):
-        t0 = time.perf_counter()
-        for _ in range(hits_per_rep):
-            server.compile(func)
-        return (time.perf_counter() - t0) / hits_per_rep
-
-    def tree_round_trip(telemetry, resp, label):
-        spans = telemetry.span_tree(resp.request_id)
-        trace = chrome_trace(
-            {"telemetry": telemetry.report()}, request=resp.request_id
-        )
-        slices = [e for e in trace["traceEvents"] if e.get("ph") == "X"]
-        exported = {e["args"]["span_id"] for e in slices}
-        ok = (
-            bool(spans)
-            and exported == {s.span_id for s in spans}
-            and any(
-                e["args"].get("request") == resp.request_id for e in slices
-            )
-        )
-        if not ok:
-            failures.append(
-                f"{label}: request {resp.request_id!r} span tree did not "
-                f"round-trip ({len(spans)} spans, {len(exported)} exported)"
-            )
-        return {
-            "request_id": resp.request_id,
-            "spans": len(spans),
-            "round_trip": ok,
-        }
-
-    scripts = {}
-    health_doc = None
-    health_consistent = None
-    trees = {}
-    with tempfile.TemporaryDirectory(prefix="serve-obs-") as tmp:
-        for mode, metrics_on in (("off", False), ("on", True)):
-            telemetry = Telemetry()
-            cfg = ServeConfig(
-                db_path=os.path.join(tmp, f"db-{mode}"),
-                tune=TuneConfig(trials=trials, seed=seed),
-                metrics=metrics_on,
-            )
-            with ScheduleServer(target, cfg, telemetry=telemetry) as server:
-                print(
-                    f"[serve-obs] metrics {mode}: cold miss "
-                    f"({trials} trials) ...", flush=True,
-                )
-                first = server.compile(func)
-                if first.source != "miss":
-                    failures.append(
-                        f"metrics {mode}: first request was {first.source!r}"
-                    )
-                if not first.request_id:
-                    failures.append(
-                        f"metrics {mode}: response carries no request id"
-                    )
-                scripts[mode] = first.script
-                warm = server.compile(func)
-                if warm.source != "hit" or warm.script != first.script:
-                    failures.append(
-                        f"metrics {mode}: warm request was {warm.source!r} "
-                        "or changed the program"
-                    )
-                if warm.request_id == first.request_id:
-                    failures.append(
-                        f"metrics {mode}: request ids not unique "
-                        f"({first.request_id!r})"
-                    )
-                if metrics_on:
-                    for _ in range(5):  # warm-up rounds, untimed
-                        server.compile(func)
-                    # -- timing: same-server gate toggle.  Clearing
-                    #    ``_m_events`` (skips response staging) and the
-                    #    database's ``_m_get`` (skips sampled get
-                    #    timing) reproduces byte-for-byte the branches a
-                    #    metrics-off server executes, on the SAME
-                    #    object — so alternating cleared/restored rounds
-                    #    isolates exactly the gated instrumentation
-                    #    work, free of cross-object layout luck.
-                    events_handle = server._m_events
-                    db_handle = server.database
-                    mget_handle = db_handle._m_get
-
-                    def gates(enabled):
-                        server._m_events = events_handle if enabled else None
-                        db_handle._m_get = mget_handle if enabled else None
-
-                    # One *pass* = ``reps`` alternating off/on pairs;
-                    # its statistic is the median per-pair delta (pairs
-                    # are adjacent in time, so clock drift cancels
-                    # inside each pair, and the within-pair order flips
-                    # per pair so periodic background load cannot
-                    # systematically penalize one side).  The reported
-                    # overhead is the MINIMUM over passes — timeit's
-                    # repeat-and-take-min rationale: every contaminant
-                    # (GC, scheduler, turbo steps) inflates a pass
-                    # additively, so the lowest pass is the closest
-                    # estimate of the true cost.
-                    passes = 1 if smoke else 3
-                    pass_pcts = []
-                    off_meds = []
-                    on_meds = []
-                    for _ in range(passes):
-                        off_rounds = []
-                        on_rounds = []
-                        for index in range(reps):
-                            for enabled in (
-                                (False, True) if index % 2 == 0
-                                else (True, False)
-                            ):
-                                gates(enabled)
-                                sample = timed_round(server)
-                                (
-                                    on_rounds if enabled else off_rounds
-                                ).append(sample)
-                        gates(True)
-                        off_med = _median(off_rounds)
-                        deltas = [
-                            100.0 * (on - off) / off_med
-                            for off, on in zip(off_rounds, on_rounds)
-                        ]
-                        pass_pcts.append(_median(deltas))
-                        off_meds.append(off_med)
-                        on_meds.append(_median(on_rounds))
-                    best = min(range(passes), key=lambda i: pass_pcts[i])
-                    bench["timing"] = {
-                        "method": (
-                            "same-server instrumentation-gate toggle: "
-                            f"min over {passes} passes of the median "
-                            f"per-pair delta, {reps} alternating round "
-                            f"pairs of {hits_per_rep} warm hits each"
-                        ),
-                        "overhead_pct": round(pass_pcts[best], 2),
-                        "pass_overheads_pct": [
-                            round(p, 2) for p in pass_pcts
-                        ],
-                        "gates_off_median_us": round(
-                            1e6 * off_meds[best], 2
-                        ),
-                        "gates_on_median_us": round(
-                            1e6 * on_meds[best], 2
-                        ),
-                    }
-                    print(
-                        f"[serve-obs] warm hit: gates off "
-                        f"{bench['timing']['gates_off_median_us']}us, "
-                        f"gates on "
-                        f"{bench['timing']['gates_on_median_us']}us, "
-                        f"overhead (min over passes "
-                        f"{bench['timing']['pass_overheads_pct']}) "
-                        f"{bench['timing']['overhead_pct']}%",
-                        flush=True,
-                    )
-                    # -- health() vs the exported histograms: the very
-                    #    same rolling windows (health() replicates each
-                    #    1-in-N sampled hit latency N times so pooled
-                    #    percentiles weight outcomes by true request
-                    #    volume), so equality is exact.
-                    from repro.serve.server import _HIT_LATENCY_SAMPLE
-
-                    health_doc = server.health()
-                    snap = server.metrics.snapshot()
-                    series = snap["metrics"]["serve_latency_seconds"]["series"]
-                    window = sorted(
-                        v
-                        for key, s in series.items()
-                        for v in s["window"]
-                        for _ in range(
-                            _HIT_LATENCY_SAMPLE
-                            if key == "outcome=hit"
-                            else 1
-                        )
-                    )
-
-                    def from_snapshot(q):
-                        if not window:
-                            return None
-                        return window[min(len(window) - 1, int(q * len(window)))]
-
-                    health_consistent = True
-                    for field, q in (
-                        ("p50_seconds", 0.50),
-                        ("p95_seconds", 0.95),
-                        ("p99_seconds", 0.99),
-                    ):
-                        got, want = health_doc[field], from_snapshot(q)
-                        same = (got is None and want is None) or (
-                            got is not None
-                            and want is not None
-                            and abs(got - want) <= 1e-12
-                        )
-                        if not same:
-                            health_consistent = False
-                            failures.append(
-                                f"health()[{field!r}] = {got} disagrees with "
-                                f"the snapshot window quantile {want}"
-                            )
-                    outcomes = snap["metrics"]["serve_requests_total"]["series"]
-                    bench["requests_by_outcome"] = {
-                        k: v for k, v in outcomes.items()
-                    }
-                    # miss + warm + 5 warm-ups + every timed hit: hit
-                    # counts are derived from ServerStats at fold time,
-                    # so gate-off rounds are still counted exactly (only
-                    # their latency samples are skipped).
-                    expected = 7 + 2 * reps * hits_per_rep * passes
-                    served = sum(outcomes.values())
-                    if served != expected:
-                        failures.append(
-                            f"serve_requests_total sums to {served}, "
-                            f"expected {expected}"
-                        )
-                    # -- request-id span trees, miss and hit alike.
-                    trees["miss"] = tree_round_trip(telemetry, first, "miss")
-                    trees["hit"] = tree_round_trip(telemetry, warm, "hit")
-
-    if scripts["off"] != scripts["on"]:
-        failures.append("metrics on/off served different best programs")
-    overhead_pct = bench["timing"]["overhead_pct"]
-    if not smoke and overhead_pct >= 2.0:
-        failures.append(
-            f"metrics-on warm-hit overhead {overhead_pct:.2f}% >= 2%"
-        )
-    bench["span_trees"] = trees
-    bench["health"] = health_doc
-    bench["aggregate"] = {
-        "warm_hit_overhead_pct": round(overhead_pct, 2),
-        "best_identical": scripts["off"] == scripts["on"],
-        "health_consistent": bool(health_consistent),
-        "span_trees_round_trip": all(t["round_trip"] for t in trees.values())
-        if trees
-        else False,
-        "timing_gate": "skipped (smoke)" if smoke else "<2%",
-        "ok": not failures,
-    }
-    doc = {}
-    if os.path.exists(out_path):
-        try:
-            with open(out_path) as fh:
-                doc = json.load(fh)
-        except (json.JSONDecodeError, OSError):
-            doc = {}
-    doc["serve_obs"] = bench
-    with open(out_path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    print(json.dumps(bench["aggregate"], indent=2))
-    print(f"wrote {out_path}")
-    for line in failures:
-        print(f"FAIL: {line}", file=sys.stderr)
-    return 0 if not failures else 1
 
 
 def run_fusion_bench(trials, seed, workers, out_path):
@@ -953,7 +644,6 @@ def run_serve_bench(workloads, trials, seed, out_path, smoke=False):
     import tempfile
     import threading
 
-    from repro.meta import Telemetry
     from repro.serve import ScheduleServer, ServeConfig
 
     target = SimGPU()
@@ -963,7 +653,6 @@ def run_serve_bench(workloads, trials, seed, out_path, smoke=False):
         "workloads": {},
     }
     failures = []
-    telemetry = Telemetry()
     with tempfile.TemporaryDirectory(prefix="serve-bench-") as tmp:
         cfg = ServeConfig(
             db_path=os.path.join(tmp, "db"),
@@ -974,7 +663,7 @@ def run_serve_bench(workloads, trials, seed, out_path, smoke=False):
             for name in workloads
         }
         scripts = {}
-        with ScheduleServer(target, cfg, telemetry=telemetry) as server:
+        with ScheduleServer(target, cfg) as server:
             for name, func in funcs.items():
                 print(f"[{name}] cold miss (tuning {trials} trials) ...", flush=True)
                 t0 = time.perf_counter()
@@ -1007,6 +696,8 @@ def run_serve_bench(workloads, trials, seed, out_path, smoke=False):
                     f"{bench['workloads'][name]['hit_p50_ms']}ms", flush=True,
                 )
             stats = server.stats()
+            hit_latency = server.metrics.families()["serve_latency_seconds"]
+            p50_hit = hit_latency.labels(outcome="hit").window_quantile(0.5)
         # -- restart: a fresh server on the same directory serves the
         #    byte-identical program for every workload, zero trials.
         restart_identical = True
@@ -1059,17 +750,12 @@ def run_serve_bench(workloads, trials, seed, out_path, smoke=False):
 
     bench["aggregate"] = {
         **stats.to_json(),
-        "p50_hit_latency_ms": round(
-            1e3 * (stats.p50_hit_seconds() or 0.0), 4
-        ),
+        "p50_hit_latency_ms": round(1e3 * (p50_hit or 0.0), 4),
         "warm_zero_trials": not any("warm" in f for f in failures),
         "restart_identical": restart_identical,
         "concurrent_clients": n_clients,
         "concurrent_tune_runs": co_stats.tune_runs,
         "coalesce_factor": round(co_stats.coalesce_factor, 4),
-        "counters": {
-            k: v for k, v in telemetry.counters.items() if k.startswith("serve.")
-        },
         "ok": not failures,
     }
     report = {}
@@ -1368,14 +1054,6 @@ def main(argv=None):
         "'schedule_serve'; combine with --smoke for the CI guard)",
     )
     parser.add_argument(
-        "--serve-obs", action="store_true",
-        help="serving-metrics bench: warm-hit overhead with the metrics "
-        "registry on vs off (<2%% gate, median-of-N), health() vs "
-        "histogram consistency, request-id span-tree round trip "
-        "(writes 'serve_obs' into BENCH_obs.json; combine with --smoke "
-        "for the CI guard)",
-    )
-    parser.add_argument(
         "--shapes", action="store_true",
         help="shape-bucketing bench: batch/seq sweeps served from bucket "
         "representatives — 0-trial in-bucket serves, bounded latency "
@@ -1399,10 +1077,6 @@ def main(argv=None):
     )
     parser.add_argument("--out", default="BENCH_search.json")
     args = parser.parse_args(argv)
-    if args.serve_obs:
-        out = args.out if args.out != "BENCH_search.json" else "BENCH_obs.json"
-        trials = 4 if args.smoke else args.trials
-        return run_serve_obs(trials, args.seed, out, smoke=args.smoke)
     if args.shapes:
         trials = 4 if args.smoke else args.trials
         return run_shape_bench(trials, args.seed, args.out, smoke=args.smoke)

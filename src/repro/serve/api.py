@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 from ..frontend.shapes import BucketSpec
 from ..meta.config import TuneConfig
@@ -58,16 +58,6 @@ class ServeConfig:
     max_entries: Optional[int] = None
     compile_programs: bool = True
     buckets: Optional[BucketSpec] = None
-    #: serving metrics (``repro.obs.metrics``): latency histograms per
-    #: outcome, queue/batch occupancy, database + evaluator + cache
-    #: instruments, and the :meth:`~repro.serve.server.ScheduleServer.health`
-    #: surface.  Off turns every instrument into a no-op — the A/B the
-    #: ``--serve-obs`` overhead bench measures.
-    metrics: bool = True
-    #: rolling-window size for recent-latency accounting: bounds
-    #: ``ServerStats.hit_seconds`` and each latency histogram's window
-    #: of raw observations (the ``health()`` p50/p95/p99 source).
-    stats_window: int = 512
 
     def with_(self, **changes) -> "ServeConfig":
         return dataclasses.replace(self, **changes)
@@ -135,7 +125,12 @@ class CompileResponse:
 
 @dataclass
 class ServerStats:
-    """A point-in-time snapshot of one server's request accounting."""
+    """A point-in-time snapshot of one server's request accounting.
+
+    The request-side counts live here only; response latencies live in
+    the server's ``serve_latency_seconds{outcome}`` histograms, whose
+    ``count`` is the number of responses per outcome.
+    """
 
     requests: int = 0
     hits: int = 0
@@ -150,11 +145,6 @@ class ServerStats:
     #: bucket replays that proved infeasible at the concrete shape and
     #: fell back to an exact lookup or a fresh tune (TIR702).
     replay_fallbacks: int = 0
-    #: the most recent zero-search serve latencies, bounded to the
-    #: server's ``ServeConfig.stats_window`` (a rolling window, not the
-    #: full history — the metrics histograms keep the full
-    #: distribution).
-    hit_seconds: List[float] = field(default_factory=list)
 
     @property
     def hit_rate(self) -> float:
@@ -170,12 +160,6 @@ class ServerStats:
         miss_side = self.misses + self.coalesced
         return miss_side / self.tuned_workloads if self.tuned_workloads else 0.0
 
-    def p50_hit_seconds(self) -> Optional[float]:
-        if not self.hit_seconds:
-            return None
-        ordered = sorted(self.hit_seconds)
-        return ordered[len(ordered) // 2]
-
     def to_json(self) -> dict:
         return {
             "requests": self.requests,
@@ -189,5 +173,4 @@ class ServerStats:
             "replay_fallbacks": self.replay_fallbacks,
             "hit_rate": round(self.hit_rate, 4),
             "coalesce_factor": round(self.coalesce_factor, 4),
-            "p50_hit_seconds": self.p50_hit_seconds(),
         }

@@ -17,10 +17,10 @@ stack.  Requests name a ``PrimFunc`` workload; the server answers
 With a :class:`~repro.meta.database.PersistentDatabase` behind it every
 tuned entry is committed to disk the moment its task finishes; a server
 restarted on the same directory serves byte-identical programs without
-re-tuning.  All request accounting is exposed via :meth:`stats`
-(hit/miss/coalesce counters, p50 hit latency) and mirrored into the
-server's :class:`~repro.meta.telemetry.Telemetry` as per-request spans
-and ``serve.*`` counters.
+re-tuning.  Request counts are exposed via :meth:`stats`, response
+latencies by outcome via the ``serve_latency_seconds`` histograms of
+:attr:`ScheduleServer.metrics`, and each request leaves a span in the
+server's :class:`~repro.meta.telemetry.Telemetry`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import itertools
 import queue
 import threading
 import time
-from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -52,12 +51,6 @@ from ..tir.printer import script
 from .api import CompileRequest, CompileResponse, ServeConfig, ServerStats
 
 __all__ = ["ScheduleServer"]
-
-#: hit latencies are 1-in-N sampled on the warm fast path (power of
-#: two — the sampling test is a mask).  :meth:`ScheduleServer.health`
-#: replicates each sampled hit N times when pooling windows so the
-#: combined percentiles weight outcomes by true request volume.
-_HIT_LATENCY_SAMPLE = 8
 
 
 def _cache_hit_rates() -> Dict[str, float]:
@@ -111,26 +104,13 @@ class ScheduleServer:
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._stats = ServerStats()
-        #: recent zero-search serve latencies — a bounded rolling window
-        #: (``ServeConfig.stats_window``), snapshot as a plain list by
-        #: :meth:`stats`.  The latency *distribution* lives in the
-        #: metrics histograms; this window only feeds the legacy
-        #: ``p50_hit_seconds`` view.
-        self._stats.hit_seconds = deque(maxlen=max(1, self.config.stats_window))
         self._started_unix = time.time()
-        #: the serving metrics registry (``repro.obs.metrics``) — one
-        #: per server; ``ServeConfig.metrics=False`` swaps every
-        #: instrument for a no-op (the overhead-bench A/B switch).
-        self.metrics = MetricsRegistry(enabled=self.config.metrics)
-        window = self.config.stats_window
-        self._m_requests = self.metrics.counter(
-            "serve_requests_total", "compile responses served, by outcome",
+        #: the serving metrics registry (``repro.obs.metrics``), one per
+        #: server.
+        self.metrics = MetricsRegistry()
+        latency = self.metrics.histogram(
+            "serve_latency_seconds", "response latency by outcome",
             labels=("outcome",),
-        )
-        self._m_latency = self.metrics.histogram(
-            "serve_latency_seconds",
-            "request latency by outcome (hit outcome 1-in-8 sampled)",
-            labels=("outcome",), window=window,
         )
         self._m_failures = self.metrics.counter(
             "serve_failures_total", "requests failed (tuning or replay)"
@@ -138,39 +118,13 @@ class ScheduleServer:
         # Pre-resolved per-outcome children: the warm-hit path is
         # microsecond-class, so even the labels() dict lookup under the
         # family lock is measurable — resolve once, index a plain dict.
-        _outcomes = ("hit", "bucket-hit", "miss", "coalesced")
-        self._m_req_out = {
-            o: self._m_requests.labels(outcome=o) for o in _outcomes
-        }
         self._m_lat_out = {
-            o: self._m_latency.labels(outcome=o) for o in _outcomes
+            o: latency.labels(outcome=o)
+            for o in ("hit", "bucket-hit", "miss", "coalesced")
         }
-        #: staged response latencies, one deque per outcome.
-        #: :meth:`_fold_serve_events` (a registry collector, so it runs
-        #: before every snapshot read) fans them out in batches.  Floats
-        #: are GC-untracked, so the staging buffer adds no collector
-        #: pressure to the hot path (a staged tuple per response
-        #: measurably did).  Hit/bucket-hit response *counts* never
-        #: touch this at all — they are derived from
-        #: :class:`ServerStats`, whose lock the fast path already pays
-        #: for in both modes — and hit *latencies* are 1-in-8 sampled
-        #: (the warm-hit path is ~30us; even one extra staged append
-        #: per hit is measurable against the <2% overhead budget).
-        #: ``None`` when metrics are disabled.
-        self._m_events: Optional[Dict[str, deque]] = (
-            {o: deque() for o in _outcomes} if self.metrics.enabled else None
-        )
-        #: serializes :meth:`_fold_serve_events` — the count-based
-        #: drain is only safe with one folder at a time (see there).
-        self._m_fold_lock = threading.Lock()
-        self._m_hit_tick = 0  # hit-latency sampling counter
-        #: response counts already folded into ``serve_requests_total``
-        #: for the stats-derived outcomes.
-        self._m_published = {"hit": 0, "bucket-hit": 0}
-        self.metrics.register_collector(self._fold_serve_events)
         self._m_queue_wait = self.metrics.histogram(
             "serve_queue_wait_seconds",
-            "miss time from submit to tuning-batch adoption", window=window,
+            "miss time from submit to tuning-batch adoption",
         )
         self._m_batch_size = self.metrics.histogram(
             "serve_batch_size", "unique workloads per miss batch",
@@ -232,7 +186,7 @@ class ScheduleServer:
         """
         if self._closed:
             raise RuntimeError("ScheduleServer is closed")
-        t0 = time.perf_counter()
+        submitted_at = time.perf_counter()
         bucketed = None
         bucket_key: Optional[str] = None
         if self.config.buckets is not None:
@@ -245,7 +199,7 @@ class ScheduleServer:
             request_id=f"req-{next(self._ids):06d}",
             func=func,
             key=workload_key(func, self.target),
-            submitted_at=t0,
+            submitted_at=submitted_at,
             bucket_key=bucket_key,
         )
         future: "Future[CompileResponse]" = Future()
@@ -261,12 +215,9 @@ class ScheduleServer:
                 if entry is not None:
                     response = self._respond(request, entry, "bucket-hit", trials=0)
                     if response is not None:
-                        elapsed = time.perf_counter() - t0
                         with self._lock:
                             self._stats.requests += 1
                             self._stats.bucket_hits += 1
-                            self._stats.hit_seconds.append(elapsed)
-                        self.telemetry.count("serve.bucket_hits")
                         future.set_result(response)
                         return future
                     # The representative's decisions are infeasible at
@@ -277,17 +228,13 @@ class ScheduleServer:
                     bucket_failed = True
                     with self._lock:
                         self._stats.replay_fallbacks += 1
-                    self.telemetry.count("serve.replay_fallbacks")
             entry = self.database.get(request.key)
             if entry is not None:
                 response = self._respond(request, entry, "hit", trials=0)
                 if response is not None:
-                    elapsed = time.perf_counter() - t0
                     with self._lock:
                         self._stats.requests += 1
                         self._stats.hits += 1
-                        self._stats.hit_seconds.append(elapsed)
-                    self.telemetry.count("serve.hits")
                     future.set_result(response)
                     return future
                 # The stored record could not be replayed (e.g. an
@@ -309,18 +256,21 @@ class ScheduleServer:
                     func=func,
                 )
             with self._lock:
+                # ``close`` sets ``_closed`` under this lock before it
+                # stops the worker and sweeps ``_pending``: a waiter is
+                # registered only while a sweep is still to come.
+                if self._closed:
+                    raise RuntimeError("ScheduleServer is closed")
                 self._stats.requests += 1
                 pending = self._pending.get(pend_key)
                 if pending is not None:
                     pending.waiters.append((future, request))
                     self._stats.coalesced += 1
-                    self.telemetry.count("serve.coalesced")
                     return future
                 pending = _Pending(func=pend_func)
                 pending.waiters.append((future, request))
                 self._pending[pend_key] = pending
                 self._stats.misses += 1
-            self.telemetry.count("serve.misses")
             self._queue.put(pend_key)
         return future
 
@@ -408,7 +358,6 @@ class ScheduleServer:
         with self._lock:
             self._stats.tune_runs += 1
             self._stats.tuned_workloads += len(funcs)
-        self.telemetry.count("serve.tune_runs")
         for key in funcs:
             entry = self.database.get(key)
             task = report.task(key)
@@ -477,7 +426,6 @@ class ScheduleServer:
         )
         with self._lock:
             self._stats.replay_fallbacks += 1
-        self.telemetry.count("serve.replay_fallbacks")
         try:
             result = tune(
                 request.func,
@@ -539,27 +487,7 @@ class ScheduleServer:
                 "serve-wait", wait, request.key,
                 start=request.submitted_at, request=request.request_id,
             )
-        events = self._m_events
-        if events is not None:
-            if source == "hit":
-                # The warm-hit fast path: counts come free from
-                # ServerStats at fold time, so the only per-hit metrics
-                # work is this 1-in-N latency sample.  The unsynchronized
-                # tick just shifts *which* hit is sampled under races.
-                self._m_hit_tick += 1
-                stage = not (self._m_hit_tick & (_HIT_LATENCY_SAMPLE - 1))
-            else:
-                stage = True
-            if stage:
-                staged = events.get(source)
-                if staged is None:
-                    staged = events.setdefault(source, deque())
-                staged.append(wait)
-                # 1024 (not the registry's 4096) keeps each inline fold
-                # ~250us, spreading the amortized cost evenly instead
-                # of landing a rare millisecond pause on one request.
-                if len(staged) >= 1024:
-                    self._fold_serve_events()
+        self._m_lat_out[source].observe(wait)
         if self.recorder is not None:
             self.recorder.serve_request(request.key, source, trials, wait)
         return CompileResponse(
@@ -575,57 +503,6 @@ class ScheduleServer:
             compiled=compiled,
         )
 
-    def _fold_serve_events(self) -> None:
-        """Fold staged response events into the requests counter and
-        latency histogram.
-
-        Runs as a registry collector (before every snapshot read), from
-        :meth:`health`, and inline when a staging buffer fills.  Two
-        sources feed ``serve_requests_total``: hit/bucket-hit counts
-        are *derived* from :class:`ServerStats` (exact, and free on the
-        fast path — the stats increment is paid in both modes), while
-        miss/coalesced responses are counted from their staged
-        latencies (every one is staged; those paths are tuning-scale).
-        The whole fold runs under ``_m_fold_lock``: the count-based
-        drain reads ``len`` then pops that many items, so two
-        concurrent folders could together pop more than were staged
-        and raise ``IndexError`` — one folder at a time makes the
-        read-then-pop window race-free (appends racing past ``len``
-        are simply picked up by the next fold).  ``_m_fold_lock`` is
-        acquired before the server lock, never the reverse.
-        """
-        events = self._m_events
-        if events is None:
-            return
-        with self._m_fold_lock:
-            with self._lock:
-                derived = (
-                    ("hit", self._stats.hits),
-                    ("bucket-hit", self._stats.bucket_hits),
-                )
-                deltas = []
-                for source, total in derived:
-                    delta = total - self._m_published[source]
-                    if delta > 0:
-                        self._m_published[source] = total
-                        deltas.append((source, delta))
-            for source, delta in deltas:
-                self._m_req_out[source].inc(delta)
-            for source, staged in list(events.items()):
-                pending = len(staged)
-                if not pending:
-                    continue
-                waits = [staged.popleft() for _ in range(pending)]
-                if source not in self._m_published:
-                    counter = self._m_req_out.get(source)
-                    if counter is None:  # an unanticipated outcome label
-                        counter = self._m_requests.labels(outcome=source)
-                    counter.inc(len(waits))
-                hist = self._m_lat_out.get(source)
-                if hist is None:
-                    hist = self._m_latency.labels(outcome=source)
-                hist.observe_many(waits)
-
     # -- introspection / lifecycle --------------------------------------
     def stats(self) -> ServerStats:
         """A snapshot copy of the request accounting."""
@@ -640,22 +517,16 @@ class ScheduleServer:
                 failures=self._stats.failures,
                 bucket_hits=self._stats.bucket_hits,
                 replay_fallbacks=self._stats.replay_fallbacks,
-                hit_seconds=list(self._stats.hit_seconds),
             )
 
     def health(self) -> dict:
         """A point-in-time health summary for dashboards and probes.
 
-        Latency percentiles come from the rolling windows of the
-        ``serve_latency_seconds`` histograms (all outcomes combined) —
-        the *same* observations the exported histograms hold.  Because
-        hit latencies are 1-in-``_HIT_LATENCY_SAMPLE`` sampled while
-        miss/coalesced latencies are fully staged, each sampled hit is
-        replicated by the sampling factor before pooling, so the
-        combined percentiles weight outcomes by true request volume
-        instead of overweighting the slow tuning-scale paths.  With
-        metrics disabled the zero-search window (``hit_seconds``)
-        stands in.
+        p50/p95/p99 are exact quantiles of the pooled rolling windows of
+        the four ``serve_latency_seconds{outcome}`` histograms: the last
+        ``DEFAULT_WINDOW`` response latencies of each of hit, bucket-hit,
+        miss and coalesced (one observation per response), taken
+        together unweighted.
         """
         with self._lock:
             requests = self._stats.requests
@@ -663,20 +534,9 @@ class ScheduleServer:
             hits = self._stats.hits
             bucket_hits = self._stats.bucket_hits
             pending = len(self._pending)
-            fallback_window = list(self._stats.hit_seconds)
-        window: List[float] = []
-        if self.metrics.enabled:
-            self._fold_serve_events()
-            for key, child in self._m_latency.children().items():
-                values = child.window_values()
-                if key == ("hit",):
-                    values = [
-                        v for v in values for _ in range(_HIT_LATENCY_SAMPLE)
-                    ]
-                window.extend(values)
-        else:
-            window = fallback_window
-        window.sort()
+        window = sorted(
+            v for child in self._m_lat_out.values() for v in child.window_values()
+        )
 
         def _q(q: float) -> Optional[float]:
             if not window:
@@ -695,7 +555,6 @@ class ScheduleServer:
             "p50_seconds": _q(0.50),
             "p95_seconds": _q(0.95),
             "p99_seconds": _q(0.99),
-            "metrics_enabled": self.metrics.enabled,
         }
 
     def close(self, timeout: Optional[float] = 10.0) -> None:
@@ -704,9 +563,10 @@ class ScheduleServer:
         Idempotent.  Queued-but-untuned workloads get a
         ``RuntimeError`` so no client blocks forever on a dead server.
         """
-        if self._closed:
-            return
-        self._closed = True
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
         self._queue.put(None)
         self._worker.join(timeout=timeout)
         with self._lock:

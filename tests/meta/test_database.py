@@ -1,9 +1,7 @@
 """Tests for the tuning-record database (§5.2's search-record caching).
 
-The database surface was redesigned around one typed protocol —
-``get`` / ``put`` / ``evict`` / ``keys`` — with the historical lookup
-spellings kept as deprecation shims; this module covers the protocol on
-the in-memory backend plus the shims' warning behaviour.
+The database surface is one typed protocol — ``get`` / ``put`` /
+``evict`` / ``keys``; this module covers it on the in-memory backend.
 """
 
 import os
@@ -89,19 +87,6 @@ class TestDatabase:
         db.record(func, SimGPU(), result.best_sketch, result.best_decisions, 100.0)
         db.record(func, SimGPU(), result.best_sketch, result.best_decisions, 200.0)
         assert db.get(key).cycles == 100.0
-
-    def test_lookup_shims_warn_and_delegate(self, tuned):
-        func, result = tuned
-        db = TuningDatabase()
-        db.record(func, SimGPU(), result.best_sketch, result.best_decisions, result.best_cycles)
-        key = workload_key(func, SimGPU())
-        with pytest.deprecated_call():
-            entry = db.lookup(func, SimGPU())
-        assert entry is db.get(key)
-        with pytest.deprecated_call():
-            assert db.lookup_key(key) is entry
-        with pytest.deprecated_call():
-            assert db._entries is not None
 
     def test_persistence_roundtrip(self, tuned, tmp_path):
         func, result = tuned

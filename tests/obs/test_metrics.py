@@ -1,14 +1,16 @@
 """Unit tests for ``repro.obs.metrics`` — the typed, thread-safe
 metrics layer behind the serving stack.
 
-The contracts under test: staged writes never lose an increment (under
-threads or interleaved reads), ``observe_many`` is observationally
-equivalent to N ``observe`` calls, label cardinality collapses onto the
-overflow series instead of growing, and the three read views
-(snapshot / delta / Prometheus text) agree with each other.
+The contracts under test: locked writes never lose an increment (under
+threads or interleaved reads), histogram buckets follow Prometheus
+``le`` semantics, label cardinality collapses onto the overflow series
+instead of growing, and the three read views (snapshot / delta /
+Prometheus text) agree with each other.
 """
 
+import contextlib
 import math
+import sys
 import threading
 
 import pytest
@@ -23,6 +25,26 @@ from repro.obs.metrics import (
     quantile_from_buckets,
     render_prometheus,
 )
+
+
+@contextlib.contextmanager
+def _fast_switching():
+    """Switch threads every microsecond, so an unlocked read-modify-write
+    in an instrument would lose updates within a few thousand writes."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
+
+
+def _run_all(threads, timeout=60):
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=timeout)
+    assert not any(t.is_alive() for t in threads)
 
 
 class TestCounter:
@@ -44,60 +66,37 @@ class TestCounter:
         c = reg.counter("hammered_total")
         per_thread, threads = 5000, 8
         stop = threading.Event()
+        errors = []
 
         def writer():
             for _ in range(per_thread):
                 c.inc()
 
         def reader():
-            # Interleaved reads force folds mid-stream; none may lose
-            # staged increments.
+            # Reads interleave with the writers; none may see more than
+            # was written, and no increment may be lost.
             while not stop.is_set():
-                assert c.value <= per_thread * threads
+                if c.value > per_thread * threads:
+                    errors.append(c.value)
 
-        workers = [threading.Thread(target=writer) for _ in range(threads)]
         observer = threading.Thread(target=reader)
         observer.start()
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-        stop.set()
-        observer.join()
+        try:
+            with _fast_switching():
+                _run_all([threading.Thread(target=writer) for _ in range(threads)])
+        finally:
+            stop.set()
+            observer.join(timeout=60)
+        assert not errors
         assert c.value == per_thread * threads
-
-    def test_inline_fold_bounds_staging(self):
-        from repro.obs.metrics import _STAGE_LIMIT
-
-        reg = MetricsRegistry()
-        c = reg.counter("bounded_total")
-        solo = c.labels()
-        for _ in range(_STAGE_LIMIT + 10):
-            solo.inc()
-        # The inline fold at the stage limit keeps the buffer bounded
-        # without waiting for a reader.
-        assert len(solo._staged) < _STAGE_LIMIT
-        assert c.value == _STAGE_LIMIT + 10
 
 
 class TestHistogram:
-    def test_observe_many_equals_n_observes(self):
-        reg = MetricsRegistry()
-        one = reg.histogram("a_seconds", buckets=(0.1, 1.0, 10.0), window=8)
-        many = reg.histogram("b_seconds", buckets=(0.1, 1.0, 10.0), window=8)
-        values = [0.05, 0.5, 5.0, 50.0, 0.5, 0.09, 2.0]
-        for v in values:
-            one.observe(v)
-        many.observe_many(values)
-        assert one.labels().count == many.labels().count
-        assert one.labels().sum == pytest.approx(many.labels().sum)
-        assert one.labels().cumulative() == many.labels().cumulative()
-        assert one.labels().window_values() == many.labels().window_values()
-
     def test_window_keeps_most_recent(self):
         reg = MetricsRegistry()
         h = reg.histogram("w_seconds", buckets=(1.0,), window=4)
-        h.observe_many([float(i) for i in range(10)])
+        for i in range(10):
+            h.observe(float(i))
         # A maxlen window must keep the chronological tail, not the
         # sorted extremes.
         assert h.labels().window_values() == [6.0, 7.0, 8.0, 9.0]
@@ -105,7 +104,8 @@ class TestHistogram:
     def test_cumulative_le_semantics(self):
         reg = MetricsRegistry()
         h = reg.histogram("le_seconds", buckets=(1.0, 2.0))
-        h.observe_many([0.5, 1.0, 1.5, 3.0])
+        for value in (0.5, 1.0, 1.5, 3.0):
+            h.observe(value)
         cumulative = h.labels().cumulative()
         # value == bound lands in that bucket (Prometheus `le`).
         assert cumulative == [(1.0, 2), (2.0, 3), (math.inf, 4)]
@@ -115,7 +115,8 @@ class TestHistogram:
         h = reg.histogram("q_seconds", buckets=DEFAULT_LATENCY_BUCKETS)
         assert h.labels().window_quantile(0.5) is None
         assert h.labels().quantile(0.5) is None
-        h.observe_many([0.001] * 50 + [0.1] * 50)
+        for value in [0.001] * 50 + [0.1] * 50:
+            h.observe(value)
         assert h.labels().window_quantile(0.5) in (0.001, 0.1)
         assert 0.0005 < h.labels().quantile(0.5) <= 0.1
 
@@ -128,13 +129,11 @@ class TestHistogram:
             for _ in range(per_thread):
                 h.observe(0.5)
 
-        workers = [threading.Thread(target=writer) for _ in range(threads)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
+        with _fast_switching():
+            _run_all([threading.Thread(target=writer) for _ in range(threads)])
         assert h.labels().count == per_thread * threads
         assert h.labels().cumulative()[0] == (1.0, per_thread * threads)
+        assert h.labels().sum == 0.5 * per_thread * threads
 
 
 class TestQuantileFromBuckets:
@@ -224,7 +223,8 @@ class TestRegistryReads:
         c = reg.counter("p_total", "help text", labels=("outcome",))
         c.labels(outcome="hit").inc(2)
         h = reg.histogram("p_seconds", buckets=(1.0, 2.0))
-        h.observe_many([0.5, 1.5, 5.0])
+        for value in (0.5, 1.5, 5.0):
+            h.observe(value)
         text = reg.prometheus_text()
         assert "# TYPE repro_p_total counter" in text
         assert 'repro_p_total{outcome="hit"} 2' in text
@@ -286,53 +286,6 @@ class TestRegistryReads:
         reg = MetricsRegistry()
         g = reg.gauge("dead_depth", fn=lambda: 1 / 0)
         assert g.value == 0.0
-
-
-class TestCollectors:
-    def test_collector_runs_before_every_snapshot(self):
-        reg = MetricsRegistry()
-        c = reg.counter("staged_total")
-        staged = []
-        reg.register_collector(lambda: c.inc(len(staged)) or staged.clear())
-        staged.extend([1, 2, 3])
-        assert reg.snapshot()["metrics"]["staged_total"]["series"][""] == 3.0
-        # prometheus_text and delta_since read through snapshot() too.
-        staged.extend([1])
-        assert "staged_total 4" in reg.prometheus_text()
-
-    def test_collector_exceptions_are_swallowed(self):
-        reg = MetricsRegistry()
-        reg.counter("fine_total").inc()
-
-        def broken():
-            raise RuntimeError("collector died")
-
-        reg.register_collector(broken)
-        snap = reg.snapshot()  # must not raise
-        assert snap["metrics"]["fine_total"]["series"][""] == 1.0
-
-
-class TestDisabledRegistry:
-    def test_everything_is_noop(self):
-        reg = MetricsRegistry(enabled=False)
-        c = reg.counter("n_total", labels=("outcome",))
-        h = reg.histogram("n_seconds")
-        g = reg.gauge("n_depth")
-        c.labels(outcome="hit").inc()
-        h.observe(1.0)
-        h.observe_many([1.0, 2.0])
-        g.set(3)
-        reg.gauge_fn("n_rates", "", lambda: {"a": 1.0})
-        reg.register_collector(lambda: 1 / 0)
-        snap = reg.snapshot()
-        assert snap["metrics"] == {}
-        assert reg.prometheus_text() == ""
-
-    def test_folds_are_noops_when_disabled(self):
-        reg = MetricsRegistry(enabled=False)
-        fold_cache_delta(reg, {"memo": {"hits": 3}})
-        fold_evaluator_counters(reg, "pool", 4, {"batches": 2})
-        assert reg.snapshot()["metrics"] == {}
 
 
 class TestFolds:

@@ -70,11 +70,15 @@ class TestBucketHits:
         assert "replay_fallbacks" in payload
 
     def test_telemetry_counter(self):
+        # Bucket hits are counted once, in ServerStats; on the serve path
+        # Telemetry keeps spans only.
         telemetry = Telemetry()
         with ScheduleServer(SimGPU(), CFG, telemetry=telemetry) as server:
             server.compile(_matmul(64))
             server.compile(_matmul(56))
-        assert telemetry.counters.get("serve.bucket_hits") == 1
+            assert server.stats().bucket_hits == 1
+        assert not [name for name in telemetry.counters if name.startswith("serve.")]
+        assert sum(s.stage == "serve-request" for s in telemetry.spans) == 2
 
     def test_exact_serving_unchanged_without_buckets(self):
         with ScheduleServer(SimGPU(), CFG.with_(buckets=None)) as server:

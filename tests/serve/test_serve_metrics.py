@@ -2,10 +2,12 @@
 
 The contracts: hammering ``submit()`` from many threads while other
 threads read ``stats()``/``health()``/``metrics.snapshot()`` never
-produces a torn read, the ``serve_requests_total`` counter sums to the
-exact number of responses served, every response carries a unique
-request-scoped trace id even under miss coalescing, and binding a
-metrics registry never changes what a tuning run records.
+produces a torn read, the ``serve_latency_seconds`` counts sum to the
+exact number of responses served, ``health()`` percentiles are exact
+quantiles of the pooled latency windows, every response carries a
+unique request-scoped trace id whose span tree survives the
+Chrome-trace export, and binding a metrics registry never changes what
+a tuning run records.
 """
 
 import json
@@ -14,8 +16,8 @@ import threading
 from repro.frontend import ops
 from repro.meta import Telemetry, TuneConfig
 from repro.meta.session import TuningSession
-from repro.obs import ObsConfig, Recorder
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import ObsConfig, Recorder, chrome_trace
+from repro.obs.metrics import DEFAULT_WINDOW, MetricsRegistry
 from repro.serve import ScheduleServer, ServeConfig
 from repro.sim import SimGPU
 
@@ -26,10 +28,15 @@ def _matmul(n=64):
     return ops.matmul(n, n, n)
 
 
-def _served_total(server):
+def _latency_series(server):
     snap = server.metrics.snapshot()
-    series = snap["metrics"]["serve_requests_total"]["series"]
-    return series, sum(series.values())
+    return snap["metrics"]["serve_latency_seconds"]["series"]
+
+
+def _served_total(server):
+    """Responses per outcome (the histogram counts) and their sum."""
+    counts = {key: doc["count"] for key, doc in _latency_series(server).items()}
+    return counts, sum(counts.values())
 
 
 class TestThreadedSubmitWithReaders:
@@ -92,28 +99,16 @@ class TestThreadedSubmitWithReaders:
             assert len(set(flat)) == len(flat), "request ids must be unique"
 
     def test_health_quantiles_match_snapshot_windows(self):
-        from repro.serve.server import _HIT_LATENCY_SAMPLE
-
         with ScheduleServer(SimGPU(), CFG) as server:
             func = _matmul()
             for _ in range(40):
                 server.compile(func)
             health = server.health()
-            snap = server.metrics.snapshot()
-            series = snap["metrics"]["serve_latency_seconds"]["series"]
-            # Hit latencies are 1-in-N sampled while miss/coalesced are
-            # fully staged; health() replicates each sampled hit N
-            # times so pooled percentiles weight outcomes by true
-            # request volume — mirror that here.
-            window = sorted(
-                v
-                for key, s in series.items()
-                for v in s["window"]
-                for _ in range(
-                    _HIT_LATENCY_SAMPLE if key == "outcome=hit" else 1
-                )
-            )
-            assert window, "sampled hit latencies must reach the window"
+            series = _latency_series(server)
+            # One observation per response, every outcome pooled as is:
+            # the miss and all 39 hits.
+            window = sorted(v for doc in series.values() for v in doc["window"])
+            assert len(window) == health["window_size"] == 40
             for field, q in (
                 ("p50_seconds", 0.50),
                 ("p95_seconds", 0.95),
@@ -155,64 +150,40 @@ class TestCoalescingTraceIds:
             assert series.get("outcome=coalesced", 0) == stats.coalesced
 
 
-class TestConcurrentFolds:
-    def test_parallel_folders_never_overdrain(self):
-        # Regression: the count-based drain in _fold_serve_events reads
-        # len() then pops that many items; unserialized concurrent
-        # folders (registry collector + health + inline at the staging
-        # threshold) could together pop more than were staged and
-        # IndexError out of submit() or the tune-resolution loop.
-        with ScheduleServer(SimGPU(), CFG) as server:
-            events = server._m_events
-            assert events is not None
-            total = 20_000
-            errors = []
-            done = threading.Event()
-
-            def producer():
-                staged = events["miss"]
-                for _ in range(total):
-                    staged.append(0.001)
-                done.set()
-
-            def folder():
-                while not done.is_set() or events["miss"]:
-                    try:
-                        server._fold_serve_events()
-                    except IndexError as exc:  # pragma: no cover — the bug
-                        errors.append(exc)
-                        return
-
-            threads = [threading.Thread(target=producer)] + [
-                threading.Thread(target=folder) for _ in range(4)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert not errors, "concurrent folds over-drained the stage"
-            snap = server.metrics.snapshot()
-            hist = snap["metrics"]["serve_latency_seconds"]["series"][
-                "outcome=miss"
-            ]
-            assert hist["count"] == total, "every staged event folds once"
+class TestRequestSpanTrees:
+    def test_miss_and_hit_trees_round_trip_through_chrome_trace(self):
+        telemetry = Telemetry()
+        with ScheduleServer(SimGPU(), CFG, telemetry=telemetry) as server:
+            miss = server.compile(_matmul(80))
+            hit = server.compile(_matmul(80))
+        assert (miss.source, hit.source) == ("miss", "hit")
+        assert miss.request_id != hit.request_id
+        report = {"telemetry": telemetry.report()}
+        for resp in (miss, hit):
+            spans = telemetry.span_tree(resp.request_id)
+            assert spans, f"{resp.source}: empty span tree"
+            trace = chrome_trace(report, request=resp.request_id)
+            slices = [e for e in trace["traceEvents"] if e.get("ph") == "X"]
+            assert sorted(e["args"]["span_id"] for e in slices) == sorted(
+                s.span_id for s in spans
+            )
+            assert any(e["args"].get("request") == resp.request_id for e in slices)
 
 
 class TestBoundedWindows:
     def test_hit_seconds_window_is_bounded(self):
-        cfg = CFG.with_(stats_window=16)
-        with ScheduleServer(SimGPU(), cfg) as server:
+        with ScheduleServer(SimGPU(), CFG) as server:
             func = _matmul()
-            for _ in range(80):
+            requests = DEFAULT_WINDOW + 40
+            for _ in range(requests):
                 server.compile(func)
-            stats = server.stats()
-            assert len(stats.hit_seconds) <= 16
-            assert stats.requests == 80
-            # The histogram windows honour the same bound.
-            snap = server.metrics.snapshot()
-            series = snap["metrics"]["serve_latency_seconds"]["series"]
+            assert server.stats().requests == requests
+            series = _latency_series(server)
+            assert series["outcome=hit"]["count"] == requests - 1
+            assert len(series["outcome=hit"]["window"]) == DEFAULT_WINDOW
             for doc in series.values():
-                assert len(doc["window"]) <= 16
+                assert len(doc["window"]) <= DEFAULT_WINDOW
+            assert server.health()["window_size"] == DEFAULT_WINDOW + 1
 
 
 class TestMetricsNeverPerturbRecordings:

@@ -36,4 +36,4 @@ def test_serve_smoke_writes_schedule_serve_entry(tmp_path):
     assert agg["coalesce_factor"] >= 2.0
     assert agg["hit_rate"] > 0.5
     assert agg["p50_hit_latency_ms"] is not None
-    assert agg["counters"]["serve.hits"] > 0
+    assert agg["hits"] > 0

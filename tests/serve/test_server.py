@@ -79,18 +79,23 @@ class TestServeBasics:
         assert stats.hits == 2
         assert stats.tune_runs == 1
         assert 0 < stats.hit_rate < 1
-        assert stats.p50_hit_seconds() is not None
         payload = stats.to_json()
         assert payload["hits"] == 2 and "coalesce_factor" in payload
 
     def test_telemetry_counters(self):
+        # Each count has one store: requests in ServerStats, responses in
+        # the latency histogram; Telemetry keeps the serve path's spans.
         telemetry = Telemetry()
         with ScheduleServer(SimGPU(), CFG, telemetry=telemetry) as server:
             server.compile(_matmul())
             server.compile(_matmul())
-        assert telemetry.counters.get("serve.misses") == 1
-        assert telemetry.counters.get("serve.hits") == 1
-        assert telemetry.counters.get("serve.tune_runs") == 1
+            stats = server.stats()
+            latency = server.metrics.snapshot()["metrics"]["serve_latency_seconds"]
+        assert (stats.misses, stats.hits, stats.tune_runs) == (1, 1, 1)
+        assert latency["series"]["outcome=miss"]["count"] == 1
+        assert latency["series"]["outcome=hit"]["count"] == 1
+        assert not [name for name in telemetry.counters if name.startswith("serve.")]
+        assert sum(s.stage == "serve-request" for s in telemetry.spans) == 2
 
     def test_recorder_events(self):
         recorder = Recorder(ObsConfig(enabled=True))
@@ -123,6 +128,38 @@ class TestServeBasics:
         server.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
             server.submit(_matmul())
+
+    def test_submit_racing_close_never_hangs(self):
+        # A miss whose lookup is still running when close() stops the
+        # worker must not register a waiter nothing will ever resolve.
+        looking_up, release = threading.Event(), threading.Event()
+
+        class SlowLookupDatabase(TuningDatabase):
+            def get(self, key):
+                looking_up.set()
+                release.wait(timeout=30)
+                return super().get(key)
+
+        server = ScheduleServer(SimGPU(), CFG, database=SlowLookupDatabase())
+        outcome = {}
+
+        def client():
+            try:
+                outcome["future"] = server.submit(_matmul())
+            except RuntimeError as err:
+                outcome["error"] = err
+
+        thread = threading.Thread(target=client)
+        thread.start()
+        assert looking_up.wait(timeout=30)
+        server.close()
+        release.set()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        if "future" in outcome:
+            # A returned future must resolve; a pending one times out.
+            outcome["future"].result(timeout=5)
+        assert str(outcome["error"]) == "ScheduleServer is closed"
 
 
 class TestPersistenceAcrossRestart:
