@@ -537,21 +537,57 @@ def main() -> int:
     predict_params = inspect.signature(meta.CostModel.predict).parameters
     check("executor" in predict_params, "CostModel.predict(...executor...) missing")
 
-    # The benchmark's per-layer tracer (perfbench/tracer.py) wraps these
-    # by name and reads X's rows from the first positional argument of
-    # fit; a rename would silently zero the gbdt.* / cost_model.* metrics.
+    # The benchmark's per-layer tracer (perfbench/tracer.py) wraps every
+    # one of these by name, on the class and each subclass that defines
+    # the method, and reads X's rows from the first positional argument
+    # of fit.  It patches nothing when no class defines a method or a
+    # module lacks a function, so a rename would silently zero that
+    # layer's metrics (database.replays, sketch.apply_calls, ...).
+    import importlib
+
+    from repro.arith import Analyzer
+    from repro.frontend.fuse import FusionPlan
     from repro.learn import GradientBoostedTrees
 
     for owner, method, params in (
         (GradientBoostedTrees, "fit", ["self", "X", "y"]),
         (meta.CostModel, "update", ["self", "funcs", "cycles"]),
         (meta.CostModel, "predict", ["self", "funcs"]),
+        (meta.Sketch, "apply", ["self", "sch"]),
+        (Analyzer, "simplify", ["self", "expr"]),
+        (meta.Database, "replay", ["self", "func", "target"]),
+        (meta.Database, "replay_entry", ["self", "func", "entry"]),
+        (meta.Database, "get", ["self", "key"]),
+        (meta.Database, "put", ["self", "entry"]),
     ):
-        fn = vars(owner).get(method)
+        todo, defined = [owner], []
+        while todo:
+            klass = todo.pop()
+            todo.extend(klass.__subclasses__())
+            if callable(vars(klass).get(method)):
+                defined.append(vars(klass)[method])
         check(
-            callable(fn) and list(inspect.signature(fn).parameters)[: len(params)] == params,
+            any(list(inspect.signature(fn).parameters)[: len(params)] == params
+                for fn in defined),
             f"{owner.__name__}.{method}({', '.join(params[1:])}, ...) missing",
         )
+    for module, name in (
+        ("repro.schedule.validation", "verify"),
+        ("repro.tir.structural", "structural_hash"),
+        ("repro.tir.printer", "script"),
+        ("repro.meta.feature", "extract_features"),
+        ("repro.sim.cost", "estimate"),
+        ("repro.meta.database", "workload_key"),
+        ("repro.frontend.fuse", "fuse_graph"),
+        ("repro.frontend.fuse", "lower_group"),
+        ("repro.runtime.codegen", "compile_func"),
+    ):
+        check(
+            callable(getattr(importlib.import_module(module), name, None)),
+            f"{module}.{name} missing",
+        )
+    check(isinstance(getattr(FusionPlan, "num_groups", None), property),
+          "FusionPlan.num_groups missing")
 
     verify_params = inspect.signature(repro.verify).parameters
     for param in ("func", "target", "ctx"):

@@ -508,19 +508,15 @@ def evolutionary_search(
                                 stage, seconds, task, start=gen_starts.get(stage)
                             )
     finally:
-        # Per-backend occupancy/latency deltas.  Telemetry counters and
-        # the recorder's *meta* section get them — never the event
-        # stream or the trial ledger, which must stay hash-identical
-        # across backends.
-        eval_delta = {
-            key: value - eval_counters_before.get(key, 0)
-            for key, value in evaluator.counters().items()
-            if value - eval_counters_before.get(key, 0)
-        }
-        if telemetry is not None:
-            for key, value in eval_delta.items():
-                telemetry.count(f"evaluator.{evaluator.name}.{key}", value)
         if recording:
+            # Per-backend occupancy/latency deltas go to the recorder's
+            # *meta* section — never the event stream or the trial
+            # ledger, which must stay hash-identical across backends.
+            eval_delta = {
+                key: value - eval_counters_before.get(key, 0)
+                for key, value in evaluator.counters().items()
+                if value - eval_counters_before.get(key, 0)
+            }
             recorder.record_evaluator(evaluator.name, evaluator.workers, eval_delta)
 
     if telemetry is not None:

@@ -7,7 +7,10 @@ tunes the unique ones concurrently on a ``concurrent.futures`` worker
 pool, and replays every duplicate from the shared
 :class:`~repro.meta.database.TuningDatabase` instead of re-searching —
 the paper's record-replay behaviour (§5.2) promoted to the default
-path.  Given a total trial budget, it allocates trials across tasks
+path.  Within one :meth:`TuningSession.run` each distinct workload is
+searched once (unless the database already holds it), replayed once,
+and every duplicate shares that replayed program under its own task
+report.  Given a total trial budget, it allocates trials across tasks
 proportionally to each layer's estimated cost share (heavy layers get
 the search time; a 1x1 conv does not get a GEMM's budget).
 
@@ -29,7 +32,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from .. import cache as _cache
@@ -39,11 +42,11 @@ from ..schedule import Schedule
 from ..sim import Target, estimate
 from ..tir import PrimFunc, const_int_value
 from .config import TuneConfig
-from .database import Database, TuningDatabase, workload_key
+from .database import Database, DatabaseEntry, TuningDatabase, workload_key
 from .search import SearchStats, TuneResult
 from .sketch import main_block_of
 from .telemetry import Telemetry
-from .tune import _replay_result, tune
+from .tune import tune
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..frontend.graph import NetworkSpec
@@ -124,8 +127,8 @@ class SessionReport:
     #: primitive preconditions) — the §3.3 battery made observable.
     invalid_by_code: Dict[str, int] = field(default_factory=dict)
     #: memoization activity during this run, per cache: hits, misses
-    #: and hit rate (see :mod:`repro.cache`).  The same numbers appear
-    #: as ``cache.<name>.hits`` / ``.misses`` telemetry counters.
+    #: and hit rate (see :mod:`repro.cache`).  The recorder folds the
+    #: same window into the metrics registry (``cache_hits_total`` etc.).
     cache_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: flight-recorder activity when observability was on (event/trial
     #: counts + sink path); the full recording is written separately by
@@ -227,9 +230,7 @@ class TuningSession:
         #: (:class:`repro.obs.metrics.MetricsRegistry`) this session
         #: folds cache and evaluator accounting into — the single source
         #: of truth for those numbers when set (the schedule server
-        #: passes its own).  The ``cache.<name>.hits``/``.misses`` and
-        #: ``evaluator.<name>.*`` telemetry counters are kept as
-        #: deprecated spellings of the same windows.
+        #: passes its own).
         self.metrics = metrics
         #: the flight recorder — built from ``config.obs`` (a no-op
         #: object when observability is off) unless one is injected.
@@ -341,13 +342,6 @@ class TuningSession:
             finally:
                 self.telemetry.set_root(None)
         cache_delta = _cache.delta_since(cache_before)
-        for name, counts in sorted(cache_delta.items()):
-            # Deprecated spellings of the cache window — the canonical
-            # home is the metrics registry (``cache_hits_total{name=}``
-            # via the recorder's fold); kept so existing report readers
-            # keep working.
-            self.telemetry.count(f"cache.{name}.hits", int(counts["hits"]))
-            self.telemetry.count(f"cache.{name}.misses", int(counts["misses"]))
         self.recorder.record_cache_delta(cache_delta)
         self.recorder.close()
         if self.metrics is not None:
@@ -478,7 +472,7 @@ class TuningSession:
                     # moment it lands — tuned entries are written
                     # incrementally as tasks finish, never batched until
                     # the session ends.
-                    self.database.record(
+                    entry = self.database.record(
                         task.search_func, self.target, result.best_sketch,
                         result.best_decisions, result.best_cycles,
                         provenance=self.provenance,
@@ -491,7 +485,7 @@ class TuningSession:
                         # adaptively at the concrete shape.  The tuning
                         # cost stays attributed to this task (it paid for
                         # the representative's search).
-                        concrete = self._replay_task(task)
+                        concrete = self._replay_task(task, entry)
                         if concrete is None:
                             try:
                                 concrete = self._fallback_tune(
@@ -521,10 +515,14 @@ class TuningSession:
                     )
 
         # Everything not searched above replays from the database: the
-        # duplicates, plus uniques already tuned in a previous run.  With
-        # bucketing on, "duplicate" includes every other shape in a
-        # bucket — replayed adaptively, with a fresh tune as the fallback
-        # when the stored decisions are infeasible at the concrete shape.
+        # duplicates, plus uniques already tuned in a previous run.  Each
+        # distinct exact workload replays once per run (also when it was
+        # searched above); the other tasks with that exact key share the
+        # replayed program.  With bucketing on, "duplicate" includes every
+        # other shape in a bucket — replayed adaptively, with a fresh tune
+        # as the fallback when the stored decisions are infeasible at the
+        # concrete shape.
+        replayed: Dict[str, TuneResult] = {}
         for task in self._tasks:
             if task.name in reports:
                 continue
@@ -533,9 +531,25 @@ class TuningSession:
             trials_allocated = 0
             measured = 0
             tuning_seconds = 0.0
-            if self.database.get(task.key) is not None:
+            entry = self.database.get(task.key)
+            if entry is not None:
                 t0 = time.perf_counter()
-                result = self._replay_task(task)
+                exact = (
+                    task.key
+                    if task.bucketed is None
+                    else workload_key(task.func, self.target)
+                )
+                shared = replayed.get(exact)
+                if shared is not None:
+                    result = replace(
+                        shared,
+                        stats=SearchStats(),
+                        best_decisions=list(shared.best_decisions),
+                    )
+                else:
+                    result = self._replay_task(task, entry)
+                    if result is not None:
+                        replayed[exact] = result
                 self.telemetry.add(
                     "replay", time.perf_counter() - t0, task.name, start=t0
                 )
@@ -557,10 +571,16 @@ class TuningSession:
                     measured = result.stats.measured
                     tuning_seconds = result.tuning_seconds
             if result is None:
-                searched = reports.get(self._name_for_key(task.key))
+                if entry is not None:
+                    error = (
+                        f"stored record for {task.key} (sketch {entry.sketch!r}) "
+                        f"did not replay"
+                    )
+                else:
+                    searched = reports.get(self._name_for_key(task.key))
+                    error = searched.error if searched else "no database record"
                 reports[task.name] = TaskReport(
-                    task.name, task.key, "failed", task.weight,
-                    error=(searched.error if searched else "no database record"),
+                    task.name, task.key, "failed", task.weight, error=error
                 )
                 continue
             self.results[task.name] = result
@@ -577,18 +597,18 @@ class TuningSession:
         return reports
 
     # -- bucket-aware replay -------------------------------------------
-    def _replay_task(self, task: _Task) -> Optional[TuneResult]:
-        """Rebuild ``task``'s best program from the database — adaptively
-        at the concrete shape when the record is the bucket
-        representative's (§5.2 forced-decision replay)."""
-        if task.bucketed is None or not task.bucketed.bucketed:
-            return _replay_result(task.func, self.target, self.database)
-        entry = self.database.get(task.key)
-        if entry is None:
-            return None
-        sch = self.database.replay_bucketed(
-            task.bucketed, self.target, ctx=self.diagnostics
-        )
+    def _replay_task(self, task: _Task, entry: DatabaseEntry) -> Optional[TuneResult]:
+        """Rebuild ``task``'s best program from its stored record —
+        adaptively at the concrete shape when the record is the bucket
+        representative's (§5.2 forced-decision replay).  Decisions that
+        are infeasible at the task's shape surface as ``TIR701`` in
+        :attr:`diagnostics`."""
+        if task.bucketed is None:
+            sch = self.database.replay_entry(task.func, entry, ctx=self.diagnostics)
+        else:
+            sch = self.database.replay_bucketed(
+                task.bucketed, self.target, ctx=self.diagnostics
+            )
         if sch is None:
             return None
         report = estimate(sch.func, self.target)

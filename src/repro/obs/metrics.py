@@ -647,12 +647,10 @@ def render_prometheus(snapshot: dict) -> str:
 def fold_cache_delta(registry: MetricsRegistry, delta: Dict[str, Dict[str, float]]) -> None:
     """Fold one :func:`repro.cache.delta_since` window into ``registry``.
 
-    The canonical spelling of cache accounting: one labeled counter
-    family per event kind (``cache_hits_total{name=...}`` etc.).  Both
-    the flight recorder and the tuning session route through this, so
-    the registry is the single source of truth; the legacy
-    ``cache.<name>.hits`` Telemetry counters are kept as deprecation
-    shims fed from the same window.
+    The one spelling of cache accounting: one labeled counter family
+    per event kind (``cache_hits_total{name=...}`` etc.).  Both the
+    flight recorder and the tuning session route through this, so the
+    registry is the single source of truth.
     """
     if not delta:
         return
@@ -684,8 +682,7 @@ def fold_evaluator_counters(
     ``registry`` (labeled by backend; ``workers`` rides as a gauge).
 
     The canonical home of evaluator accounting — the flight recorder's
-    ``meta["evaluators"]`` side channel and the ``evaluator.<name>.*``
-    Telemetry counters are fed from the same numbers.
+    ``meta["evaluators"]`` side channel is fed from the same numbers.
     """
     if not counters:
         return

@@ -21,6 +21,9 @@ from repro.runtime.executor import random_args
 from repro.runtime.interp import interpret
 from repro.schedule.sampling import coerce_categorical, coerce_perfect_tile
 from repro.sim import SimGPU
+from repro.tir import script
+
+from .test_session import CountingDatabase
 
 CONFIG = TuneConfig(trials=4, seed=0)
 
@@ -161,6 +164,26 @@ class TestSessionBuckets:
         assert report.totals["tasks_bucket_fallback"] == 0.0
         by_name = {t.name: t for t in report.tasks}
         assert by_name["in-bucket"].measured == 0
+
+    def test_same_concrete_shape_shares_one_adaptive_replay(self):
+        target = SimGPU()
+        database = CountingDatabase()
+        session = TuningSession(
+            target, CONFIG, database=database, buckets=BucketSpec.pow2("n")
+        )
+        session.add(ops.matmul(64, 32, 32), name="rep")
+        session.add(ops.matmul(56, 32, 32), name="in-bucket")
+        session.add(ops.matmul(56, 32, 32), name="in-bucket-dup")
+        session.add(ops.matmul(48, 32, 32), name="other")
+        report = session.run()
+        # One adaptive replay at 56 (shared by its duplicate), one at 48.
+        assert database.replays == 2
+        assert report.totals["tasks_bucket_replayed"] == 3.0
+        assert report.totals["tasks_replayed"] == 3.0
+        results = session.results
+        assert results["in-bucket-dup"].best_func is results["in-bucket"].best_func
+        assert results["in-bucket-dup"].stats is not results["in-bucket"].stats
+        assert script(results["other"].best_func) != script(results["in-bucket"].best_func)
 
     def test_infeasible_replay_falls_back_with_tir702(self):
         target = SimGPU()

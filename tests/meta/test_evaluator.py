@@ -154,20 +154,28 @@ class TestProtocolSurface:
         assert counters["busy_seconds"] > 0
 
     def test_search_folds_counters_into_telemetry(self):
+        """The backend's counters reach the recorder's meta section, and
+        only there: Telemetry carries no ``evaluator.*`` copy."""
         telemetry = Telemetry()
+        config = TuneConfig(trials=4, population=4, seed=0, obs=ObsConfig(enabled=True))
+        recorder = Recorder(config.obs)
+        evaluator = SerialEvaluator()
         func = build_matmul(64, 64, 64, dtype="float16")
         repro_cache.clear_all()
         evolutionary_search(
             func,
             TensorCoreSketch(),
             SimGPU(),
-            TuneConfig(trials=4, population=4, seed=0),
+            config,
             telemetry=telemetry,
-            evaluator=SerialEvaluator(),
+            recorder=recorder,
+            evaluator=evaluator,
         )
-        counters = telemetry.counters_by_prefix("evaluator.serial")
-        assert counters.get("batches", 0) > 0
-        assert counters.get("candidates", 0) > 0
+        folded = recorder.meta["evaluators"]["serialx1"]
+        counters = evaluator.counters()
+        assert folded["batches"] == counters["batches"] > 0
+        assert folded["candidates"] == counters["candidates"] > 0
+        assert not [k for k in telemetry.counters if k.startswith("evaluator.")]
 
     def test_recorder_meta_carries_backend_but_not_events(self):
         config = TuneConfig(

@@ -206,8 +206,8 @@ class TestSessionObservability:
         assert report.cache_stats, "expected per-cache hit/miss counters"
         for name, counts in report.cache_stats.items():
             assert set(counts) >= {"hits", "misses"}, name
-        counters = report.telemetry["counters"]
-        cache_counter_names = [k for k in counters if k.startswith("cache.")]
-        assert any(k.endswith(".hits") for k in cache_counter_names)
-        assert any(k.endswith(".misses") for k in cache_counter_names)
+        assert any(counts["hits"] for counts in report.cache_stats.values())
+        assert any(counts["misses"] for counts in report.cache_stats.values())
+        # cache_stats is the report's one spelling of the cache window.
+        assert not [k for k in report.telemetry["counters"] if k.startswith("cache.")]
         assert "cache_stats" in report.to_json()

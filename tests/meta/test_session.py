@@ -9,7 +9,9 @@ import pytest
 from repro import Telemetry, TuneConfig, TuningDatabase, TuningSession, tune
 from repro.frontend import LayerSpec, NetworkSpec, network_latency, ops
 from repro.meta import estimated_cost
+from repro.meta.database import DatabaseEntry, workload_key
 from repro.sim import SimGPU
+from repro.tir import script
 
 
 def _gemm_layer(name, n, m, k, count=1):
@@ -39,7 +41,92 @@ def session_report(four_layer_net):
     return session, session.run()
 
 
+class CountingDatabase(TuningDatabase):
+    """Counts stored-record replays; ``Database.replay`` goes through
+    ``replay_entry`` too."""
+
+    def __init__(self):
+        super().__init__()
+        self.replays = 0
+
+    def replay_entry(self, func, entry, **kwargs):
+        self.replays += 1
+        return super().replay_entry(func, entry, **kwargs)
+
+
+def _run_duplicated_matmuls(database):
+    """Two distinct matmuls, three copies each, through one session;
+    returns the session, its report, each task's function and the
+    replays the run made."""
+    session = TuningSession(SimGPU(), TuneConfig(trials=4, seed=0), database=database)
+    funcs = {}
+    for _ in range(3):
+        for name, shape in (("square", (64, 64, 64)), ("wide", (32, 64, 64))):
+            func = ops.matmul(*shape)
+            funcs[session.add(func, name=name)] = func
+    before = database.replays
+    report = session.run()
+    return session, report, funcs, database.replays - before
+
+
+@pytest.fixture(scope="module")
+def duplicated_runs():
+    """A cold run, then a second session on the database it filled."""
+    database = CountingDatabase()
+    cold = _run_duplicated_matmuls(database)
+    warm = _run_duplicated_matmuls(database)
+    return database, cold, warm
+
+
 class TestDedupAndReplay:
+    def test_each_distinct_workload_replays_once(self, duplicated_runs):
+        database, (session, report, funcs, replays), _ = duplicated_runs
+        assert report.totals["tasks_searched"] == 2
+        assert report.totals["tasks_replayed"] == 4
+        assert replays == 2
+        # Accounting stays per task: one replay span per replayed task.
+        replay_spans = [s["task"] for s in report.telemetry["spans"] if s["stage"] == "replay"]
+        assert sorted(replay_spans) == sorted(
+            t.name for t in report.tasks if t.status == "replayed"
+        )
+        for name, func in funcs.items():
+            expected = database.replay(func, SimGPU()).func
+            assert script(session.results[name].best_func) == script(expected), name
+        results = list(session.results.values())
+        assert len({id(r.stats) for r in results}) == len(results)
+        assert len({id(r.best_decisions) for r in results}) == len(results)
+
+    def test_filled_database_replays_each_workload_once(self, duplicated_runs):
+        database, _, (session, report, funcs, replays) = duplicated_runs
+        assert report.totals["tasks_searched"] == 0
+        assert report.totals["tasks_replayed"] == 6
+        assert replays == 2
+        for name, func in funcs.items():
+            expected = database.replay(func, SimGPU()).func
+            assert script(session.results[name].best_func) == script(expected), name
+
+    @pytest.mark.parametrize(
+        "sketch, decisions", [("no-such-sketch", []), ("tensor-core", [999, 999, 999])]
+    )
+    def test_record_that_fails_to_replay_is_not_reported_missing(self, sketch, decisions):
+        target = SimGPU()
+        func = ops.matmul(32, 32, 32)
+        key = workload_key(func, target)
+        database = TuningDatabase()
+        database.put(
+            DatabaseEntry(key, func.name, target.name, sketch, decisions, cycles=1.0)
+        )
+        session = TuningSession(target, TuneConfig(trials=4, seed=0), database=database)
+        session.add(func, name="a")
+        session.add(ops.matmul(32, 32, 32), name="b")
+        report = session.run()
+        for task in report.tasks:
+            assert task.status == "failed"
+            assert key in task.error and repr(sketch) in task.error
+            assert "did not replay" in task.error
+        infeasible = session.diagnostics.counts_by_code().get("TIR701", 0)
+        assert (infeasible > 0) == (sketch == "tensor-core")
+
     def test_exactly_three_searches_one_replay(self, session_report):
         _, report = session_report
         assert report.totals["tasks_searched"] == 3
