@@ -166,8 +166,6 @@ def main() -> int:
     for name in (
         "MemoCache",
         "cache_stats",
-        "set_enabled",
-        "caches_enabled",
         "snapshot_counts",
         "delta_since",
         "clear_all",
@@ -186,15 +184,6 @@ def main() -> int:
         "evaluator",
     ):
         check(field in cfg_fields, f"TuneConfig.{field} missing")
-    # The old int-only knob must keep working through the kwargs shim.
-    check(
-        repro.TuneConfig.from_kwargs(search_workers=2).search_workers == 2,
-        "TuneConfig.from_kwargs(search_workers=...) broken",
-    )
-    check(
-        repro.TuneConfig.from_kwargs(evaluator="processes").evaluator == "processes",
-        "TuneConfig.from_kwargs(evaluator=...) broken",
-    )
 
     tune_params = inspect.signature(repro.tune).parameters
     for param in ("func", "target", "config", "database", "telemetry"):
@@ -208,9 +197,8 @@ def main() -> int:
     run_params = inspect.signature(repro.TuningSession.run).parameters
     check("total_trials" in run_params, "TuningSession.run(total_trials=...) missing")
 
-    # The redesigned database protocol: four primitives on the shared
-    # base, both backends implementing them, old spellings kept as
-    # deprecation shims.
+    # The database protocol: four primitives on the shared base, both
+    # backends implementing them.
     for name in ("Database", "PersistentDatabase"):
         check(hasattr(repro, name), f"repro.{name} missing")
         check(hasattr(meta, name), f"repro.meta.{name} missing")
@@ -224,7 +212,7 @@ def main() -> int:
             issubclass(backend, meta.Database),
             f"{backend.__name__} must subclass Database",
         )
-    for method in ("record", "replay", "save", "entries"):
+    for method in ("record", "replay", "entries"):
         check(
             callable(getattr(repro.TuningDatabase, method, None)),
             f"TuningDatabase.{method} missing",

@@ -12,38 +12,19 @@ block-iterator domains) and exposes:
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Union
 
-from .. import cache as _cache
 from ..tir.expr import IntImm, PrimExpr, Range, Var, const_int_value
 from .int_set import IntSet, eval_int_set, range_to_set
 from .simplify import Simplifier
 
 __all__ = ["Analyzer"]
 
-#: per-instance memo tables are bounded by wholesale clearing at this
-#: size — an analyzer normally sees far fewer distinct expressions.
-_MEMO_LIMIT = 2048
-
-#: process-wide hit/miss counters of the per-analyzer simplify memo,
-#: surfaced through :func:`repro.cache.cache_stats`.
-_SIMPLIFY_HITS = 0
-_SIMPLIFY_MISSES = 0
-
-_cache.register_stats_source(
-    "arith.simplify_memo", lambda: (_SIMPLIFY_HITS, _SIMPLIFY_MISSES)
-)
-
 
 class Analyzer:
     def __init__(self, dom_map: Optional[Mapping[Var, IntSet]] = None):
         self._dom: Dict[Var, IntSet] = dict(dom_map or {})
         self._simplifier = Simplifier(bound_of=self.int_set)
-        # Memo tables keyed on expression identity (simplify) or the
-        # detection key (iter_map, owned by detect_iter_map).  Both are
-        # valid only for a fixed domain map, so bind() clears them.
-        self._simplify_memo: Dict[int, Tuple[PrimExpr, PrimExpr]] = {}
-        self._iter_map_memo: Dict[object, object] = {}
 
     # -- domain management ------------------------------------------------
     def bind(self, var: Var, dom: Union[IntSet, Range, int]) -> None:
@@ -65,9 +46,6 @@ class Analyzer:
             else:
                 dom = IntSet.from_range(lo, ext)
         self._dom[var] = dom
-        # A new domain changes what simplification/detection may assume.
-        self._simplify_memo.clear()
-        self._iter_map_memo.clear()
 
     def copy(self) -> "Analyzer":
         return Analyzer(self._dom)
@@ -84,25 +62,8 @@ class Analyzer:
         return eval_int_set(expr, self._dom)
 
     def simplify(self, expr: PrimExpr) -> PrimExpr:
-        """Bounds-aware simplification, memoized per expression object
-        (validation re-simplifies the same guard conjuncts once per
-        block iterator — identity keying makes those hits free)."""
-        if not _cache.caches_enabled():
-            return self._simplifier.simplify(expr)
-        global _SIMPLIFY_HITS, _SIMPLIFY_MISSES
-        key = id(expr)
-        hit = self._simplify_memo.get(key)
-        if hit is not None and hit[0] is expr:
-            _SIMPLIFY_HITS += 1
-            return hit[1]
-        _SIMPLIFY_MISSES += 1
-        result = self._simplifier.simplify(expr)
-        if len(self._simplify_memo) >= _MEMO_LIMIT:
-            self._simplify_memo.clear()
-        # Keeping ``expr`` in the value pins its id for the entry's
-        # lifetime, so a recycled id can never alias a dead key.
-        self._simplify_memo[key] = (expr, result)
-        return result
+        """Bounds-aware simplification."""
+        return self._simplifier.simplify(expr)
 
     def can_prove(self, cond: PrimExpr) -> bool:
         return self._simplifier.can_prove(cond)

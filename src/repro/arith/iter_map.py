@@ -41,18 +41,7 @@ from ..tir.expr import (
     Var,
     const_int_value,
 )
-from .. import cache as _cache
 from .analyzer import Analyzer
-from .simplify import structural_key
-
-#: process-wide hit/miss counters of the per-analyzer detection memo,
-#: surfaced through :func:`repro.cache.cache_stats`.
-_ITER_MAP_HITS = 0
-_ITER_MAP_MISSES = 0
-
-_cache.register_stats_source(
-    "arith.iter_map_memo", lambda: (_ITER_MAP_HITS, _ITER_MAP_MISSES)
-)
 
 __all__ = [
     "IterMark",
@@ -333,7 +322,6 @@ def detect_iter_map(
     duplicated digits).  Otherwise only injectivity (disjointness) is
     required.
     """
-    global _ITER_MAP_HITS, _ITER_MAP_MISSES
     extents: Dict[Var, int] = {}
     for var, dom in input_iters.items():
         if isinstance(dom, Range):
@@ -349,40 +337,6 @@ def detect_iter_map(
         for var, ext in extents.items():
             analyzer.bind(var, Range(0, ext))
 
-    # Detection is a pure function of (bindings, extents, bijectivity)
-    # for a fixed analyzer domain map, so long-lived analyzers memoize
-    # it (the table lives on the analyzer and ``bind()`` clears it).
-    memo = getattr(analyzer, "_iter_map_memo", None)
-    memo_key = None
-    if memo is not None and _cache.caches_enabled():
-        try:
-            memo_key = (
-                tuple(structural_key(b) for b in bindings),
-                tuple(sorted((id(v), ext) for v, ext in extents.items())),
-                require_bijective,
-            )
-        except TypeError:
-            memo_key = None
-        if memo_key is not None and memo_key in memo:
-            _ITER_MAP_HITS += 1
-            cached = memo[memo_key]
-            return list(cached) if cached is not None else None
-        _ITER_MAP_MISSES += 1
-
-    result = _detect_iter_map_impl(bindings, extents, analyzer, require_bijective)
-    if memo_key is not None:
-        if len(memo) >= 2048:
-            memo.clear()
-        memo[memo_key] = tuple(result) if result is not None else None
-    return result
-
-
-def _detect_iter_map_impl(
-    bindings: Sequence[PrimExpr],
-    extents: Dict[Var, int],
-    analyzer: Analyzer,
-    require_bijective: bool,
-) -> Optional[List[IterSumExpr]]:
     parser = _Parser(extents, analyzer)
     results: List[IterSumExpr] = []
     try:

@@ -14,12 +14,13 @@ Design rules:
   :mod:`repro.tir` in the import graph so every layer can use it.
 * Each :class:`MemoCache` is a named, bounded LRU with hit/miss/eviction
   counters; all caches register themselves in a process-wide registry so
-  telemetry (``SessionReport.cache_stats``) and the bench harness can
+  telemetry (``SessionReport.cache_stats``) and the benchmark can
   observe them uniformly.
-* ``set_enabled(False)`` turns every cache into a pass-through.  The
-  bench harness uses this to measure an honest uncached baseline in the
-  same process; it is also the escape hatch if a cache is ever suspected
-  of returning stale results.
+* :func:`clear_all` is the one way to a cold state.  It also reaches
+  worker processes: each clear bumps :func:`generation`, evaluators ship
+  it with every batch, and a worker that sees a new value clears its own
+  registry before building.  Every memo front keeps the uncached
+  ``_impl`` function it wraps, which tests use as the oracle.
 * Cached values must be immutable or defensively copied by the caller:
   a cache returns the same object to every hit.
 """
@@ -36,11 +37,10 @@ __all__ = [
     "absorb_worker_counts",
     "all_caches",
     "cache_stats",
-    "caches_enabled",
     "clear_all",
     "delta_since",
+    "generation",
     "register_stats_source",
-    "set_enabled",
     "snapshot_counts",
     "worker_counts",
 ]
@@ -53,8 +53,7 @@ class _Miss:
         return "<cache miss>"
 
 
-#: returned by :meth:`MemoCache.lookup` when the key is absent (or
-#: caching is disabled).
+#: returned by :meth:`MemoCache.lookup` when the key is absent.
 MISS = _Miss()
 
 _REGISTRY_LOCK = threading.Lock()
@@ -68,25 +67,14 @@ _STATS_SOURCES: Dict[str, Callable[[], Tuple[int, int]]] = {}
 #: local registry; folded into :func:`snapshot_counts` so session reports
 #: see one merged view regardless of evaluation backend.
 _WORKER_COUNTS: Dict[str, list] = {}
-
-_ENABLED = True
-
-
-def caches_enabled() -> bool:
-    """Whether the memoization layer is active."""
-    return _ENABLED
+#: how many times :func:`clear_all` has run in this process.
+_GENERATION = 0
 
 
-def set_enabled(flag: bool) -> bool:
-    """Globally enable/disable every cache; returns the previous state.
-
-    Disabling does not clear stored entries — re-enabling resumes with
-    the prior contents (call :func:`clear_all` for a cold start).
-    """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(flag)
-    return previous
+def generation() -> int:
+    """The number of :func:`clear_all` calls so far in this process —
+    what a worker process compares to know its caches are stale."""
+    return _GENERATION
 
 
 class MemoCache:
@@ -108,9 +96,7 @@ class MemoCache:
             _CACHES[name] = self
 
     def lookup(self, key: Any) -> Any:
-        """The cached value, or :data:`MISS` (also when disabled)."""
-        if not _ENABLED:
-            return MISS
+        """The cached value, or :data:`MISS`."""
         with self._lock:
             try:
                 value = self._data[key]
@@ -126,14 +112,10 @@ class MemoCache:
         unhashable key forced an uncached computation).  Bypasses are
         misses from the caller's point of view: without this, hit rates
         overstate how much of the workload the cache actually served."""
-        if not _ENABLED:
-            return
         with self._lock:
             self.misses += 1
 
     def put(self, key: Any, value: Any) -> None:
-        if not _ENABLED:
-            return
         with self._lock:
             self._data[key] = value
             self._data.move_to_end(key)
@@ -217,13 +199,9 @@ def absorb_worker_counts(delta: Dict[str, Tuple[int, int, int]]) -> None:
     """
     with _REGISTRY_LOCK:
         for name, counts in delta.items():
-            hits = int(counts[0])
-            misses = int(counts[1]) if len(counts) > 1 else 0
-            evictions = int(counts[2]) if len(counts) > 2 else 0
             slot = _WORKER_COUNTS.setdefault(name, [0, 0, 0])
-            slot[0] += hits
-            slot[1] += misses
-            slot[2] += evictions
+            for i in range(3):
+                slot[i] += counts[i]
 
 
 def worker_counts() -> Dict[str, Tuple[int, int, int]]:
@@ -253,15 +231,12 @@ def snapshot_counts() -> Dict[str, Tuple[int, int, int]]:
     return snap
 
 
-def delta_since(before: Dict[str, Tuple[int, ...]]) -> Dict[str, Dict[str, float]]:
+def delta_since(before: Dict[str, Tuple[int, int, int]]) -> Dict[str, Dict[str, float]]:
     """Hit/miss/eviction activity since a :func:`snapshot_counts` call,
-    dropping caches with no activity in the window.  Accepts legacy
-    ``(hits, misses)`` snapshots (evictions assumed 0)."""
+    dropping caches with no activity in the window."""
     out: Dict[str, Dict[str, float]] = {}
     for name, (hits, misses, evictions) in snapshot_counts().items():
-        prior = before.get(name, (0, 0, 0))
-        h0, m0 = prior[0], prior[1]
-        e0 = prior[2] if len(prior) > 2 else 0
+        h0, m0, e0 = before.get(name, (0, 0, 0))
         dh, dm, de = hits - h0, misses - m0, evictions - e0
         if dh or dm or de:
             total = dh + dm
@@ -275,7 +250,12 @@ def delta_since(before: Dict[str, Tuple[int, ...]]) -> Dict[str, Dict[str, float
 
 
 def clear_all() -> None:
-    """Empty every registered cache (counters are kept — they are
-    cumulative; use :func:`snapshot_counts` for windowed accounting)."""
+    """Empty every registered cache and bump :func:`generation`, so
+    worker processes empty theirs before their next build.  Counters are
+    kept — they are cumulative; use :func:`snapshot_counts` for windowed
+    accounting."""
+    global _GENERATION
     for cache in all_caches().values():
         cache.clear()
+    with _REGISTRY_LOCK:
+        _GENERATION += 1

@@ -2,11 +2,10 @@
 
 Two representations live here:
 
-* The legacy *layer list*: a network is a list of :class:`LayerSpec`
+* The *layer list*: a network is a list of :class:`LayerSpec`
   (name, PrimFunc builder, count) entries and end-to-end latency is the
-  per-layer sum.  ``network_latency(fuse_elementwise=True)`` used to
-  *model* fusion by zero-costing fusible layers; that accounting trick
-  is deprecated now that fusion is real.
+  per-layer sum.  ``network_latency(fold_fusible=True)`` zero-costs
+  fusible layers, an accounting model used for baseline rows.
 
 * The *dataflow graph*: :class:`Graph` holds :class:`OpNode` /
   :class:`TensorNode` nodes with actual producer→consumer edges, built
@@ -18,7 +17,6 @@ Two representations live here:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -83,7 +81,6 @@ def network_latency(
     net: NetworkSpec,
     op_latency,
     per_op_overhead: float = 0.0,
-    fuse_elementwise: Optional[bool] = None,
     fold_fusible: bool = False,
 ) -> float:
     """End-to-end latency in seconds.
@@ -96,20 +93,9 @@ def network_latency(
 
     ``fold_fusible`` zero-costs layers marked fusible — an *accounting
     model* of a fusing engine (TensorRT-like) used for baseline rows.
-    The old name for it, ``fuse_elementwise``, is deprecated: real
-    measured fusion lives in :func:`repro.frontend.fuse.fuse_graph` /
-    :func:`~repro.frontend.fuse.graph_latency`.
+    Real measured fusion lives in :func:`repro.frontend.fuse.fuse_graph`
+    / :func:`~repro.frontend.fuse.graph_latency`.
     """
-    if fuse_elementwise is not None:
-        warnings.warn(
-            "network_latency(fuse_elementwise=...) is deprecated: it models "
-            "fusion by zero-costing fusible layers. Use fold_fusible=... for "
-            "the accounting model, or build a Graph and use "
-            "repro.frontend.fuse.graph_latency for measured fusion.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        fold_fusible = fuse_elementwise
     if not callable(op_latency):
         report = op_latency
         op_latency = lambda layer: report.seconds_for(layer.name)  # noqa: E731

@@ -276,15 +276,11 @@ def canonicalize(
             overrides[dim] = rep
     if not overrides:
         return BucketedWorkload(func, func, dims)
-    if _cache.caches_enabled():
-        from ..tir import structural_hash
+    from ..tir import structural_hash
 
-        key = (structural_hash(func), func.name, name, spec.token())
-        cached = _CANON_CACHE.lookup(key)
-        if cached is not _cache.MISS:
-            return BucketedWorkload(func, cached, dims)
+    key = (structural_hash(func), func.name, name, spec.token())
+    representative = _CANON_CACHE.lookup(key)
+    if representative is _cache.MISS:
         representative = info.fn(**{**raw, **overrides})
         _CANON_CACHE.put(key, representative)
-    else:
-        representative = info.fn(**{**raw, **overrides})
     return BucketedWorkload(func, representative, dims)

@@ -88,16 +88,3 @@ class TuneConfig:
     @classmethod
     def field_names(cls) -> tuple:
         return tuple(f.name for f in dataclasses.fields(cls))
-
-    @classmethod
-    def from_kwargs(cls, base: Optional["TuneConfig"] = None, **kwargs) -> "TuneConfig":
-        """Build a config from legacy keyword arguments (the shim path).
-
-        Unknown keys raise ``TypeError`` exactly like a bad kwarg would
-        have under the old signatures.
-        """
-        known = set(cls.field_names())
-        bad = sorted(set(kwargs) - known)
-        if bad:
-            raise TypeError(f"unknown tuning option(s): {', '.join(bad)}")
-        return (base or cls()).with_(**kwargs)

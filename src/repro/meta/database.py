@@ -14,10 +14,9 @@ coalesce concurrent cache-miss requests.
 
 The access surface is one typed protocol — :class:`Database` with
 ``get`` / ``put`` / ``evict`` / ``keys`` — implemented by both
-:class:`TuningDatabase` (in-memory, optional legacy single-JSON-file
-persistence) and :class:`PersistentDatabase` (a JSONL-per-entry
-directory with atomic commits, TTL/LRU eviction and corrupt-entry
-recovery).
+:class:`TuningDatabase` (in-memory) and :class:`PersistentDatabase`
+(a JSONL-per-entry directory with atomic commits, TTL/LRU eviction and
+corrupt-entry recovery).
 """
 
 from __future__ import annotations
@@ -73,8 +72,6 @@ def workload_key(func: PrimFunc, target: Target) -> str:
     script adds over structure), so repeat lookups on the serve path
     skip the full-function print.
     """
-    if not _cache.caches_enabled():
-        return _workload_key_impl(func, target)
     cache_key = (structural_hash(func), _names_fingerprint(func), target.name)
     hit = _KEY_CACHE.lookup(cache_key)
     if hit is not _cache.MISS:
@@ -268,23 +265,13 @@ class Database:
 
 
 class TuningDatabase(Database):
-    """The in-memory backend (optionally snapshotted to one JSON file).
-
-    ``path`` keeps the legacy whole-database single-file persistence:
-    loaded eagerly at construction, written only on :meth:`save`.  For
-    incremental, crash-safe, multi-process-friendly persistence use
-    :class:`PersistentDatabase`.
+    """The in-memory backend.  For crash-safe, multi-process-friendly
+    persistence use :class:`PersistentDatabase`.
     """
 
-    def __init__(self, path: Optional[str] = None):
-        self.path = path
+    def __init__(self):
         self._store: Dict[str, DatabaseEntry] = {}
         self._lock = threading.Lock()
-        if path and os.path.exists(path):
-            with open(path) as f:
-                for key, record in json.load(f).items():
-                    record.setdefault("provenance", "disk")
-                    self._store[key] = DatabaseEntry(key=key, **record)
 
     # -- the protocol ---------------------------------------------------
     def get(self, key: str) -> Optional[DatabaseEntry]:
@@ -314,14 +301,6 @@ class TuningDatabase(Database):
     def __contains__(self, key: str) -> bool:
         with self._lock:
             return key in self._store
-
-    def save(self) -> None:
-        if self.path:
-            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-            with self._lock:
-                payload = {k: e.to_record() for k, e in self._store.items()}
-            with open(self.path, "w") as f:
-                json.dump(payload, f, indent=1)
 
 
 @dataclass

@@ -255,6 +255,9 @@ _WORKER_CONTEXTS: Dict[tuple, EvalContext] = {}
 _WORKER_CONTEXTS_MAX = 32
 #: per-worker-process cache-counter snapshot for delta shipping.
 _WORKER_SNAPSHOT: Dict[str, tuple] = {}
+#: the coordinator's :func:`repro.cache.generation` this worker's memo
+#: caches belong to.
+_WORKER_GENERATION: Optional[int] = None
 
 
 def _worker_init() -> None:
@@ -266,8 +269,21 @@ def _worker_init() -> None:
     import repro.intrin  # noqa: F401
     import repro.meta.sketch  # noqa: F401
     import repro.schedule  # noqa: F401
-    global _WORKER_SNAPSHOT
+    global _WORKER_SNAPSHOT, _WORKER_GENERATION
     _WORKER_SNAPSHOT = _cache.snapshot_counts()
+    # A forked worker inherits the coordinator's caches and counter
+    # together, so they start in step.
+    _WORKER_GENERATION = _cache.generation()
+
+
+def _sync_generation(generation: int) -> None:
+    """Empty this worker's caches if the coordinator has called
+    :func:`repro.cache.clear_all` since the last batch, so a cold pass
+    is cold in every process."""
+    global _WORKER_GENERATION
+    if generation != _WORKER_GENERATION:
+        _cache.clear_all()
+        _WORKER_GENERATION = generation
 
 
 def _worker_cache_delta() -> Dict[str, Tuple[int, int, int]]:
@@ -286,7 +302,8 @@ def _worker_cache_delta() -> Dict[str, Tuple[int, int, int]]:
     return delta
 
 
-def _resolve_context(ctx_key: tuple, ctx_blob: bytes) -> EvalContext:
+def _resolve_context(generation: int, ctx_key: tuple, ctx_blob: bytes) -> EvalContext:
+    _sync_generation(generation)
     ctx = _WORKER_CONTEXTS.get(ctx_key)
     if ctx is None:
         ctx = pickle.loads(ctx_blob)
@@ -308,36 +325,25 @@ def _build_spec_in_worker(ctx: EvalContext, spec: CandidateSpec):
     return cand.func, cand.decisions, None, validate_seconds
 
 
-def _worker_build(ctx_key: tuple, ctx_blob: bytes, spec_blob: bytes):
-    """Build one spec inside a worker process.
-
-    Returns ``(func, decisions, rejection, validate_seconds, cache_delta)``
-    — plain picklable data.  The worker's own memo caches serve repeat
-    builds; their counters ride back as a delta so the coordinator's
-    merged cache view covers the whole fleet.
-    """
-    ctx = _resolve_context(ctx_key, ctx_blob)
-    spec: CandidateSpec = pickle.loads(spec_blob)
-    return _build_spec_in_worker(ctx, spec) + (_worker_cache_delta(),)
-
-
-def _worker_build_batch(ctx_key: tuple, ctx_blob: bytes, specs_blob: bytes):
+def _worker_build_batch(generation: int, ctx_key: tuple, ctx_blob: bytes, specs_blob: bytes):
     """Build a whole chunk of specs in one IPC round-trip.
 
     Per-candidate pickling cost is what a 1-core process pool pays for
     nothing, so specs ship as one blob per chunk and results return as
     one list per chunk (submission order preserved), with a single
-    cache-counter delta covering the chunk.
+    cache-counter delta covering the chunk.  The worker's own memo
+    caches serve repeat builds; their counters ride back as that delta
+    so the coordinator's merged cache view covers the whole fleet.
     """
-    ctx = _resolve_context(ctx_key, ctx_blob)
+    ctx = _resolve_context(generation, ctx_key, ctx_blob)
     specs: List[CandidateSpec] = pickle.loads(specs_blob)
     results = [_build_spec_in_worker(ctx, spec) for spec in specs]
     return results, _worker_cache_delta()
 
 
-def _worker_features(ctx_key: tuple, ctx_blob: bytes, func_blob: bytes):
+def _worker_features(generation: int, ctx_key: tuple, ctx_blob: bytes, func_blob: bytes):
     """Extract one feature vector inside a worker process."""
-    ctx = _resolve_context(ctx_key, ctx_blob)
+    ctx = _resolve_context(generation, ctx_key, ctx_blob)
     func: PrimFunc = pickle.loads(func_blob)
     from .feature import extract_features
 
@@ -359,7 +365,9 @@ class ProcessEvaluator(Evaluator):
     pickled once per search and cached per-process; specs ship as tiny
     blobs; results ship back with each worker's cache-counter delta,
     which is merged into the coordinator's registry
-    (:func:`repro.cache.absorb_worker_counts`).
+    (:func:`repro.cache.absorb_worker_counts`).  Every batch also carries
+    :func:`repro.cache.generation`, so a ``clear_all()`` in the
+    coordinator empties each worker's registry before its next build.
 
     Specs are shipped in **chunks** — one IPC round-trip per worker
     rather than one per candidate — so a 64-candidate batch on a 1-core
@@ -447,7 +455,9 @@ class ProcessEvaluator(Evaluator):
             return self._thread_fallback().evaluate(ctx, specs)
         try:
             futures = [
-                self._pool.submit(_worker_build_batch, key, ctx_blob, blob)
+                self._pool.submit(
+                    _worker_build_batch, _cache.generation(), key, ctx_blob, blob
+                )
                 for blob in chunk_blobs
             ]
             outcomes = []
@@ -484,7 +494,9 @@ class ProcessEvaluator(Evaluator):
             return None
         try:
             futures = [
-                self._pool.submit(_worker_features, key, ctx_blob, blob)
+                self._pool.submit(
+                    _worker_features, _cache.generation(), key, ctx_blob, blob
+                )
                 for blob in blobs
             ]
             out = []

@@ -88,8 +88,6 @@ def extract_features(func: PrimFunc, target: Target) -> np.ndarray:
     Memoized on program structure; cached vectors are read-only (copy
     before mutating, which no caller currently does).
     """
-    if not _cache.caches_enabled():
-        return _extract_features_impl(func, target)
     from ..tir.structural import structural_hash
 
     key = (structural_hash(func), getattr(target, "name", repr(target)))

@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import random
 import time
-import warnings
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -43,27 +42,6 @@ __all__ = ["MeasureRecord", "TuneResult", "SearchStats", "evolutionary_search"]
 #: profiling parameters of the simulated measurement harness
 MEASURE_REPEATS = 10
 MEASURE_OVERHEAD_SECONDS = 0.08  # compile + upload + RPC per candidate
-
-_LEGACY_KWARGS_MSG = (
-    "passing tuning options as keyword arguments is deprecated; "
-    "pass a repro.TuneConfig instead (e.g. tune(func, target, "
-    "TuneConfig(trials=32)))"
-)
-
-
-def _resolve_config(config, legacy: dict, caller: str) -> TuneConfig:
-    """The shim: fold old-style kwargs (or a positional trial count)
-    into a ``TuneConfig``, warning on use of the old signature."""
-    if isinstance(config, int):
-        legacy.setdefault("trials", config)
-        config = None
-    if legacy:
-        warnings.warn(
-            f"{caller}: {_LEGACY_KWARGS_MSG}", DeprecationWarning, stacklevel=3
-        )
-        return TuneConfig.from_kwargs(config, **legacy)
-    return config or TuneConfig()
-
 
 @dataclass
 class MeasureRecord:
@@ -207,8 +185,6 @@ def _build_candidate_cached(
     validate: bool,
 ) -> Tuple[Optional[_Candidate], Optional[Tuple[str, str]], float]:
     """Memoizing front of :func:`_build_candidate` (see cache note above)."""
-    if not _cache.caches_enabled():
-        return _build_candidate(func, sketch, seed, forced, target, validate)
     try:
         key = (
             structural_hash(func),
@@ -293,7 +269,6 @@ def evolutionary_search(
     task: Optional[str] = None,
     recorder: Optional[Recorder] = None,
     evaluator: Optional[Evaluator] = None,
-    **legacy,
 ) -> TuneResult:
     """Search one sketch's decision space; ``config.trials`` bounds the
     number of measured candidates.
@@ -310,7 +285,7 @@ def evolutionary_search(
     and best-improvement is recorded — without consuming search RNG, so
     recorded and unrecorded runs find identical programs.
     """
-    config = _resolve_config(config, legacy, "evolutionary_search")
+    config = config or TuneConfig()
     rng = random.Random(config.seed)
     if recorder is None and config.obs.enabled:
         recorder = Recorder(config.obs, telemetry=telemetry)

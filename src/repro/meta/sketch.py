@@ -559,8 +559,6 @@ _SKETCH_CACHE = _cache.MemoCache("meta.sketches", maxsize=512)
 def generate_sketches(sch: Schedule, target: Target, allow_tensorize: bool = True) -> List[Sketch]:
     """The applicable sketches for a workload on a target (tensorized
     candidates first, following §4.3's candidate-centric construction)."""
-    if not _cache.caches_enabled():
-        return _generate_sketches_impl(sch, target, allow_tensorize)
     key = (
         structural_hash(sch.func),
         type(target).__qualname__,

@@ -8,9 +8,8 @@ configuration used in the evaluation.
 
 Record-replay (§5.2) is the default path: pass a ``database`` and an
 already-tuned workload is rebuilt from its stored decision vector with
-zero search; fresh results are recorded back.  The old
-``tune(func, target, trials=..., seed=..., ...)`` keyword signature
-still works through a deprecation shim.
+zero search; fresh results are recorded back.  Every tuning option
+lives on :class:`~repro.meta.config.TuneConfig`.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from ..tir import PrimFunc
 from .config import TuneConfig
 from .cost_model import CostModel
 from .database import Database, workload_key
-from .search import SearchStats, TuneResult, _resolve_config, evolutionary_search
+from .search import SearchStats, TuneResult, evolutionary_search
 from .sketch import generate_sketches
 from .telemetry import Telemetry
 
@@ -66,7 +65,6 @@ def tune(
     telemetry: Optional[Telemetry] = None,
     task: Optional[str] = None,
     recorder: Optional[Recorder] = None,
-    **legacy,
 ) -> TuneResult:
     """Tune one workload; returns the best schedule found.
 
@@ -83,7 +81,7 @@ def tune(
     config) has its JSONL sink flushed before returning; pass your own
     ``recorder`` to keep the in-memory ledger across calls.
     """
-    config = _resolve_config(config, legacy, "tune")
+    config = config or TuneConfig()
     task = task or func.name
     owns_recorder = False
     if recorder is None and config.obs.enabled:

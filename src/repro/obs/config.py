@@ -4,9 +4,10 @@
 :class:`~repro.meta.config.TuneConfig` (``TuneConfig(obs=ObsConfig(...))``)
 and is consumed by a :class:`~repro.obs.record.Recorder`.  The default
 is **off** — with ``enabled=False`` every recorder call is a no-op and
-the search hot path pays only a handful of predicate checks (the
-overhead contract is benchmarked in ``scripts/bench_hotpaths.py
---obs-overhead`` and reported in EXPERIMENTS.md).
+the search hot path pays only a handful of predicate checks.
+Recording never changes what a search finds
+(``tests/obs/test_recorder.py``); EXPERIMENTS.md keeps the dated
+overhead measurement.
 
 This module imports only the standard library so configuration can be
 constructed anywhere without pulling the compiler stack.

@@ -122,9 +122,7 @@ class Schedule:
     """A schedulable view over one PrimFunc."""
 
     def __init__(self, func: PrimFunc, seed: Optional[int] = None, record_trace: bool = True):
-        cached = (
-            _UNIQUIFY_CACHE.lookup(id(func)) if _cache.caches_enabled() else _cache.MISS
-        )
+        cached = _UNIQUIFY_CACHE.lookup(id(func))
         if cached is not _cache.MISS and cached[0] is func:
             _, self.func, block_names, var_names = cached
         else:

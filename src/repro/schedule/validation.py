@@ -25,7 +25,6 @@ invalid mutants (§4.4) and aggregates the rejection codes.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import cache as _cache
@@ -72,8 +71,6 @@ def shared_footprint_bytes(func: PrimFunc) -> int:
     :func:`repro.tir.structural_hash` (both the threading checks and
     feature extraction ask for it, once per candidate each).
     """
-    if not _cache.caches_enabled():
-        return _shared_footprint_impl(func)
     from ..tir.structural import structural_hash
 
     return _FOOTPRINT_CACHE.get_or_compute(
@@ -145,26 +142,9 @@ def _per_block_hull(func: PrimFunc, realize: BlockRealize, region):
 class VerificationError(DiagnosticError):
     """§3.3 validation rejected the program.
 
-    Carries ``.diagnostics``; ``str()`` is the legacy ``"; "``-joined
-    problem text.  Constructing it from an already-joined string (the
-    pre-diagnostics idiom ``VerificationError("; ".join(problems))``)
-    still works behind a :class:`DeprecationWarning`.
+    Carries ``.diagnostics``; ``str()`` is the ``"; "``-joined problem
+    text.
     """
-
-    def __init__(self, diagnostics=(), **kwargs):
-        if isinstance(diagnostics, str):
-            warnings.warn(
-                "constructing VerificationError from a joined string is "
-                "deprecated; pass the Diagnostic list returned by verify()",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            diagnostics = [
-                Diagnostic("TIR000", part)
-                for part in diagnostics.split("; ")
-                if part
-            ]
-        super().__init__(diagnostics, **kwargs)
 
     @property
     def problems(self) -> List[str]:
@@ -181,8 +161,6 @@ def verify(
     / ``.render()`` give the typed view.  Pass ``ctx`` to accumulate
     into an existing :class:`~repro.diagnostics.DiagnosticContext`.
     """
-    if not _cache.caches_enabled():
-        return _verify_impl(func, target, ctx)
     from ..tir.structural import structural_hash
 
     # Diagnostics embed block/loop/buffer *names* in their messages and

@@ -514,8 +514,6 @@ def estimate(func: PrimFunc, target: Target) -> PerfReport:
     memoized on :func:`repro.tir.structural_hash` — identical candidates
     re-surfacing during evolutionary search cost a hash, not a walk.
     """
-    if not _cache.caches_enabled():
-        return _estimate_impl(func, target)
     from ..tir.structural import structural_hash
 
     key = (structural_hash(func), getattr(target, "name", repr(target)))

@@ -389,20 +389,16 @@ def _buffer_use(buf: Buffer):
 def _buffer_decl(buf: Buffer):
     """The summary of a buffer at its binding site: signature + shape
     (matching ``StructuralMatcher.bind_buffer``).  Memoized on the node."""
-    memo = _cache.caches_enabled()
-    if memo:
-        cached = getattr(buf, "_memo_hash", None)
-        if cached is not None:
-            global _NODE_HITS
-            _NODE_HITS += 1
-            return cached
-        global _NODE_MISSES
-        _NODE_MISSES += 1
+    global _NODE_HITS, _NODE_MISSES
+    cached = getattr(buf, "_memo_hash", None)
+    if cached is not None:
+        _NODE_HITS += 1
+        return cached
+    _NODE_MISSES += 1
     parts = [_buffer_use(buf)]
     parts.extend(_hash_expr(dim) for dim in buf.shape)
     summary = _combine("BufferDecl", (buf.dtype, buf.ndim, buf.scope), parts)
-    if memo:
-        buf._memo_hash = summary
+    buf._memo_hash = summary
     return summary
 
 
@@ -418,15 +414,12 @@ def _hash_region(region: BufferRegion):
 
 
 def _hash_expr(expr: PrimExpr):
-    memo = _cache.caches_enabled()
-    if memo:
-        cached = getattr(expr, "_memo_hash", None)
-        if cached is not None:
-            global _NODE_HITS
-            _NODE_HITS += 1
-            return cached
-        global _NODE_MISSES
-        _NODE_MISSES += 1
+    global _NODE_HITS, _NODE_MISSES
+    cached = getattr(expr, "_memo_hash", None)
+    if cached is not None:
+        _NODE_HITS += 1
+        return cached
+    _NODE_MISSES += 1
     if isinstance(expr, Var):
         summary = hash(("Var", expr.dtype)), (expr,)
     elif isinstance(expr, (IntImm, FloatImm, StringImm)):
@@ -460,8 +453,7 @@ def _hash_expr(expr: PrimExpr):
         summary = _combine("Call", (expr.dtype, expr.op), parts)
     else:
         raise TypeError(f"unhandled expr node: {type(expr).__name__}")
-    if memo:
-        expr._memo_hash = summary
+    expr._memo_hash = summary
     return summary
 
 
@@ -503,15 +495,12 @@ def _hash_block(block: Block):
 
 
 def _hash_stmt(stmt: Stmt):
-    memo = _cache.caches_enabled()
-    if memo:
-        cached = getattr(stmt, "_memo_hash", None)
-        if cached is not None:
-            global _NODE_HITS
-            _NODE_HITS += 1
-            return cached
-        global _NODE_MISSES
-        _NODE_MISSES += 1
+    global _NODE_HITS, _NODE_MISSES
+    cached = getattr(stmt, "_memo_hash", None)
+    if cached is not None:
+        _NODE_HITS += 1
+        return cached
+    _NODE_MISSES += 1
     if isinstance(stmt, BufferStore):
         parts = [_buffer_use(stmt.buffer), _hash_expr(stmt.value)]
         parts.extend(_hash_expr(i) for i in stmt.indices)
@@ -554,21 +543,17 @@ def _hash_stmt(stmt: Stmt):
         summary = _combine("AllocateConst", None, parts, (stmt.buffer,))
     else:
         raise TypeError(f"unhandled stmt node: {type(stmt).__name__}")
-    if memo:
-        stmt._memo_hash = summary
+    stmt._memo_hash = summary
     return summary
 
 
 def _hash_func(func: PrimFunc):
-    memo = _cache.caches_enabled()
-    if memo:
-        cached = getattr(func, "_memo_hash", None)
-        if cached is not None:
-            global _NODE_HITS
-            _NODE_HITS += 1
-            return cached
-        global _NODE_MISSES
-        _NODE_MISSES += 1
+    global _NODE_HITS, _NODE_MISSES
+    cached = getattr(func, "_memo_hash", None)
+    if cached is not None:
+        _NODE_HITS += 1
+        return cached
+    _NODE_MISSES += 1
     parts = []
     binders = []
     for param in func.params:
@@ -579,8 +564,7 @@ def _hash_func(func: PrimFunc):
     parts.append(_hash_stmt(func.body))
     # name (and attrs) intentionally excluded: the matcher ignores them.
     summary = _combine("PrimFunc", len(func.params), parts, tuple(binders))
-    if memo:
-        func._memo_hash = summary
+    func._memo_hash = summary
     return summary
 
 

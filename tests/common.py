@@ -64,3 +64,28 @@ def build_matmul_relu(n: int = 64, dtype: str = "float32") -> PrimFunc:
 
             b.store(D, (vi, vj), max_expr(C[vi, vj], 0.0))
     return b.finish()
+
+
+def tune_fused_and_unfused(graph, target, config, databases) -> dict:
+    """Tune ``graph`` fused and unfused, one ``TuningSession`` each, into
+    ``databases[True]`` / ``databases[False]``.  Returns each plan's
+    end-to-end latency (tuned group latencies plus one launch per
+    group) keyed by ``fuse``.  Asserts that every database replay
+    reports the cycles of the search that stored its key."""
+    from repro.frontend import fuse_graph, graph_latency
+    from repro.meta import TuningSession
+
+    launch = getattr(target, "kernel_launch_cycles", None) or target.op_launch_cycles
+    latency = {}
+    for fuse in (True, False):
+        plan = fuse_graph(graph, fuse=fuse)
+        session = TuningSession(target, config, database=databases[fuse])
+        session.add_graph(plan)
+        report = session.run()
+        for task in report.tasks:
+            if task.status == "replayed":
+                assert task.cycles == databases[fuse].get(task.key).cycles, task.name
+        latency[fuse] = graph_latency(
+            plan, report, per_op_overhead=target.cycles_to_seconds(launch)
+        )
+    return latency

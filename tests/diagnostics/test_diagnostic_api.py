@@ -144,14 +144,6 @@ class TestErrorHierarchy:
 
 
 class TestLegacyStringShim:
-    def test_verification_error_from_joined_string_warns(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            err = VerificationError("problem one; problem two")
-        # The old round-trip behaviour is preserved.
-        assert str(err) == "problem one; problem two"
-        assert err.problems == ["problem one", "problem two"]
-        assert err.codes == ["TIR000", "TIR000"]
-
     def test_verification_error_from_diagnostics_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -17,13 +17,18 @@ from repro.frontend.graph import Graph, GraphError
 from repro.frontend.networks import (
     bert_base_graph,
     bert_large_graph,
+    cpu_graph,
     mobilenet_v2_graph,
     resnet50_graph,
     vit_graph,
 )
+from repro.meta import TuneConfig, TuningDatabase
 from repro.runtime import interpret
 from repro.schedule import verify
+from repro.sim import SimCPU, SimGPU
 from repro.tir import IRBuilder
+
+from ..common import tune_fused_and_unfused
 
 
 def _mini_matmul_chain():
@@ -274,15 +279,28 @@ class TestGraphLatency:
         assert t_fused == pytest.approx(2e-3)
         assert t_unfused == pytest.approx(6e-3)
 
+    @pytest.mark.parametrize(
+        "target, dtype, acc", [(SimGPU(), "float16", None), (SimCPU(), "int8", "int32")],
+        ids=["gpu", "cpu"],
+    )
+    def test_tuned_fused_plan_no_slower_than_unfused(self, target, dtype, acc):
+        graph = MINI_GRAPHS["bert_large"](dtype, acc)
+        databases = {True: TuningDatabase(), False: TuningDatabase()}
+        latency = tune_fused_and_unfused(graph, target, TuneConfig(trials=4, seed=0), databases)
+        assert latency[True] <= latency[False]
+
 
 class TestFullNetworkGraphs:
-    """The default network graphs build, fuse, and cut task counts."""
+    """The seven fig. 12/14 network graphs build, fuse, and cut task
+    counts (``bert_base`` is ``cpu_graph("BERT-base")``)."""
 
     @pytest.mark.parametrize(
         "builder",
         [resnet50_graph, mobilenet_v2_graph, bert_large_graph, vit_graph,
-         bert_base_graph],
-        ids=["resnet50", "mobilenet_v2", "bert_large", "vit", "bert_base"],
+         bert_base_graph, lambda: cpu_graph("ResNet-50"),
+         lambda: cpu_graph("MobileNet-V2")],
+        ids=["resnet50", "mobilenet_v2", "bert_large", "vit", "bert_base",
+             "cpu_resnet50", "cpu_mobilenet_v2"],
     )
     def test_task_count_reduction_at_least_20pct(self, builder):
         from repro.meta.database import workload_key

@@ -1,7 +1,6 @@
 """Correctness tests for the operator library against NumPy references."""
 
 import numpy as np
-import pytest
 
 from repro.frontend import ops
 from repro.runtime import alloc_args, random_args, run
@@ -241,15 +240,6 @@ class TestWorkloadsAndNetworks:
         fused = network_latency(net, lambda layer: 1e-3, fold_fusible=True)
         overhead = network_latency(net, lambda layer: 1e-3, per_op_overhead=1e-3)
         assert fused < flat < overhead
-
-    def test_fuse_elementwise_deprecated_but_equivalent(self):
-        from repro.frontend import gpu_network, network_latency
-
-        net = gpu_network("BERT-large")
-        new = network_latency(net, lambda layer: 1e-3, fold_fusible=True)
-        with pytest.warns(DeprecationWarning, match="fold_fusible"):
-            old = network_latency(net, lambda layer: 1e-3, fuse_elementwise=True)
-        assert old == new
 
     def test_unique_layers_dedup_by_workload_identity(self):
         from functools import partial

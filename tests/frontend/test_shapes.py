@@ -8,7 +8,6 @@ their own degenerate bucket (diagnostic ``TIR703``).
 
 import pytest
 
-from repro import cache
 from repro.diagnostics import DiagnosticContext
 from repro.frontend import ops
 from repro.frontend.shapes import (
@@ -143,8 +142,6 @@ class TestCanonicalize:
         assert rep_args["n"] == 4 and rep_args["h"] == 6
 
     def test_rebuild_is_memoized(self):
-        if not cache.caches_enabled():
-            pytest.skip("hot-path caches disabled")
         spec = BucketSpec.pow2("n")
         first = canonicalize(ops.matmul(56, 32, 32), spec)
         second = canonicalize(ops.matmul(56, 32, 32), spec)

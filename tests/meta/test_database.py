@@ -4,8 +4,6 @@ The database surface is one typed protocol — ``get`` / ``put`` /
 ``evict`` / ``keys``; this module covers it on the in-memory backend.
 """
 
-import os
-
 import pytest
 
 from repro.frontend import ops
@@ -87,18 +85,6 @@ class TestDatabase:
         db.record(func, SimGPU(), result.best_sketch, result.best_decisions, 100.0)
         db.record(func, SimGPU(), result.best_sketch, result.best_decisions, 200.0)
         assert db.get(key).cycles == 100.0
-
-    def test_persistence_roundtrip(self, tuned, tmp_path):
-        func, result = tuned
-        path = os.path.join(tmp_path, "db.json")
-        db = TuningDatabase(path)
-        db.record(func, SimGPU(), result.best_sketch, result.best_decisions, result.best_cycles)
-        db.save()
-        db2 = TuningDatabase(path)
-        assert len(db2) == 1
-        key = workload_key(func, SimGPU())
-        assert db2.get(key).sketch == result.best_sketch
-        assert db2.get(key).provenance == "search"
 
     def test_miss_returns_none(self):
         db = TuningDatabase()

@@ -85,6 +85,17 @@ class TestBackendDeterminism:
         assert one.stats.eval_batches > 0
 
 
+    def test_clear_all_reaches_process_workers(self, process_pool):
+        """A pass after ``clear_all()`` is cold in the workers too: the
+        shared pool's workers serve no hit from an earlier pass."""
+        for _ in range(2):
+            before = repro_cache.worker_counts().get("search.candidates", (0, 0, 0))
+            _search(process_pool)
+            after = repro_cache.worker_counts()["search.candidates"]
+            assert after[0] == before[0]
+            assert after[1] > before[1]
+
+
 class TestPickleBoundary:
     def test_candidate_spec_round_trip(self):
         spec = CandidateSpec(seed=17, forced=(4, (2, 8), "vectorize"), parent_trial=3)

@@ -1,4 +1,4 @@
-"""Tests for TuneConfig and the deprecated-kwargs shim."""
+"""Tests for TuneConfig."""
 
 import dataclasses
 
@@ -7,7 +7,7 @@ import pytest
 import repro
 from repro import TuneConfig, tune
 from repro.frontend import ops
-from repro.meta import SearchStats, TensorCoreSketch, evolutionary_search
+from repro.meta import SearchStats
 from repro.sim import SimGPU
 
 
@@ -31,37 +31,12 @@ class TestTuneConfig:
         assert other.trials == 7
         assert cfg.trials == 32
 
-    def test_from_kwargs_rejects_unknown(self):
-        with pytest.raises(TypeError, match="unknown tuning option"):
-            TuneConfig.from_kwargs(trails=8)  # typo'd name must not pass
-
-
-class TestShim:
-    def test_old_tune_kwargs_warn_and_work(self, gemm):
-        with pytest.warns(DeprecationWarning, match="TuneConfig"):
-            legacy = tune(gemm, SimGPU(), trials=4, seed=0)
-        modern = tune(gemm, SimGPU(), TuneConfig(trials=4, seed=0))
-        assert legacy.best_cycles == modern.best_cycles
-        assert legacy.best_decisions == modern.best_decisions
-
-    def test_old_positional_trials_warns(self, gemm):
-        with pytest.warns(DeprecationWarning):
-            legacy = tune(gemm, SimGPU(), 4)
-        assert legacy.best_func is not None
-
-    def test_evolutionary_search_shim(self, gemm):
-        with pytest.warns(DeprecationWarning):
-            legacy = evolutionary_search(
-                gemm, TensorCoreSketch(), SimGPU(), trials=4, seed=0
-            )
-        modern = evolutionary_search(
-            gemm, TensorCoreSketch(), SimGPU(), TuneConfig(trials=4, seed=0)
-        )
-        assert legacy.best_cycles == modern.best_cycles
-
-    def test_new_style_does_not_warn(self, gemm, recwarn):
-        tune(gemm, SimGPU(), TuneConfig(trials=2, seed=0))
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
+    def test_unknown_option_rejected(self, gemm):
+        # A misspelled option must not pass silently.
+        with pytest.raises(TypeError):
+            TuneConfig(trails=8)
+        with pytest.raises(TypeError):
+            tune(gemm, SimGPU(), trails=8)
 
 
 class TestPublicSurface:

@@ -10,11 +10,16 @@ than failing the request.
 
 import threading
 
+import numpy as np
+import pytest
+
 from repro.frontend import ops
 from repro.frontend.shapes import BucketSpec
-from repro.meta import Telemetry, TuneConfig
+from repro.meta import Telemetry, TuneConfig, tune
+from repro.runtime import random_args, run
+from repro.runtime.interp import interpret
 from repro.serve import ScheduleServer, ServeConfig
-from repro.sim import SimGPU
+from repro.sim import SimGPU, estimate
 
 CFG = ServeConfig(
     tune=TuneConfig(trials=4, seed=0),
@@ -88,6 +93,37 @@ class TestBucketHits:
             stats = server.stats()
         assert stats.bucket_hits == 0
         assert stats.tune_runs == 2
+
+
+def _matches_oracle(base, served):
+    args = random_args(base, seed=0)
+    oracle = {k: v.copy() for k, v in args.items()}
+    interpret(base, oracle)
+    run(served, args)
+    tol = 2e-2 if any(b.dtype == "float16" for b in base.buffers) else 1e-4
+    return all(np.allclose(oracle[k], args[k], rtol=tol, atol=tol) for k in oracle)
+
+
+class TestShapeSweeps:
+    @pytest.mark.parametrize(
+        "build, sizes, unseen",
+        [(_conv, [2, 4, 6], [5, 7]), (_matmul, [32, 48, 96], [80])],
+        ids=["batch_conv2d", "seq_matmul"],
+    )
+    def test_sweep_served_from_buckets(self, build, sizes, unseen):
+        """Non-pow2 sizes tune their representative, the unseen probes
+        land in tuned buckets: 0 trials, within 1.25x of tuning the exact
+        shape, equal to the interpreter oracle."""
+        with ScheduleServer(SimGPU(), CFG) as server:
+            for size in sizes + unseen:
+                func = build(size)
+                resp = server.compile(func)
+                exact = tune(func, SimGPU(), CFG.tune).best_report.seconds
+                assert estimate(resp.func, SimGPU()).seconds <= 1.25 * exact, size
+                assert _matches_oracle(func, resp.func), size
+                if size in unseen:
+                    assert resp.trials == 0 and resp.source in ("hit", "bucket-hit")
+            assert server.stats().bucket_hits >= 1
 
 
 class TestInBucketCoalescing:

@@ -218,6 +218,46 @@ class TestCoalescing:
         assert stats.tuned_workloads == 2
 
 
+class TestServingContract:
+    def test_warm_restart_and_coalescing(self, tmp_path):
+        """One pass over the three serving contracts at a 4-trial budget."""
+        cfg = ServeConfig(db_path=str(tmp_path / "db"), tune=TuneConfig(trials=4, seed=0))
+        func = ops.matmul(64, 64, 64)
+        with ScheduleServer(SimGPU(), cfg) as server:
+            miss = server.compile(func)
+            assert miss.source == "miss"
+            for _ in range(5):
+                hit = server.compile(func)
+                assert (hit.source, hit.trials, hit.script) == ("hit", 0, miss.script)
+            stats = server.stats()
+            latency = server.metrics.families()["serve_latency_seconds"]
+            assert latency.labels(outcome="hit").window_quantile(0.5) is not None
+        assert stats.hits > 0 and stats.hit_rate > 0.5
+        with ScheduleServer(SimGPU(), cfg) as server:
+            again = server.compile(func)
+        assert (again.source, again.trials, again.script) == ("hit", 0, miss.script)
+
+        co_cfg = cfg.with_(db_path=str(tmp_path / "db-coalesce"), batch_window_seconds=0.5)
+        with ScheduleServer(SimGPU(), co_cfg) as server:
+            barrier = threading.Barrier(3)
+            responses = [None] * 3
+
+            def request(i):
+                barrier.wait(timeout=60)
+                responses[i] = server.compile(func)
+
+            threads = [threading.Thread(target=request, args=(i,)) for i in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            stats = server.stats()
+        assert stats.tune_runs == 1
+        assert stats.coalesce_factor >= 2.0
+        assert len({r.script for r in responses}) == 1
+
+
 class TestClientSurface:
     def test_client_wraps_server(self):
         with Client(ScheduleServer(SimGPU(), CFG)) as client:
