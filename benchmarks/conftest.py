@@ -39,8 +39,6 @@ TENSORIR_TRIALS = 32
 TVM_TRIALS = 48
 NETWORK_TRIALS = 14
 NETWORK_TVM_TRIALS = 16
-#: worker-pool width for the end-to-end TuningSessions
-SESSION_WORKERS = 4
 
 
 def write_table(name: str, text: str) -> None:
@@ -168,7 +166,6 @@ def gpu_graph_sessions():
                 SimGPU(),
                 TuneConfig(trials=NETWORK_TRIALS, seed=0),
                 database=database,
-                workers=SESSION_WORKERS,
             )
             session.add_graph(plan)
             cache[name] = (plan, session.run())
@@ -192,7 +189,6 @@ def cpu_graph_sessions():
                 SimCPU(),
                 TuneConfig(trials=NETWORK_TRIALS, seed=0),
                 database=database,
-                workers=SESSION_WORKERS,
             )
             session.add_graph(plan)
             cache[name] = (plan, session.run())

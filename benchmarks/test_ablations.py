@@ -132,7 +132,7 @@ def test_ablation_cost_model_guidance(gmm, benchmark):
         def update(self, funcs, cycles):
             pass
 
-        def predict(self, funcs, executor=None, features=None):
+        def predict(self, funcs):
             import numpy as np
 
             rng = random.Random(0)

@@ -13,8 +13,6 @@ from repro.frontend import gpu_network
 from repro.meta import TuningSession
 from repro.sim import SimGPU
 
-from .conftest import SESSION_WORKERS
-
 pytestmark = pytest.mark.slow
 
 NETWORKS = ["ResNet-50", "MobileNet-V2", "BERT-large", "ViT"]
@@ -28,9 +26,7 @@ TVM_TRIALS = 20
 def _network_session(system, name):
     """One TuningSession per (system, network): the Table 1 tuning-time
     numbers now come straight from session telemetry."""
-    session = TuningSession(
-        SimGPU(), system.tune_config(), workers=SESSION_WORKERS
-    )
+    session = TuningSession(SimGPU(), system.tune_config())
     # elementwise layers are not tuned per shape
     session.add_network(gpu_network(name), include_fusible=False)
     return session.run()

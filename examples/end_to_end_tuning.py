@@ -68,10 +68,10 @@ def main():
 
     # --- multi-workload tuning: the TuningSession -------------------------
     # Four layers, two identical: the session searches the three unique
-    # workloads in parallel, replays the duplicate from the database,
-    # and splits the 48-trial budget by each layer's cost share.
-    print("\ntuning a 4-layer network with a TuningSession (2 workers):")
-    session = TuningSession(target, TuneConfig(seed=0), workers=2)
+    # workloads, replays the duplicate from the database, and splits the
+    # 48-trial budget by each layer's cost share.
+    print("\ntuning a 4-layer network with a TuningSession:")
+    session = TuningSession(target, TuneConfig(seed=0))
     session.add(ops.matmul(512, 512, 512), name="attn_proj")
     session.add(ops.matmul(512, 512, 512), name="attn_proj_dup")
     session.add(ops.matmul(512, 2048, 512), name="ffn_up")
@@ -84,7 +84,7 @@ def main():
         )
     print(
         f"  searched {report.totals['tasks_searched']:.0f}, replayed "
-        f"{report.totals['tasks_replayed']:.0f}, on {report.workers} workers; "
+        f"{report.totals['tasks_replayed']:.0f}; "
         f"simulated tuning time {report.tuning_seconds:.1f}s"
     )
     print("  stage timings:", {

@@ -78,7 +78,7 @@ def main():
 
     # --- tune both plans through a TuningSession -------------------------
     print("\ntuning the fused plan (each group is one task):")
-    session = TuningSession(target, TuneConfig(trials=12, seed=0), workers=2)
+    session = TuningSession(target, TuneConfig(trials=12, seed=0))
     session.add_graph(plan)
     report = session.run()
     for task in report.tasks:
@@ -88,7 +88,7 @@ def main():
         )
 
     unfused_plan = fuse_graph(graph, fuse=False)
-    unfused_session = TuningSession(target, TuneConfig(trials=12, seed=0), workers=2)
+    unfused_session = TuningSession(target, TuneConfig(trials=12, seed=0))
     unfused_session.add_graph(unfused_plan)
     unfused_report = unfused_session.run()
 

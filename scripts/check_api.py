@@ -39,7 +39,6 @@ def main() -> int:
         "Severity",
         "Evaluator",
         "SerialEvaluator",
-        "ThreadEvaluator",
         "ProcessEvaluator",
         "CandidateSpec",
         "__version__",
@@ -65,7 +64,6 @@ def main() -> int:
         "estimated_cost",
         "Evaluator",
         "SerialEvaluator",
-        "ThreadEvaluator",
         "ProcessEvaluator",
         "CandidateSpec",
         "get_evaluator",
@@ -181,17 +179,17 @@ def main() -> int:
         "sketches",
         "validate",
         "search_workers",
-        "evaluator",
     ):
         check(field in cfg_fields, f"TuneConfig.{field} missing")
+    # search_workers is the one parallelism setting.
+    check("evaluator" not in cfg_fields, "TuneConfig.evaluator must not exist")
 
     tune_params = inspect.signature(repro.tune).parameters
     for param in ("func", "target", "config", "database", "telemetry"):
         check(param in tune_params, f"tune(...{param}...) missing")
 
     session_params = inspect.signature(repro.TuningSession.__init__).parameters
-    for param in ("target", "config", "database", "workers", "telemetry",
-                  "evaluator", "provenance"):
+    for param in ("target", "config", "database", "telemetry", "provenance"):
         check(param in session_params, f"TuningSession(...{param}...) missing")
 
     run_params = inspect.signature(repro.TuningSession.run).parameters
@@ -264,7 +262,7 @@ def main() -> int:
     serve_fields = set(getattr(serve.ServeConfig, "__dataclass_fields__", {}))
     for field in (
         "db_path", "tune", "batch_window_seconds", "max_batch",
-        "session_workers", "ttl_seconds", "max_entries", "compile_programs",
+        "ttl_seconds", "max_entries", "compile_programs",
     ):
         check(field in serve_fields, f"ServeConfig.{field} missing")
     response_fields = set(
@@ -366,16 +364,12 @@ def main() -> int:
     )
 
     # --- the evaluator protocol (pluggable backends) ------------------
-    for method in ("evaluate", "map_features", "counters", "close"):
+    for method in ("evaluate", "counters", "close"):
         check(
             callable(getattr(repro.Evaluator, method, None)),
             f"Evaluator.{method} missing",
         )
-    for backend in (
-        repro.SerialEvaluator,
-        repro.ThreadEvaluator,
-        repro.ProcessEvaluator,
-    ):
+    for backend in (repro.SerialEvaluator, repro.ProcessEvaluator):
         check(
             issubclass(backend, repro.Evaluator),
             f"{backend.__name__} must subclass Evaluator",
@@ -383,10 +377,6 @@ def main() -> int:
     spec_fields = set(getattr(repro.CandidateSpec, "__dataclass_fields__", {}))
     for field in ("seed", "forced", "parent_trial"):
         check(field in spec_fields, f"CandidateSpec.{field} missing")
-    from repro.meta.evaluator import EVALUATOR_KINDS
-
-    for kind in ("auto", "serial", "threads", "processes"):
-        check(kind in EVALUATOR_KINDS, f"evaluator kind {kind!r} missing")
     search_params = inspect.signature(meta.evolutionary_search).parameters
     check("evaluator" in search_params, "evolutionary_search(...evaluator...) missing")
 
@@ -522,8 +512,6 @@ def main() -> int:
         "cache_stats" in getattr(meta.SessionReport, "__dataclass_fields__", {}),
         "SessionReport.cache_stats missing",
     )
-    predict_params = inspect.signature(meta.CostModel.predict).parameters
-    check("executor" in predict_params, "CostModel.predict(...executor...) missing")
 
     # The benchmark's per-layer tracer (perfbench/tracer.py) wraps every
     # one of these by name, on the class and each subclass that defines

@@ -46,7 +46,6 @@ from .meta import (  # noqa: F401  — the documented top-level tuning API
     ProcessEvaluator,
     SerialEvaluator,
     Telemetry,
-    ThreadEvaluator,
     TuneConfig,
     TuneResult,
     TuningDatabase,
@@ -83,7 +82,6 @@ __all__ = [
     "Telemetry",
     "Evaluator",
     "SerialEvaluator",
-    "ThreadEvaluator",
     "ProcessEvaluator",
     "CandidateSpec",
     "workload_key",

@@ -21,7 +21,6 @@ from .evaluator import (
     Evaluator,
     ProcessEvaluator,
     SerialEvaluator,
-    ThreadEvaluator,
     get_evaluator,
     shutdown_evaluators,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "TaskReport",
     "Evaluator",
     "SerialEvaluator",
-    "ThreadEvaluator",
     "ProcessEvaluator",
     "CandidateSpec",
     "get_evaluator",

@@ -15,7 +15,6 @@ from typing import Optional, Sequence, TYPE_CHECKING
 from ..obs.config import ObsConfig
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .evaluator import Evaluator
     from .sketch import Sketch
 
 __all__ = ["TuneConfig"]
@@ -35,17 +34,12 @@ class TuneConfig:
       applicable sketches (§4.3).
     * ``validate`` — reject invalid mutants before measuring (§3.3).
     * ``population`` / ``generations`` — evolutionary-search shape.
-    * ``search_workers`` — evaluation-pool width inside one search.
-      ``1`` (default) is the exact serial path; ``>1`` builds and
-      validates candidates in batches on a worker pool.  Candidate
-      specs are drawn serially and results consumed in submission
-      order, so results are identical for any worker count.
-    * ``evaluator`` — which backend runs those builds: ``"auto"``
-      (serial for one worker, threads otherwise), ``"serial"``,
-      ``"threads"``, ``"processes"``, or a ready
-      :class:`repro.meta.evaluator.Evaluator` instance (caller-owned).
-      Backends never change what the search finds — only where the
-      work runs.
+    * ``search_workers`` — the one parallelism setting.  ``1``
+      (default) builds and validates candidates inline; ``>1`` builds
+      each batch on a shared pool of that many worker processes
+      (:mod:`repro.meta.evaluator`).  Candidate specs are drawn
+      serially and results consumed in submission order, so results
+      are identical for any worker count.
     * ``obs`` — flight-recorder settings (:class:`repro.obs.ObsConfig`):
       event stream + sink, per-trial provenance, live callbacks.
       Disabled by default; recording never changes search results (it
@@ -60,26 +54,7 @@ class TuneConfig:
     population: int = 8
     generations: Optional[int] = None
     search_workers: int = 1
-    evaluator: "str | Evaluator" = "auto"
     obs: ObsConfig = ObsConfig()
-
-    def __post_init__(self) -> None:
-        if isinstance(self.evaluator, str):
-            from .evaluator import EVALUATOR_KINDS
-
-            if self.evaluator not in EVALUATOR_KINDS:
-                raise ValueError(
-                    f"evaluator must be one of {', '.join(EVALUATOR_KINDS)} "
-                    f"or an Evaluator instance, got {self.evaluator!r}"
-                )
-        else:
-            from .evaluator import Evaluator
-
-            if not isinstance(self.evaluator, Evaluator):
-                raise TypeError(
-                    "evaluator must be a backend name or an "
-                    f"Evaluator instance, got {type(self.evaluator).__name__}"
-                )
 
     def with_(self, **changes) -> "TuneConfig":
         """A copy with the given fields replaced."""

@@ -68,25 +68,10 @@ class CostModel:
             ).fit(np.stack(self._X), np.array(self._y))
             self._fitted = len(self._y)
 
-    def predict(
-        self, funcs: Sequence[PrimFunc], executor=None, features=None
-    ) -> np.ndarray:
-        """Predicted scores (higher = better).
-
-        ``features`` — pre-extracted vectors (one per func), e.g. from
-        :meth:`repro.meta.evaluator.Evaluator.map_features` — skips
-        inline extraction entirely.  Alternatively pass a
-        ``concurrent.futures`` executor to extract in parallel here;
-        both preserve input order, so results are identical to the
-        serial path.
-        """
+    def predict(self, funcs: Sequence[PrimFunc]) -> np.ndarray:
+        """Predicted scores (higher = better)."""
         self.refit()
-        if features is not None and len(features) == len(funcs):
-            feats = np.stack(list(features))
-        elif executor is not None and len(funcs) > 1:
-            feats = np.stack(list(executor.map(self.features, funcs)))
-        else:
-            feats = np.stack([self.features(f) for f in funcs])
+        feats = np.stack([self.features(f) for f in funcs])
         if self._model is None:
             return np.zeros(len(funcs))
         return self._model.predict(feats)

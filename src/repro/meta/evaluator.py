@@ -1,9 +1,9 @@
-"""Pluggable candidate-evaluation backends (the §4.4 measurement seam).
+"""Candidate-evaluation backends (the §4.4 measurement seam).
 
 Evolutionary search draws *candidate specs* — (seed, forced-decision
 prefix) pairs — centrally, from one RNG stream, and hands them to an
-:class:`Evaluator` to be built and validated wherever capacity exists.
-The contract that keeps every backend interchangeable:
+:class:`Evaluator` to be built and validated.  The contract that keeps
+the backends interchangeable:
 
 * **Specs are data.** A :class:`CandidateSpec` is picklable and carries
   no live compiler state; the per-search invariants (base function,
@@ -14,19 +14,21 @@ The contract that keeps every backend interchangeable:
   so the search, its statistics, and the flight recording are a pure
   function of (workload, config), never of scheduling.
 * **Building is pure.** Candidate construction touches no shared
-  mutable state (see ``search._build_candidate``), so it can run on a
-  thread, in another process, or inline and produce identical results.
+  mutable state (see ``search._build_candidate``), so it can run in
+  another process or inline and produce identical results.
 
-Three backends ship:
+``TuneConfig.search_workers`` picks the backend:
 
-* :class:`SerialEvaluator` — the exact inline path; zero overhead,
-  the default for ``search_workers=1``.
-* :class:`ThreadEvaluator` — a ``ThreadPoolExecutor`` batch evaluator;
-  cheap to start, but the pure-Python build path serializes on the GIL.
-* :class:`ProcessEvaluator` — a ``ProcessPoolExecutor`` backend: specs
-  ship to warmed-up worker processes with private memo-cache
-  registries, results (and the workers' cache counters) ship back, and
-  anything unpicklable falls back to the thread backend gracefully.
+* :class:`SerialEvaluator` — the exact inline path, for
+  ``search_workers=1``.
+* :class:`ProcessEvaluator` — a ``ProcessPoolExecutor`` backend with
+  that many workers otherwise: specs ship to warmed-up worker processes
+  with private memo-cache registries, results (and the workers' cache
+  counters) ship back, and a batch that cannot cross the pickle
+  boundary builds inline instead.
+
+Threads are not a backend: candidate builds are pure Python and would
+queue on the interpreter lock.
 
 Pools are expensive, so module-level shared instances are reused across
 searches (:func:`get_evaluator`) and torn down at interpreter exit or
@@ -39,12 +41,14 @@ import atexit
 import pickle
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import cache as _cache
+from ..schedule.validation import _names_fingerprint
 from ..sim import Target
 from ..tir import PrimFunc, structural_hash
 
@@ -54,16 +58,11 @@ __all__ = [
     "EvalOutcome",
     "Evaluator",
     "SerialEvaluator",
-    "ThreadEvaluator",
     "ProcessEvaluator",
-    "EVALUATOR_KINDS",
     "get_evaluator",
     "resolve_evaluator",
     "shutdown_evaluators",
 ]
-
-#: the evaluator names accepted by ``TuneConfig.evaluator``
-EVALUATOR_KINDS = ("auto", "serial", "threads", "processes")
 
 
 @dataclass(frozen=True)
@@ -93,11 +92,21 @@ class EvalContext:
     target: Target
     validate: bool = True
 
+    @cached_property
+    def names(self) -> int:
+        """The base function's name fingerprint, taken once per search.
+
+        ``structural_hash`` ignores names, so this is what keeps a
+        renamed copy of a workload from being served the original's
+        candidates (``search.candidates``) or context (:meth:`key`).
+        """
+        return _names_fingerprint(self.func)
+
     def key(self) -> tuple:
         """A content-stable identity used for per-process context caching."""
         return (
-            self.func.name,
             structural_hash(self.func),
+            self.names,
             type(self.sketch).__qualname__,
             self.sketch.token(),
             getattr(self.target, "name", None),
@@ -122,11 +131,12 @@ class EvalOutcome:
 
 
 def _build_one(ctx: EvalContext, spec: CandidateSpec) -> EvalOutcome:
-    """Build a single spec in-process (shared by serial and threads)."""
+    """Build a single spec in this process (inline or in a worker)."""
     from .search import _build_candidate_cached
 
     cand, rejection, validate_seconds = _build_candidate_cached(
-        ctx.func, ctx.sketch, spec.seed, spec.forced_list(), ctx.target, ctx.validate
+        ctx.func, ctx.sketch, spec.seed, spec.forced_list(), ctx.target,
+        ctx.validate, ctx.names,
     )
     if cand is None:
         return EvalOutcome(spec, rejection=rejection, validate_seconds=validate_seconds)
@@ -154,7 +164,6 @@ class Evaluator:
             "batches": 0,
             "candidates": 0,
             "busy_seconds": 0.0,
-            "feature_batches": 0,
         }
 
     # -- the protocol ---------------------------------------------------
@@ -162,13 +171,6 @@ class Evaluator:
         self, ctx: EvalContext, specs: Sequence[CandidateSpec]
     ) -> List[EvalOutcome]:  # pragma: no cover - interface
         raise NotImplementedError
-
-    def map_features(
-        self, funcs: Sequence[PrimFunc], target: Target
-    ) -> Optional[List]:
-        """Feature vectors for ``funcs`` computed on this backend, or
-        ``None`` to let the cost model extract them inline."""
-        return None
 
     def close(self) -> None:
         """Release pool resources; the instance is dead afterwards."""
@@ -205,44 +207,6 @@ class SerialEvaluator(Evaluator):
         outcomes = [_build_one(ctx, spec) for spec in specs]
         self._account(len(specs), time.perf_counter() - t0)
         return outcomes
-
-
-class ThreadEvaluator(Evaluator):
-    """Batched evaluation on a thread pool.
-
-    Futures are consumed in submission order, so results are
-    deterministic regardless of thread scheduling.  Threads share the
-    coordinating process's memo caches (and its GIL — build-heavy
-    searches want :class:`ProcessEvaluator`).
-    """
-
-    name = "threads"
-
-    def __init__(self, workers: int = 2):
-        super().__init__()
-        self.workers = max(1, int(workers))
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="eval-worker"
-        )
-
-    def evaluate(self, ctx, specs):
-        t0 = time.perf_counter()
-        futures = [self._executor.submit(_build_one, ctx, spec) for spec in specs]
-        outcomes = [fut.result() for fut in futures]
-        self._account(len(specs), time.perf_counter() - t0)
-        return outcomes
-
-    def map_features(self, funcs, target):
-        if len(funcs) < 2:
-            return None
-        from .feature import extract_features
-
-        with self._lock:
-            self._counters["feature_batches"] += 1
-        return list(self._executor.map(lambda f: extract_features(f, target), funcs))
-
-    def close(self) -> None:
-        self._executor.shutdown(wait=True)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +266,16 @@ def _worker_cache_delta() -> Dict[str, Tuple[int, int, int]]:
     return delta
 
 
-def _resolve_context(generation: int, ctx_key: tuple, ctx_blob: bytes) -> EvalContext:
+def _worker_build_batch(generation: int, ctx_key: tuple, ctx_blob: bytes, specs_blob: bytes):
+    """Build a whole chunk of specs in one IPC round-trip.
+
+    Per-candidate pickling cost is what a 1-core process pool pays for
+    nothing, so specs ship as one blob per chunk and outcomes return as
+    one list per chunk (submission order preserved), with a single
+    cache-counter delta covering the chunk.  The worker's own memo
+    caches serve repeat builds; their counters ride back as that delta
+    so the coordinator's merged cache view covers the whole fleet.
+    """
     _sync_generation(generation)
     ctx = _WORKER_CONTEXTS.get(ctx_key)
     if ctx is None:
@@ -310,45 +283,8 @@ def _resolve_context(generation: int, ctx_key: tuple, ctx_blob: bytes) -> EvalCo
         if len(_WORKER_CONTEXTS) >= _WORKER_CONTEXTS_MAX:
             _WORKER_CONTEXTS.clear()
         _WORKER_CONTEXTS[ctx_key] = ctx
-    return ctx
-
-
-def _build_spec_in_worker(ctx: EvalContext, spec: CandidateSpec):
-    """One spec → plain picklable result tuple (no cache delta)."""
-    from .search import _build_candidate_cached
-
-    cand, rejection, validate_seconds = _build_candidate_cached(
-        ctx.func, ctx.sketch, spec.seed, spec.forced_list(), ctx.target, ctx.validate
-    )
-    if cand is None:
-        return None, None, rejection, validate_seconds
-    return cand.func, cand.decisions, None, validate_seconds
-
-
-def _worker_build_batch(generation: int, ctx_key: tuple, ctx_blob: bytes, specs_blob: bytes):
-    """Build a whole chunk of specs in one IPC round-trip.
-
-    Per-candidate pickling cost is what a 1-core process pool pays for
-    nothing, so specs ship as one blob per chunk and results return as
-    one list per chunk (submission order preserved), with a single
-    cache-counter delta covering the chunk.  The worker's own memo
-    caches serve repeat builds; their counters ride back as that delta
-    so the coordinator's merged cache view covers the whole fleet.
-    """
-    ctx = _resolve_context(generation, ctx_key, ctx_blob)
     specs: List[CandidateSpec] = pickle.loads(specs_blob)
-    results = [_build_spec_in_worker(ctx, spec) for spec in specs]
-    return results, _worker_cache_delta()
-
-
-def _worker_features(generation: int, ctx_key: tuple, ctx_blob: bytes, func_blob: bytes):
-    """Extract one feature vector inside a worker process."""
-    ctx = _resolve_context(generation, ctx_key, ctx_blob)
-    func: PrimFunc = pickle.loads(func_blob)
-    from .feature import extract_features
-
-    vec = extract_features(func, ctx.target)
-    return vec, _worker_cache_delta()
+    return [_build_one(ctx, spec) for spec in specs], _worker_cache_delta()
 
 
 def _worker_ping() -> int:
@@ -376,11 +312,10 @@ class ProcessEvaluator(Evaluator):
     flattened in submission order, so results remain byte-identical to
     the serial backend regardless of worker count or chunking.
 
-    Anything that fails to pickle — a closure-carrying sketch, an exotic
-    decision object — degrades gracefully: the batch runs on an
-    embedded :class:`ThreadEvaluator` instead and the ``fallbacks``
-    counter records it.  A broken pool (a worker killed by the OS)
-    degrades the same way permanently.
+    A batch that fails to pickle — a closure-carrying sketch, an exotic
+    decision object — builds inline, as :class:`SerialEvaluator` would,
+    and the ``fallbacks`` counter records it.  A broken pool (a worker
+    killed by the OS) degrades the same way permanently.
     """
 
     name = "processes"
@@ -393,7 +328,6 @@ class ProcessEvaluator(Evaluator):
         self._pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
             max_workers=self.workers, initializer=_worker_init
         )
-        self._fallback: Optional[ThreadEvaluator] = None
         self._blobs: Dict[tuple, bytes] = {}
 
     # -- plumbing -------------------------------------------------------
@@ -414,13 +348,6 @@ class ProcessEvaluator(Evaluator):
             self._blobs[key] = blob
         return blob
 
-    def _thread_fallback(self) -> ThreadEvaluator:
-        if self._fallback is None:
-            self._fallback = ThreadEvaluator(self.workers)
-        with self._lock:
-            self._counters["fallbacks"] += 1
-        return self._fallback
-
     @staticmethod
     def _chunk(specs: Sequence[CandidateSpec], n_chunks: int) -> List[List[CandidateSpec]]:
         """Split ``specs`` into at most ``n_chunks`` contiguous runs.
@@ -438,21 +365,19 @@ class ProcessEvaluator(Evaluator):
             start = end
         return chunks
 
-    # -- the protocol ---------------------------------------------------
-    def evaluate(self, ctx, specs):
-        t0 = time.perf_counter()
-        if not specs:
-            return []
+    def _on_pool(self, ctx, specs) -> Optional[List[EvalOutcome]]:
+        """The batch's outcomes built on the pool, or ``None`` when the
+        batch will not pickle or the pool is gone."""
         if self._pool is None:
-            return self._thread_fallback().evaluate(ctx, specs)
+            return None
         try:
             key = ctx.key()
             ctx_blob = self._context_blob(ctx, key)
-            chunks = self._chunk(specs, self.workers)
-            chunk_blobs = [pickle.dumps(chunk) for chunk in chunks]
+            chunk_blobs = [
+                pickle.dumps(chunk) for chunk in self._chunk(specs, self.workers)
+            ]
         except (pickle.PicklingError, TypeError, AttributeError):
-            # Unpicklable context or decisions: evaluate on threads.
-            return self._thread_fallback().evaluate(ctx, specs)
+            return None
         try:
             futures = [
                 self._pool.submit(
@@ -461,75 +386,36 @@ class ProcessEvaluator(Evaluator):
                 for blob in chunk_blobs
             ]
             outcomes = []
-            for fut, chunk in zip(futures, chunks):
+            for fut in futures:
                 results, delta = fut.result()
                 if delta:
                     _cache.absorb_worker_counts(delta)
-                for spec, (func, decisions, rejection, validate_seconds) in zip(
-                    chunk, results
-                ):
-                    outcomes.append(
-                        EvalOutcome(
-                            spec, func=func, decisions=decisions,
-                            rejection=rejection, validate_seconds=validate_seconds,
-                        )
-                    )
+                outcomes.extend(results)
         except BrokenProcessPool:
             self._pool = None  # degrade permanently, keep searching
-            return self._thread_fallback().evaluate(ctx, specs)
+            return None
         with self._lock:
-            self._counters["ipc_batches"] += len(chunks)
-        self._account(len(specs), time.perf_counter() - t0)
+            self._counters["ipc_batches"] += len(chunk_blobs)
         return outcomes
 
-    def map_features(self, funcs, target):
-        if self._pool is None or len(funcs) < 2:
-            return None
-        ctx = EvalContext(funcs[0], _NullSketch(), target)
-        try:
-            key = ctx.key()
-            ctx_blob = self._context_blob(ctx, key)
-            blobs = [pickle.dumps(f) for f in funcs]
-        except (pickle.PicklingError, TypeError, AttributeError):
-            return None
-        try:
-            futures = [
-                self._pool.submit(
-                    _worker_features, _cache.generation(), key, ctx_blob, blob
-                )
-                for blob in blobs
-            ]
-            out = []
-            for fut in futures:
-                vec, delta = fut.result()
-                if delta:
-                    _cache.absorb_worker_counts(delta)
-                out.append(vec)
-        except BrokenProcessPool:
-            self._pool = None
-            return None
-        with self._lock:
-            self._counters["feature_batches"] += 1
-        return out
+    # -- the protocol ---------------------------------------------------
+    def evaluate(self, ctx, specs):
+        if not specs:
+            return []
+        t0 = time.perf_counter()
+        outcomes = self._on_pool(ctx, specs)
+        if outcomes is None:
+            with self._lock:
+                self._counters["fallbacks"] += 1
+            outcomes = [_build_one(ctx, spec) for spec in specs]
+        self._account(len(specs), time.perf_counter() - t0)
+        return outcomes
 
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._fallback is not None:
-            self._fallback.close()
-            self._fallback = None
         self._blobs.clear()
-
-
-class _NullSketch:
-    """Stand-in sketch for contexts that only carry a target (feature
-    extraction); keeps EvalContext.key() uniform."""
-
-    name = "null"
-
-    def token(self) -> str:
-        return "null"
 
 
 # ---------------------------------------------------------------------------
@@ -537,34 +423,24 @@ class _NullSketch:
 # ---------------------------------------------------------------------------
 
 _SHARED_LOCK = threading.Lock()
-_SHARED: Dict[Tuple[str, int], Evaluator] = {}
+_SHARED: Dict[int, Evaluator] = {}
 
 
-def get_evaluator(kind: str, workers: int = 1) -> Evaluator:
-    """The process-wide shared evaluator for (kind, workers).
+def get_evaluator(workers: int = 1) -> Evaluator:
+    """The process-wide shared evaluator for ``workers``: the
+    :class:`SerialEvaluator` for 1, a :class:`ProcessEvaluator` with
+    that many worker processes otherwise.
 
-    Pools are expensive to start (process workers especially), so every
-    search with the same backend shape reuses one instance; they are
-    torn down at interpreter exit or via :func:`shutdown_evaluators`.
+    Pools are expensive to start, so every search with the same worker
+    count reuses one instance; they are torn down at interpreter exit
+    or via :func:`shutdown_evaluators`.
     """
     workers = max(1, int(workers))
-    if kind == "serial":
-        workers = 1
     with _SHARED_LOCK:
-        evaluator = _SHARED.get((kind, workers))
+        evaluator = _SHARED.get(workers)
         if evaluator is None:
-            if kind == "serial":
-                evaluator = SerialEvaluator()
-            elif kind == "threads":
-                evaluator = ThreadEvaluator(workers)
-            elif kind == "processes":
-                evaluator = ProcessEvaluator(workers)
-            else:
-                raise ValueError(
-                    f"unknown evaluator kind {kind!r}; expected one of "
-                    f"{', '.join(EVALUATOR_KINDS[1:])}"
-                )
-            _SHARED[(kind, workers)] = evaluator
+            evaluator = SerialEvaluator() if workers == 1 else ProcessEvaluator(workers)
+            _SHARED[workers] = evaluator
     return evaluator
 
 
@@ -581,17 +457,6 @@ atexit.register(shutdown_evaluators)
 
 
 def resolve_evaluator(config) -> Evaluator:
-    """The evaluator a :class:`~repro.meta.config.TuneConfig` asks for.
-
-    ``config.evaluator`` may be a backend name (``"auto"`` picks serial
-    for one worker, threads otherwise — the pre-redesign behaviour) or
-    a ready :class:`Evaluator` instance, which is used as-is (the caller
-    owns its lifecycle).  Named backends resolve to shared instances.
-    """
-    choice = getattr(config, "evaluator", "auto")
-    if isinstance(choice, Evaluator):
-        return choice
-    workers = max(1, getattr(config, "search_workers", 1))
-    if choice in (None, "auto"):
-        choice = "serial" if workers == 1 else "threads"
-    return get_evaluator(choice, workers)
+    """The shared evaluator a :class:`~repro.meta.config.TuneConfig`'s
+    ``search_workers`` asks for (see :func:`get_evaluator`)."""
+    return get_evaluator(config.search_workers)

@@ -82,7 +82,7 @@ class SearchStats:
         (workload, config seed) — slots scale with the configured worker
         count, which is exactly the knob an evaluation backend is
         allowed to turn.  The determinism matrix asserts this view is
-        identical across serial/thread/process evaluation.
+        identical across serial and process evaluation.
         """
         out = {}
         for f in dataclasses.fields(self):
@@ -150,11 +150,14 @@ class _Candidate:
 #: Whole-candidate memo: ``_build_candidate`` is a pure function of
 #: (base func, sketch, seed, forced prefix, target, validate), so its
 #: result — the scheduled func + consumed decisions, or the rejection —
-#: can be replayed from cache.  Within one cold search hits are rare
-#: (seeds are fresh), but re-tuning the same workload (§5.2's workflow,
-#: parameter sweeps, session restarts) replays every build for free;
-#: candidate construction dominates search time, so this is the cache
-#: that moves candidates/sec.
+#: can be replayed from cache.  The base func is keyed on its structural
+#: hash *and* its name fingerprint: the hash is alpha-invariant, and a
+#: renamed copy of a workload must get programs in its own names.
+#: Within one cold search hits are rare (seeds are fresh), but re-tuning
+#: the same workload (§5.2's workflow, parameter sweeps, session
+#: restarts) replays every build for free; candidate construction
+#: dominates search time, so this is the cache that moves
+#: candidates/sec.
 _CANDIDATE_CACHE = _cache.MemoCache("search.candidates", maxsize=2048)
 
 
@@ -183,11 +186,14 @@ def _build_candidate_cached(
     forced: Optional[List[object]],
     target: Target,
     validate: bool,
+    names: int,
 ) -> Tuple[Optional[_Candidate], Optional[Tuple[str, str]], float]:
-    """Memoizing front of :func:`_build_candidate` (see cache note above)."""
+    """Memoizing front of :func:`_build_candidate` (see cache note above);
+    ``names`` is ``func``'s name fingerprint (``EvalContext.names``)."""
     try:
         key = (
             structural_hash(func),
+            names,
             _sketch_token(sketch),
             seed,
             _freeze(forced),
@@ -227,7 +233,7 @@ def _build_candidate(
     validate: bool,
 ) -> Tuple[Optional[_Candidate], Optional[Tuple[str, str]], float]:
     """Instantiate one candidate without touching shared state — pure in
-    its arguments, so worker threads can run it concurrently.
+    its arguments, so a worker process builds what the coordinator would.
 
     Returns ``(candidate, rejection, validate_seconds)`` where
     ``rejection`` is ``("apply" | "invalid", code)`` on failure.
@@ -274,11 +280,11 @@ def evolutionary_search(
     number of measured candidates.
 
     Candidate builds run on an :class:`~repro.meta.evaluator.Evaluator`
-    (resolved from ``config.evaluator``/``config.search_workers`` unless
-    one is passed explicitly).  Specs are drawn serially from the search
-    RNG and outcomes consumed in submission order, so the programs
-    found, the stats (modulo worker-slot accounting) and the flight
-    recording are identical across backends and worker counts.
+    (resolved from ``config.search_workers`` unless one is passed
+    explicitly).  Specs are drawn serially from the search RNG and
+    outcomes consumed in submission order, so the programs found, the
+    stats (modulo worker-slot accounting) and the flight recording are
+    identical across backends and worker counts.
 
     With a :class:`~repro.obs.record.Recorder` attached (or
     ``config.obs.enabled``), every generation, rejection, measured trial
@@ -381,20 +387,13 @@ def evolutionary_search(
                 if not pool:
                     break
                 # Rank by the learned cost model; measure the top half.
-                # Feature extraction rides the evaluation backend when
-                # that pays (order-preserving, so scores are identical
-                # to inline extraction).
-                pool_funcs = [c.func for c in pool]
                 # The model refits here, on read, if measurements
                 # arrived since its last fit.
                 t0 = time.perf_counter()
                 gen_starts["model-update"] = t0
                 model.refit()
                 timings["model-update"] += time.perf_counter() - t0
-                scores = model.predict(
-                    pool_funcs,
-                    features=evaluator.map_features(pool_funcs, target),
-                )
+                scores = model.predict([c.func for c in pool])
                 order = sorted(range(len(pool)), key=lambda i: -scores[i])
                 to_measure = order[
                     : max(1, min(len(pool) // 2 + 1, measured_budget - stats.measured))

@@ -3,8 +3,8 @@ first-class subsystem.
 
 A :class:`TuningSession` takes a set of workloads (or a whole
 ``NetworkSpec``), deduplicates them by :func:`~repro.meta.database.workload_key`,
-tunes the unique ones concurrently on a ``concurrent.futures`` worker
-pool, and replays every duplicate from the shared
+searches the unique ones one after another, in task order, and replays
+every duplicate from the shared
 :class:`~repro.meta.database.TuningDatabase` instead of re-searching —
 the paper's record-replay behaviour (§5.2) promoted to the default
 path.  Within one :meth:`TuningSession.run` each distinct workload is
@@ -14,9 +14,11 @@ report.  Given a total trial budget, it allocates trials across tasks
 proportionally to each layer's estimated cost share (heavy layers get
 the search time; a 1x1 conv does not get a GEMM's budget).
 
-Results are deterministic regardless of worker count or completion
-order: every task's search depends only on (workload, config), never on
-shared mutable state.
+Results are deterministic for any ``TuneConfig.search_workers``: every
+task's search depends only on (workload, config), never on shared
+mutable state.  Parallelism lives inside each search, on the process
+pool ``search_workers`` selects; threads would only queue on the
+interpreter lock.
 
 The session threads one :class:`~repro.meta.telemetry.Telemetry`
 through every search, and :meth:`TuningSession.run` returns a
@@ -31,7 +33,6 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, TYPE_CHECKING
 
@@ -117,7 +118,6 @@ class SessionReport:
     """The structured result of one :meth:`TuningSession.run`."""
 
     target: str
-    workers: int
     tasks: List[TaskReport]
     totals: Dict[str, float]
     telemetry: dict = field(default_factory=dict)
@@ -160,7 +160,6 @@ class SessionReport:
     def to_json(self) -> dict:
         return {
             "target": self.target,
-            "workers": self.workers,
             "wall_seconds": self.wall_seconds,
             "tasks": [asdict(t) for t in self.tasks],
             "totals": dict(self.totals),
@@ -190,9 +189,9 @@ class SessionReport:
 
 
 class TuningSession:
-    """Parallel, cached, observable tuning of many workloads.
+    """Deduplicated, cached, observable tuning of many workloads.
 
-    >>> session = TuningSession(SimGPU(), TuneConfig(trials=16), workers=4)
+    >>> session = TuningSession(SimGPU(), TuneConfig(trials=16))
     >>> session.add(ops.matmul(512, 512, 512), name="gemm")
     >>> session.add_network(gpu_network("ResNet-50"))
     >>> report = session.run()
@@ -205,26 +204,19 @@ class TuningSession:
         config: Optional[TuneConfig] = None,
         *,
         database: Optional[Database] = None,
-        workers: int = 1,
         telemetry: Optional[Telemetry] = None,
         recorder: Optional[Recorder] = None,
-        evaluator=None,
         provenance: str = "session",
         buckets: Optional["BucketSpec"] = None,
         metrics=None,
     ):
         self.target = target
         self.config = config or TuneConfig()
-        if evaluator is not None:
-            # A backend name or a ready Evaluator instance; overrides
-            # the config's choice for every search this session runs.
-            self.config = self.config.with_(evaluator=evaluator)
         self.database = database if database is not None else TuningDatabase()
         #: the provenance tag stamped on every entry this session commits
         #: (``"serve"`` when the schedule server runs a session as its
         #: cache-miss handler).
         self.provenance = provenance
-        self.workers = max(1, workers)
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         #: the serving/ops metrics registry
         #: (:class:`repro.obs.metrics.MetricsRegistry`) this session
@@ -321,10 +313,9 @@ class TuningSession:
         the budget is split across searched tasks by cost share.
         """
         t_run = time.perf_counter()
-        # Resolve (and for process pools, spawn) the evaluation backend
-        # *now*, on the coordinating thread, before any tune-worker
-        # threads exist — forking a process pool out of a multi-threaded
-        # parent is where fork-safety bugs live.
+        # Resolve the evaluation backend, and start a process pool's
+        # workers, before the first search, so that their start-up is
+        # charged to no task.
         from .evaluator import ProcessEvaluator, resolve_evaluator
 
         session_evaluator = resolve_evaluator(self.config)
@@ -334,13 +325,7 @@ class TuningSession:
         eval_before = session_evaluator.counters()
         telemetry_before = self.telemetry.mark()
         with self.telemetry.span("session") as session_span:
-            # Worker-thread spans have an empty thread-local stack; the
-            # root link attaches them to this session span.
-            self.telemetry.set_root(session_span)
-            try:
-                reports = self._run_inner(total_trials)
-            finally:
-                self.telemetry.set_root(None)
+            reports = self._run_inner(total_trials)
         cache_delta = _cache.delta_since(cache_before)
         self.recorder.record_cache_delta(cache_delta)
         self.recorder.close()
@@ -388,7 +373,6 @@ class TuningSession:
             obs_summary["sink_path"] = self.recorder.config.sink_path
         return SessionReport(
             target=self.target.name,
-            workers=run_telemetry.threads_used("evolve") or 1,
             tasks=ordered,
             totals=totals,
             telemetry=run_telemetry.report(),
@@ -429,90 +413,73 @@ class TuningSession:
 
         to_search = [t for t in uniques if self.database.get(t.key) is None]
         reports: Dict[str, TaskReport] = {}
-
-        def _search(task: _Task) -> TuneResult:
-            return tune(
-                task.search_func,
-                self.target,
-                self.config.with_(trials=budgets[task.key]),
-                telemetry=self.telemetry,
-                task=task.name,
-                recorder=self.recorder,
+        for task in to_search:
+            try:
+                result = tune(
+                    task.search_func,
+                    self.target,
+                    self.config.with_(trials=budgets[task.key]),
+                    telemetry=self.telemetry,
+                    task=task.name,
+                    recorder=self.recorder,
+                )
+            except Exception as err:  # noqa: BLE001 — per-task isolation
+                reports[task.name] = TaskReport(
+                    task.name, task.key, "failed", task.weight,
+                    trials_allocated=budgets[task.key], error=str(err),
+                )
+                continue
+            self.results[task.name] = result
+            if result.best_sketch is None or result.best_decisions is None:
+                reports[task.name] = TaskReport(
+                    task.name, task.key, "failed", task.weight,
+                    trials_allocated=budgets[task.key],
+                    measured=result.stats.measured,
+                    tuning_seconds=result.tuning_seconds,
+                    error="search found no valid program",
+                )
+                continue
+            # A persistent backend makes each commit durable the moment
+            # it lands — tuned entries are written incrementally as
+            # tasks finish, never batched until the session ends.
+            entry = self.database.record(
+                task.search_func, self.target, result.best_sketch,
+                result.best_decisions, result.best_cycles,
+                provenance=self.provenance,
             )
-
-        with ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="tune-worker"
-        ) as pool:
-            futures = {pool.submit(_search, task): task for task in to_search}
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    task = futures[fut]
+            measured = result.stats.measured
+            tuning_seconds = result.tuning_seconds
+            if task.bucketed is not None and task.bucketed.bucketed:
+                # The search ran at the bucket representative; the task's
+                # own result is the stored trace replayed adaptively at
+                # the concrete shape.  The tuning cost stays attributed
+                # to this task (it paid for the representative's search).
+                concrete = self._replay_task(task, entry)
+                if concrete is None:
                     try:
-                        result = fut.result()
-                    except Exception as err:  # noqa: BLE001 — per-task isolation
-                        reports[task.name] = TaskReport(
-                            task.name, task.key, "failed", task.weight,
-                            trials_allocated=budgets[task.key], error=str(err),
-                        )
-                        continue
-                    self.results[task.name] = result
-                    if result.best_sketch is None or result.best_decisions is None:
+                        concrete = self._fallback_tune(task, budgets[task.key])
+                    except Exception as err:  # noqa: BLE001
                         reports[task.name] = TaskReport(
                             task.name, task.key, "failed", task.weight,
                             trials_allocated=budgets[task.key],
-                            measured=result.stats.measured,
-                            tuning_seconds=result.tuning_seconds,
-                            error="search found no valid program",
+                            error=str(err),
                         )
                         continue
-                    # Database writes stay on the coordinating thread.
-                    # A persistent backend makes each commit durable the
-                    # moment it lands — tuned entries are written
-                    # incrementally as tasks finish, never batched until
-                    # the session ends.
-                    entry = self.database.record(
-                        task.search_func, self.target, result.best_sketch,
-                        result.best_decisions, result.best_cycles,
-                        provenance=self.provenance,
-                    )
-                    measured = result.stats.measured
-                    tuning_seconds = result.tuning_seconds
-                    if task.bucketed is not None and task.bucketed.bucketed:
-                        # The search ran at the bucket representative; the
-                        # task's own result is the stored trace replayed
-                        # adaptively at the concrete shape.  The tuning
-                        # cost stays attributed to this task (it paid for
-                        # the representative's search).
-                        concrete = self._replay_task(task, entry)
-                        if concrete is None:
-                            try:
-                                concrete = self._fallback_tune(
-                                    task, budgets[task.key]
-                                )
-                            except Exception as err:  # noqa: BLE001
-                                reports[task.name] = TaskReport(
-                                    task.name, task.key, "failed", task.weight,
-                                    trials_allocated=budgets[task.key],
-                                    error=str(err),
-                                )
-                                continue
-                            measured += concrete.stats.measured
-                            tuning_seconds += concrete.tuning_seconds
-                        else:
-                            self.telemetry.count("tasks_bucket_replayed")
-                        result = concrete
-                        self.results[task.name] = result
-                    reports[task.name] = TaskReport(
-                        task.name, task.key, "searched", task.weight,
-                        sketch=result.best_sketch,
-                        cycles=result.best_cycles,
-                        seconds=result.best_report.seconds,
-                        trials_allocated=budgets[task.key],
-                        measured=measured,
-                        tuning_seconds=tuning_seconds,
-                    )
+                    measured += concrete.stats.measured
+                    tuning_seconds += concrete.tuning_seconds
+                else:
+                    self.telemetry.count("tasks_bucket_replayed")
+                result = concrete
+                self.results[task.name] = result
+            reports[task.name] = TaskReport(
+                task.name, task.key, "searched", task.weight,
+                sketch=result.best_sketch,
+                cycles=result.best_cycles,
+                seconds=result.best_report.seconds,
+                trials_allocated=budgets[task.key],
+                measured=measured,
+                tuning_seconds=tuning_seconds,
+            )
 
         # Everything not searched above replays from the database: the
         # duplicates, plus uniques already tuned in a previous run.  Each

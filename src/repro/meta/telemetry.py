@@ -9,9 +9,8 @@ be observable, not reconstructed.  ``Telemetry`` collects
   span carries a ``span_id`` and a ``parent_id`` link
   (``session → task → generation → build/verify/estimate/measure``),
   maintained per-thread via a context-manager stack so nesting needs no
-  plumbing.  A session marks its own span as the *root*, so spans
-  recorded on worker threads (whose thread-local stack is empty) still
-  attach to the session instead of floating free.  The flat
+  plumbing.  A session runs its searches on the thread that opened its
+  span, so every search span nests under it.  The flat
   ``stage_seconds()`` / ``task_seconds()`` views aggregate **leaf**
   spans only, so their sums still track wall time — hierarchy is
   additive, container spans are never double-counted.
@@ -21,8 +20,9 @@ be observable, not reconstructed.  ``Telemetry`` collects
   counters field-by-field, so a newly added counter can never be
   silently dropped.
 
-All mutation is lock-protected: one ``Telemetry`` can be shared by every
-worker of a parallel :class:`~repro.meta.session.TuningSession`.
+All mutation is lock-protected: one ``Telemetry`` can be shared by
+threads — a schedule server's client threads and its miss worker record
+into the same collector.
 ``report()`` returns a JSON-ready dict with counters sorted by key and
 spans sorted by start time, so two identical runs produce byte-identical
 reports; a session wraps it with per-task accounting into its own
@@ -55,7 +55,7 @@ class Span:
     #: unique id within one Telemetry (allocation order, not start order).
     span_id: int = 0
     #: enclosing span at record time: the innermost open ``span()`` on
-    #: this thread, else the telemetry root, else ``None``.
+    #: this thread, else ``None``.
     parent_id: Optional[int] = None
     #: serving request id this span was stamped with (``None`` for spans
     #: not tied to one request).  Only the entry-point span of a request
@@ -91,7 +91,6 @@ class Telemetry:
         self.counters: Dict[str, float] = {}
         self._ids = itertools.count(1)
         self._local = threading.local()
-        self._root: Optional[int] = None
 
     # -- span hierarchy -------------------------------------------------
     def _stack(self) -> List[int]:
@@ -101,15 +100,9 @@ class Telemetry:
         return stack
 
     def current_span(self) -> Optional[int]:
-        """The innermost open span id on this thread (or the root)."""
+        """The innermost open span id on this thread."""
         stack = self._stack()
-        return stack[-1] if stack else self._root
-
-    def set_root(self, span_id: Optional[int]) -> None:
-        """Declare a fallback parent for spans recorded with an empty
-        thread-local stack — how worker-thread spans attach to the
-        session span that spawned them."""
-        self._root = span_id
+        return stack[-1] if stack else None
 
     # -- spans ---------------------------------------------------------
     @contextmanager
@@ -122,7 +115,7 @@ class Telemetry:
         """Time a stage; nested/concurrent spans are all recorded.
 
         Yields the span id so callers may reference it (e.g.
-        :meth:`set_root`); spans opened inside the ``with`` body on the
+        :meth:`since`); spans opened inside the ``with`` body on the
         same thread become children automatically.  ``request`` stamps
         the span with a serving request id — the anchor
         :meth:`span_tree` grows a per-request trace from.
@@ -178,9 +171,9 @@ class Telemetry:
         """Every completed span belonging to one serving request.
 
         Roots are the spans stamped ``request=...``; the tree is closed
-        over ``parent_id`` links, so work a request triggered on other
-        threads (a coalesced tuning batch, evaluator spans attached via
-        :meth:`set_root`) rides along without any per-call plumbing.
+        over ``parent_id`` links, so work a request triggered on another
+        thread (a coalesced tuning batch on the server's miss worker)
+        rides along without any per-call plumbing.
         Sorted by (start, span_id) like :meth:`report`.
 
         Note: only *completed* spans are visible — a request's own
@@ -222,13 +215,6 @@ class Telemetry:
                 continue
             out[s.task] = out.get(s.task, 0.0) + s.duration
         return dict(sorted(out.items()))
-
-    def threads_used(self, stage: Optional[str] = None) -> int:
-        """Distinct worker threads that recorded spans (for ``stage``)."""
-        with self._lock:
-            return len(
-                {s.thread for s in self.spans if stage is None or s.stage == stage}
-            )
 
     # -- counters ------------------------------------------------------
     def count(self, name: str, value: float = 1) -> None:

@@ -6,8 +6,10 @@ requires knowing where every second and every rejected candidate went):
 
 * **Hierarchical spans** — :class:`~repro.meta.telemetry.Telemetry`
   spans carry ids and parent links
-  (``session → task → generation → build/verify/estimate/measure``);
-  the flat ``stage_seconds()`` view is unchanged.
+  (``session → task → generation → validate/measure/model-update``),
+  nested through a per-thread span stack: a session searches on the
+  thread that opened its span.  The flat ``stage_seconds()`` view
+  counts leaf spans only.
 * **Typed events** — a bounded, thread-safe
   :class:`~repro.obs.events.EventStream` (:class:`TrialEvent`,
   :class:`Rejection`, :class:`BestImproved`, :class:`GenerationEnd`,

@@ -347,7 +347,6 @@ class ScheduleServer:
                 self.target,
                 self.config.tune,
                 database=self.database,
-                workers=self.config.session_workers,
                 telemetry=self.telemetry,
                 provenance="serve",
                 metrics=self.metrics,

@@ -45,7 +45,7 @@ class TestSearchStats:
 class TestSessionReport:
     @pytest.fixture(scope="class")
     def report(self):
-        session = TuningSession(SimGPU(), TuneConfig(trials=6, seed=0), workers=2)
+        session = TuningSession(SimGPU(), TuneConfig(trials=6, seed=0))
         session.add(ops.matmul(128, 128, 128), name="a")
         session.add(ops.matmul(64, 64, 256), name="b")
         return session.run()

@@ -1,7 +1,7 @@
 """Tests for the pluggable candidate-evaluation backends (§4.4 seam).
 
-The load-bearing property is the determinism contract: every backend —
-serial, threads, processes, at any worker count — must find the same
+The load-bearing property is the determinism contract: both backends —
+serial and processes, at any worker count — must find the same
 programs, produce the same statistics (modulo worker-slot accounting)
 and reject the same candidates for the same reasons.  The matrix test
 asserts exactly that; the rest covers the protocol surface, the pickle
@@ -9,26 +9,28 @@ boundary, and the graceful-degradation paths.
 """
 
 import pickle
+import re
 
 import pytest
 
 from repro import cache as repro_cache
+from repro.frontend import ops
 from repro.meta import (
     CandidateSpec,
-    Evaluator,
     ProcessEvaluator,
     SerialEvaluator,
     TensorCoreSketch,
-    ThreadEvaluator,
     Telemetry,
     TuneConfig,
     evolutionary_search,
     get_evaluator,
+    tune,
 )
 from repro.meta.evaluator import EvalContext, EvalOutcome, resolve_evaluator
 from repro.obs import ObsConfig, Recorder
+from repro.schedule.validation import _names_fingerprint
 from repro.sim import SimGPU
-from repro.tir import structural_hash
+from repro.tir import parse_script, script, structural_hash
 
 from ..common import build_matmul
 
@@ -46,15 +48,20 @@ def _search(evaluator, seed=3, trials=6):
 def process_pool():
     # Process workers are expensive to start on a small box — every test
     # in this module shares the registry instance (as real searches do).
-    return get_evaluator("processes", 2)
+    return get_evaluator(2)
+
+
+@pytest.fixture(scope="module")
+def one_process_pool():
+    with ProcessEvaluator(1) as pool:
+        yield pool
 
 
 class TestBackendDeterminism:
     def test_matrix_identical_results(self, process_pool):
-        """serial == threads(2) == processes(2), byte for byte."""
+        """serial == processes(2), byte for byte."""
         results = {
             "serial": _search(SerialEvaluator()),
-            "threads": _search(ThreadEvaluator(2)),
             "processes": _search(process_pool),
         }
         base = results["serial"]
@@ -70,20 +77,23 @@ class TestBackendDeterminism:
                 result.stats.search_signature() == base.stats.search_signature()
             ), name
 
-    def test_worker_count_does_not_change_results(self):
-        one = _search(ThreadEvaluator(1))
-        four = _search(ThreadEvaluator(4))
-        assert one.best_cycles == four.best_cycles
-        assert structural_hash(one.best_func) == structural_hash(four.best_func)
-        assert one.stats.search_signature() == four.stats.search_signature()
+    def test_worker_count_does_not_change_results(
+        self, one_process_pool, process_pool
+    ):
+        one = _search(one_process_pool)
+        two = _search(process_pool)
+        assert one.best_cycles == two.best_cycles
+        assert structural_hash(one.best_func) == structural_hash(two.best_func)
+        assert one.stats.search_signature() == two.stats.search_signature()
 
-    def test_slots_scale_with_workers_but_signature_excludes_them(self):
-        one = _search(ThreadEvaluator(1))
-        four = _search(ThreadEvaluator(4))
-        assert four.stats.eval_batch_slots == 4 * one.stats.eval_batch_slots
+    def test_slots_scale_with_workers_but_signature_excludes_them(
+        self, one_process_pool, process_pool
+    ):
+        one = _search(one_process_pool)
+        two = _search(process_pool)
+        assert two.stats.eval_batch_slots == 2 * one.stats.eval_batch_slots
         assert "eval_batch_slots" not in one.stats.search_signature()
         assert one.stats.eval_batches > 0
-
 
     def test_clear_all_reaches_process_workers(self, process_pool):
         """A pass after ``clear_all()`` is cold in the workers too: the
@@ -104,17 +114,17 @@ class TestPickleBoundary:
         assert clone.forced_list() == [4, (2, 8), "vectorize"]
 
     def test_tune_config_round_trip(self):
-        config = TuneConfig(trials=9, seed=5, evaluator="processes", search_workers=3)
+        config = TuneConfig(trials=9, seed=5, search_workers=3)
         clone = pickle.loads(pickle.dumps(config))
         assert clone == config
-        assert clone.evaluator == "processes"
+        assert clone.search_workers == 3
 
     def test_obs_config_round_trip(self):
         config = ObsConfig(enabled=True, max_events=123, sample_rate=0.5)
         clone = pickle.loads(pickle.dumps(config))
         assert clone == config
 
-    def test_unpicklable_context_falls_back_to_threads(self, process_pool):
+    def test_unpicklable_context_falls_back_to_serial(self, process_pool):
         # A distinct workload size: context blobs are cached by content
         # key, and a cached blob would mask the pickling failure.
         func = build_matmul(32, 32, 32, dtype="float16")
@@ -125,12 +135,15 @@ class TestPickleBoundary:
         before = process_pool.counters()["fallbacks"]
         outcomes = process_pool.evaluate(ctx, specs)
         assert process_pool.counters()["fallbacks"] == before + 1
-        # The fallback still honours the contract: submission order,
-        # one outcome per spec, exactly one of (func, rejection) set.
+        # The fallback is the serial build: submission order, one
+        # outcome per spec, exactly one of (func, rejection) set.
+        serial = SerialEvaluator().evaluate(ctx, specs)
         assert [o.spec for o in outcomes] == specs
-        for outcome in outcomes:
+        for outcome, expected in zip(outcomes, serial):
             assert isinstance(outcome, EvalOutcome)
             assert (outcome.func is None) != (outcome.rejection is None)
+            assert outcome.rejection == expected.rejection
+            assert outcome.decisions == expected.decisions
 
 
 class TestProtocolSurface:
@@ -138,23 +151,14 @@ class TestProtocolSurface:
         ev = resolve_evaluator(TuneConfig(search_workers=1))
         assert isinstance(ev, SerialEvaluator)
 
-    def test_resolve_auto_threads_for_many_workers(self):
+    def test_resolve_processes_for_many_workers(self):
         ev = resolve_evaluator(TuneConfig(search_workers=3))
-        assert isinstance(ev, ThreadEvaluator)
+        assert isinstance(ev, ProcessEvaluator)
         assert ev.workers == 3
 
-    def test_resolve_passes_instances_through(self):
-        mine = SerialEvaluator()
-        assert resolve_evaluator(TuneConfig(evaluator=mine)) is mine
-
-    def test_shared_registry_reuses_instances(self):
-        assert get_evaluator("threads", 2) is get_evaluator("threads", 2)
-
-    def test_config_rejects_unknown_backend_names(self):
-        with pytest.raises(ValueError, match="evaluator"):
-            TuneConfig(evaluator="gpu-farm")
-        with pytest.raises(TypeError, match="Evaluator"):
-            TuneConfig(evaluator=42)
+    def test_shared_registry_reuses_instances(self, process_pool):
+        assert get_evaluator(2) is process_pool
+        assert get_evaluator(1) is get_evaluator(1)
 
     def test_occupancy_counters_accumulate(self):
         ev = SerialEvaluator()
@@ -188,7 +192,7 @@ class TestProtocolSurface:
         assert folded["candidates"] == counters["candidates"] > 0
         assert not [k for k in telemetry.counters if k.startswith("evaluator.")]
 
-    def test_recorder_meta_carries_backend_but_not_events(self):
+    def test_recorder_meta_carries_backend_but_not_events(self, process_pool):
         config = TuneConfig(
             trials=4, population=4, seed=0, obs=ObsConfig(enabled=True)
         )
@@ -204,15 +208,42 @@ class TestProtocolSurface:
             return recorder
 
         serial = run(SerialEvaluator())
-        threads = run(ThreadEvaluator(2))
+        processes = run(process_pool)
         assert "serialx1" in serial.meta["evaluators"]
         assert serial.meta["evaluators"]["serialx1"]["candidates"] > 0
-        assert "threadsx2" in threads.meta["evaluators"]
+        assert "processesx2" in processes.meta["evaluators"]
         # Backend identity lives only in meta: the event stream itself
         # must be identical across backends (the hash-identity contract).
         serial_kinds = [e.get("kind") for e in serial.stream.events()]
-        thread_kinds = [e.get("kind") for e in threads.stream.events()]
-        assert serial_kinds == thread_kinds
+        process_kinds = [e.get("kind") for e in processes.stream.events()]
+        assert serial_kinds == process_kinds
+
+
+class TestRenamedWorkload:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_warm_tune_of_renamed_copy_matches_its_cold_tune(
+        self, workers, process_pool
+    ):
+        """``structural_hash`` ignores names, so caches keyed on it alone
+        served a renamed copy the original's program, and a process
+        worker served one the other's context.  Every tune must print
+        its own names, and a warm tune of the copy what it prints cold."""
+        original = ops.matmul(64, 64, 64)
+        renamed = parse_script(
+            re.sub(r"\b[ABC]\b", lambda m: "XYZ"["ABC".index(m[0])], script(original))
+        )
+        assert structural_hash(renamed) == structural_hash(original)
+        config = TuneConfig(trials=8, seed=1, search_workers=workers)
+
+        def best(func):
+            return script(tune(func, SimGPU(), config).best_func)
+
+        repro_cache.clear_all()
+        cold = best(renamed)
+        assert "X: Buffer" in cold
+        repro_cache.clear_all()
+        assert "A: Buffer" in best(original)
+        assert best(renamed) == cold
 
 
 class TestCandidateCacheBypass:
@@ -233,14 +264,15 @@ class TestCandidateCacheBypass:
         func = build_matmul(64, 64, 64, dtype="float16")
         sketch, target = TensorCoreSketch(), SimGPU()
         repro_cache.clear_all()
+        names = _names_fingerprint(func)
         cand, rejection, _ = _build_candidate_cached(
-            func, sketch, 0, None, target, True
+            func, sketch, 0, None, target, True, names
         )
         assert cand is not None, rejection
         forced = [poison(v) for v in cand.decisions]
         before = _CANDIDATE_CACHE.misses
         replayed, rejection, _ = _build_candidate_cached(
-            func, sketch, 0, forced, target, True
+            func, sketch, 0, forced, target, True, names
         )
         assert _CANDIDATE_CACHE.misses == before + 1
         # The uncached build is still the real build.

@@ -29,6 +29,7 @@ from repro.meta.sketch import Sketch, _generate_sketches_impl, generate_sketches
 from repro.schedule import Schedule, verify
 from repro.schedule.state import _Uniquifier
 from repro.schedule.validation import (
+    _names_fingerprint,
     _shared_footprint_impl,
     _verify_impl,
     shared_footprint_bytes,
@@ -160,7 +161,7 @@ class TestCachingTransparency:
         # A 2-worker process search lands on the same program and
         # rejects the same candidates for the same reasons.
         repro_cache.clear_all()
-        procs = tune(func, target, config.with_(evaluator="processes", search_workers=2))
+        procs = tune(func, target, config.with_(search_workers=2))
         assert procs.best_cycles == result.best_cycles
         assert tir.structural_equal(procs.best_func, result.best_func)
         assert procs.stats.rejected_by_code == result.stats.rejected_by_code
@@ -197,7 +198,9 @@ class TestMemoOracle:
         repro_cache.clear_all()
         for _ in range(2):  # the miss, then the hit
             for args, (cand, rejection, _) in built:
-                got, got_rejection, _ = _build_candidate_cached(*args)
+                got, got_rejection, _ = _build_candidate_cached(
+                    *args, _names_fingerprint(args[0])
+                )
                 assert got_rejection == rejection
                 if cand is not None:
                     assert tir.script(got.func) == tir.script(cand.func)
@@ -292,7 +295,7 @@ class TestScheduleCopyDeterminism:
 
 class TestSessionObservability:
     def test_session_report_carries_cache_stats(self):
-        session = TuningSession(SimGPU(), TuneConfig(trials=4, seed=0), workers=1)
+        session = TuningSession(SimGPU(), TuneConfig(trials=4, seed=0))
         session.add(ops.matmul(64, 64, 64))
         report = session.run()
         assert report.cache_stats, "expected per-cache hit/miss counters"

@@ -8,9 +8,14 @@ TTL expiry, and LRU bounding.
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
+import repro
 from repro.frontend import ops
 from repro.meta import TuneConfig, tune
 from repro.meta.database import (
@@ -164,6 +169,63 @@ class TestCorruptionRecovery:
         db2 = PersistentDatabase(root)
         assert db2.get("aa").cycles == 7.0
         assert any("lru.json" in d for d in db2.diagnostics)
+
+
+#: A writer that commits records of falling cycles as fast as it can and
+#: reports each key once ``put`` has returned.
+_WRITER = """
+import sys
+from repro.meta.database import DatabaseEntry, PersistentDatabase
+
+root, i = sys.argv[1], int(sys.argv[2])
+db = PersistentDatabase(root)
+print("ready", flush=True)
+while True:
+    key = f"k{i % 4}"
+    db.put(DatabaseEntry(key, "matmul", "sim-gpu", "tensor-core", [i], 1e9 - i))
+    print(key, i, flush=True)
+    i += 1
+"""
+
+
+class TestKilledWriter:
+    def test_sigkilled_writer_loses_no_acknowledged_put(self, tmp_path):
+        """SIGKILL a writer at staggered moments: every put it reported
+        survives with a record it wrote, any stale ``.db-*.tmp`` file a
+        kill leaves is ignored, and the store keeps accepting writes."""
+        root = str(tmp_path / "db")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        reported = 0
+        for run, delay in enumerate((0.0, 0.03, 0.1, 0.25)):
+            first = run * 10**6
+            child = subprocess.Popen(
+                [sys.executable, "-c", _WRITER, root, str(first)],
+                stdout=subprocess.PIPE, text=True, env=env,
+            )
+            try:
+                assert child.stdout.readline() == "ready\n"
+                time.sleep(delay)
+            finally:
+                child.send_signal(signal.SIGKILL)
+                out, _ = child.communicate(timeout=10)
+            last = {}
+            for line in out.splitlines(keepends=True):
+                if line.endswith("\n"):
+                    key, i = line.split()
+                    last[key] = int(i)
+            reported += len(last)
+            db = PersistentDatabase(root)
+            assert db.diagnostics == []
+            for key, i in last.items():
+                entry = db.get(key)
+                assert entry is not None, key
+                (j,) = entry.decisions
+                assert i <= j < first + 10**6
+                assert entry.cycles == 1e9 - j
+            db.put(_entry("probe", cycles=100.0 - run))
+            assert PersistentDatabase(root).get("probe").cycles == 100.0 - run
+        assert reported > 0
 
 
 class TestEviction:

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import threading
 
 import pytest
 
@@ -32,20 +31,6 @@ class TestSpans:
         t.add("measure", 0.5, "a")
         assert t.stage_seconds() == {"evolve": pytest.approx(3.0), "measure": pytest.approx(0.5)}
         assert t.task_seconds("evolve") == {"a": pytest.approx(1.0), "b": pytest.approx(2.0)}
-
-    def test_threads_used(self):
-        t = Telemetry()
-
-        def work():
-            t.add("evolve", 0.1, "x")
-
-        threads = [threading.Thread(target=work) for _ in range(3)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        assert t.threads_used("evolve") == 3
-        assert t.threads_used("measure") == 0
 
 
 class TestCounters:

@@ -19,12 +19,10 @@ def _fake_clock():
 
 
 def _populate(t: Telemetry):
-    with t.span("session") as root:
-        t.set_root(root)
+    with t.span("session"):
         with t.span("task", task="gemm"):
             t.add("validate", 1.0, "gemm", start=2.0)
             t.add("measure", 1.0, "gemm", start=4.0)
-        t.set_root(None)
     t.count("b_counter")
     t.count("a_counter", 2)
 
@@ -75,7 +73,6 @@ class TestTelemetryDeterminism:
 def _report() -> SessionReport:
     return SessionReport(
         target="sim-gpu",
-        workers=2,
         tasks=[TaskReport(name="gemm", key="k", status="searched", weight=1.0)],
         totals={"tasks_searched": 1},
         cache_stats={"b": {"hits": 1}, "a": {"hits": 2}},

@@ -1,8 +1,9 @@
 """Concurrency stress tests for the Telemetry span/counter collector.
 
-One Telemetry is shared by every worker of a parallel TuningSession, so
-spans, counters and the hierarchy links must survive unsynchronized
-hammering from many threads without losing or corrupting records.
+One Telemetry is shared by a schedule server's client threads and its
+miss worker, so spans, counters and the hierarchy links must survive
+unsynchronized hammering from many threads without losing or corrupting
+records.
 """
 
 import threading
@@ -43,7 +44,7 @@ class TestConcurrentStress:
         assert len(t.spans) == 3 * total
         assert t.counters["ops"] == total
         assert t.counters["weighted"] == 2 * total
-        assert t.threads_used("inner") == N_THREADS
+        assert len({s.thread for s in t.spans if s.stage == "inner"}) == N_THREADS
 
     def test_span_ids_unique_and_parents_resolve(self):
         t = Telemetry()
@@ -87,29 +88,6 @@ class TestConcurrentStress:
         assert "outer" not in stages  # container, never a leaf
         assert "inner" in stages and "accumulated" in stages
         assert stages["accumulated"] == pytest.approx(4 * N_ITERS * 0.001)
-
-    def test_root_fallback_attaches_worker_spans(self):
-        """Spans recorded on a thread with an empty span stack attach to
-        the declared root — how session workers join the hierarchy."""
-        t = Telemetry()
-        with t.span("session") as root_id:
-            t.set_root(root_id)
-            done = []
-
-            def worker():
-                with t.span("task", task="w"):
-                    pass
-                done.append(True)
-
-            th = threading.Thread(target=worker)
-            th.start()
-            th.join()
-            t.set_root(None)
-        assert done
-        task_span = next(s for s in t.spans if s.stage == "task")
-        session_span = next(s for s in t.spans if s.stage == "session")
-        assert task_span.parent_id == session_span.span_id
-        assert session_span.parent_id is None
 
     def test_concurrent_report_while_writing(self):
         """report()/stage_seconds() snapshots must not crash or corrupt

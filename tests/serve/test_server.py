@@ -162,6 +162,38 @@ class TestServeBasics:
         assert str(outcome["error"]) == "ScheduleServer is closed"
 
 
+class TestTuningFailure:
+    def test_failed_session_reaches_every_waiter_then_recovers(self, monkeypatch):
+        """A tuning run that raises fails its owner and every coalesced
+        waiter, counts each as a failure, and leaves the server able to
+        serve the same workload afterwards."""
+        from repro.meta.session import TuningSession
+
+        started, release = threading.Event(), threading.Event()
+
+        def failing_run(self, total_trials=None):
+            started.set()
+            release.wait(timeout=30)
+            raise RuntimeError("tuning backend down")
+
+        monkeypatch.setattr(TuningSession, "run", failing_run)
+        with ScheduleServer(SimGPU(), CFG) as server:
+            futures = [server.submit(_matmul(64))]
+            assert started.wait(timeout=30)
+            futures += [server.submit(_matmul(64)) for _ in range(2)]
+            release.set()
+            for future in futures:
+                with pytest.raises(RuntimeError, match="tuning backend down"):
+                    future.result(timeout=30)
+            stats = server.stats()
+            assert stats.coalesced == 2
+            assert stats.failures == 3
+            monkeypatch.undo()
+            fresh = server.compile(_matmul(64), timeout=120)
+        assert fresh.source == "miss"
+        assert fresh.trials > 0
+
+
 class TestPersistenceAcrossRestart:
     def test_restart_serves_byte_identical(self, tmp_path):
         cfg = CFG.with_(db_path=str(tmp_path / "db"))
