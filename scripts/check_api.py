@@ -191,6 +191,14 @@ def main() -> int:
     session_params = inspect.signature(repro.TuningSession.__init__).parameters
     for param in ("target", "config", "database", "telemetry", "provenance"):
         check(param in session_params, f"TuningSession(...{param}...) missing")
+    # Exact shape: counts are read where they are kept, so a session
+    # takes no registry to copy them into.
+    check(
+        list(session_params)
+        == ["self", "target", "config", "database", "telemetry", "recorder",
+            "provenance", "buckets"],
+        f"TuningSession takes {list(session_params)[1:]}",
+    )
 
     run_params = inspect.signature(repro.TuningSession.run).parameters
     check("total_trials" in run_params, "TuningSession.run(total_trials=...) missing")
@@ -224,11 +232,20 @@ def main() -> int:
             f"PersistentDatabase.{method} missing",
         )
     entry_fields = set(getattr(meta.DatabaseEntry, "__dataclass_fields__", {}))
-    for field in (
-        "key", "workload", "target", "sketch", "decisions", "cycles",
-        "provenance", "structural_hash", "trace",
-    ):
-        check(field in entry_fields, f"DatabaseEntry.{field} missing")
+    check(
+        entry_fields == {
+            "key", "workload", "target", "sketch", "decisions", "cycles",
+            "provenance", "structural_hash",
+        },
+        f"DatabaseEntry fields are {sorted(entry_fields)}",
+    )
+    record_params = inspect.signature(meta.Database.record).parameters
+    check(
+        list(record_params)
+        == ["self", "func", "target", "sketch_name", "decisions", "cycles",
+            "provenance"],
+        f"Database.record takes {list(record_params)[1:]}",
+    )
 
     # --- the serving surface (repro.serve) ----------------------------
     from repro import serve
@@ -252,8 +269,12 @@ def main() -> int:
     for param in ("func", "target", "config", "client", "timeout"):
         check(param in compile_params, f"repro.compile(...{param}...) missing")
     server_params = inspect.signature(serve.ScheduleServer.__init__).parameters
-    for param in ("target", "config", "database", "telemetry", "recorder"):
-        check(param in server_params, f"ScheduleServer(...{param}...) missing")
+    # Exact shape: responses are counted by the latency histograms, so
+    # a server takes no recorder to copy them into.
+    check(
+        list(server_params) == ["self", "target", "config", "database", "telemetry"],
+        f"ScheduleServer takes {list(server_params)[1:]}",
+    )
     for method in ("submit", "compile", "stats", "close"):
         check(
             callable(getattr(serve.ScheduleServer, method, None)),
@@ -349,11 +370,18 @@ def main() -> int:
         except Exception:
             check(False, f"diagnostic code {code} unregistered")
 
-    for method in ("span", "add", "count", "absorb_stats", "report", "to_json"):
+    for method in ("span", "add", "mark", "since", "report", "to_json"):
         check(
             callable(getattr(repro.Telemetry, method, None)),
             f"Telemetry.{method} missing",
         )
+    # Telemetry keeps spans only.
+    check(not hasattr(repro.Telemetry, "count"), "Telemetry.count must not exist")
+    report_keys = set(repro.Telemetry().report())
+    check(
+        report_keys == {"spans", "stage_seconds"},
+        f"Telemetry.report() keys are {sorted(report_keys)}",
+    )
 
     check(
         callable(getattr(meta.SearchStats, "merge", None)), "SearchStats.merge missing"
@@ -395,7 +423,6 @@ def main() -> int:
         "GenerationEnd",
         "ModelUpdate",
         "CacheEvent",
-        "ServeRequest",
         "event_to_json",
         "chrome_trace",
         "summarize",
@@ -407,24 +434,23 @@ def main() -> int:
     check("obs" in cfg_fields, "TuneConfig.obs missing")
     check(hasattr(repro, "ObsConfig"), "repro.ObsConfig missing")
     obs_fields = set(getattr(obs.ObsConfig, "__dataclass_fields__", {}))
-    for field in (
-        "enabled",
-        "sink_path",
-        "max_events",
-        "sample_rate",
-        "record_traces",
-        "on_generation",
-        "on_best_improved",
-    ):
-        check(field in obs_fields, f"ObsConfig.{field} missing")
+    check(
+        obs_fields == {"enabled", "sink_path"},
+        f"ObsConfig fields are {sorted(obs_fields)}",
+    )
     check(not obs.ObsConfig().enabled, "ObsConfig must default to disabled")
     for method in ("trial", "rejection", "best_improved", "generation_end",
-                   "model_update", "record_cache_delta", "record_evaluator",
-                   "serve_request", "recording", "save", "close"):
+                   "model_update", "record_cache_delta", "recording", "save",
+                   "close"):
         check(
             callable(getattr(obs.Recorder, method, None)),
             f"Recorder.{method} missing",
         )
+    recorder_params = list(inspect.signature(obs.Recorder.__init__).parameters)
+    check(
+        recorder_params == ["self", "config", "telemetry", "clock"],
+        f"Recorder takes {recorder_params[1:]}",
+    )
     trial_fields = set(getattr(obs.TrialRecord, "__dataclass_fields__", {}))
     for field in ("trial_id", "task", "workload", "sketch", "generation",
                   "parent", "decisions", "structural_hash", "trace"):
@@ -440,9 +466,7 @@ def main() -> int:
         "Histogram",
         "MetricFamily",
         "render_prometheus",
-        "quantile_from_buckets",
-        "fold_cache_delta",
-        "fold_evaluator_counters",
+        "quantile",
         "DEFAULT_LATENCY_BUCKETS",
     ):
         check(hasattr(obs_metrics, name), f"repro.obs.metrics.{name} missing")
@@ -461,8 +485,8 @@ def main() -> int:
     ).parameters
     for param in ("buckets", "window", "labels"):
         check(param in hist_params, f"MetricsRegistry.histogram(...{param}...) missing")
-    for method in ("observe", "cumulative", "quantile",
-                   "window_values", "window_quantile", "to_json"):
+    for method in ("observe", "cumulative", "window_values", "window_quantile",
+                   "to_json"):
         check(
             callable(getattr(obs_metrics.Histogram, method, None)),
             f"Histogram.{method} missing",
@@ -491,8 +515,8 @@ def main() -> int:
     )
     check(callable(getattr(meta.Sketch, "token", None)), "Sketch.token missing")
 
-    # Telemetry counter names are derived from these field names (and
-    # session reports key on them) — renames break dashboards.
+    # Session reports are summed from these fields (invalid_by_code
+    # from rejected_by_code) — renames break every reader of a report.
     stats_fields = set(
         getattr(meta.SearchStats, "__dataclass_fields__", {})
     )

@@ -107,10 +107,6 @@ class DatabaseEntry:
     #: identity check alongside the script-text key, so a persisted
     #: record is never replayed onto a structurally different workload.
     structural_hash: Optional[int] = None
-    #: the winning schedule trace (:meth:`repro.schedule.Trace.to_json`)
-    #: when the recorder captured one — lets external tools re-derive
-    #: the program without knowing the sketch registry.
-    trace: Optional[dict] = None
 
     def to_record(self) -> dict:
         record = asdict(self)
@@ -167,7 +163,6 @@ class Database:
         decisions: List[object],
         cycles: float,
         provenance: str = "search",
-        trace: Optional[dict] = None,
     ) -> DatabaseEntry:
         """Store a result if it beats the stored one for this workload;
         returns the entry now held for the workload."""
@@ -183,7 +178,6 @@ class Database:
                 cycles=cycles,
                 provenance=provenance,
                 structural_hash=structural_hash(func),
-                trace=trace,
             )
         )
 

@@ -152,7 +152,10 @@ class Evaluator:
     Subclasses implement :meth:`evaluate`; everything else has working
     defaults.  ``workers`` is the parallel width the backend exposes
     (``SearchStats.eval_batch_slots`` accounting) and ``counters()`` the
-    occupancy/latency telemetry the search folds into its report.
+    backend's own activity: ``busy_seconds`` in :meth:`evaluate`, and for
+    the process pool ``fallbacks`` and ``ipc_batches``.  Batches and
+    candidates are counted once, by the search
+    (``SearchStats.eval_batches`` / ``eval_batch_candidates``).
     """
 
     name = "abstract"
@@ -160,11 +163,7 @@ class Evaluator:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._counters: Dict[str, float] = {
-            "batches": 0,
-            "candidates": 0,
-            "busy_seconds": 0.0,
-        }
+        self._counters: Dict[str, float] = {"busy_seconds": 0.0}
 
     # -- the protocol ---------------------------------------------------
     def evaluate(
@@ -176,10 +175,8 @@ class Evaluator:
         """Release pool resources; the instance is dead afterwards."""
 
     # -- shared accounting ----------------------------------------------
-    def _account(self, n_specs: int, seconds: float) -> None:
+    def _account(self, seconds: float) -> None:
         with self._lock:
-            self._counters["batches"] += 1
-            self._counters["candidates"] += n_specs
             self._counters["busy_seconds"] += seconds
 
     def counters(self) -> Dict[str, float]:
@@ -205,7 +202,7 @@ class SerialEvaluator(Evaluator):
     def evaluate(self, ctx, specs):
         t0 = time.perf_counter()
         outcomes = [_build_one(ctx, spec) for spec in specs]
-        self._account(len(specs), time.perf_counter() - t0)
+        self._account(time.perf_counter() - t0)
         return outcomes
 
 
@@ -408,7 +405,7 @@ class ProcessEvaluator(Evaluator):
             with self._lock:
                 self._counters["fallbacks"] += 1
             outcomes = [_build_one(ctx, spec) for spec in specs]
-        self._account(len(specs), time.perf_counter() - t0)
+        self._account(time.perf_counter() - t0)
         return outcomes
 
     def close(self) -> None:

@@ -316,7 +316,6 @@ def evolutionary_search(
     max_generations = config.generations or max(2, trials // max(population // 2, 1))
     evaluator = evaluator or resolve_evaluator(config)
     eval_ctx = EvalContext(func, sketch, target, config.validate)
-    eval_counters_before = evaluator.counters()
 
     def _draw_spec() -> CandidateSpec:
         """One candidate spec, drawn from the search RNG on the
@@ -369,130 +368,116 @@ def evolutionary_search(
                     pool.append(cand)
         return pool
 
-    try:
-        while stats.measured < measured_budget and generation < max_generations:
-            generation += 1
-            gen_span = (
-                telemetry.span("generation", task)
-                if telemetry is not None
-                else nullcontext()
-            )
-            with gen_span:
-                gen_t0 = time.perf_counter()
-                gen_prev = dict(timings)
-                # Stage start times within this generation, for the
-                # exported timeline (validation begins with pool fill).
-                gen_starts = {"validate": gen_t0}
-                pool = _fill_pool()
-                if not pool:
-                    break
-                # Rank by the learned cost model; measure the top half.
-                # The model refits here, on read, if measurements
-                # arrived since its last fit.
+    while stats.measured < measured_budget and generation < max_generations:
+        generation += 1
+        gen_span = (
+            telemetry.span("generation", task)
+            if telemetry is not None
+            else nullcontext()
+        )
+        with gen_span:
+            gen_t0 = time.perf_counter()
+            gen_prev = dict(timings)
+            # Stage start times within this generation, for the
+            # exported timeline (validation begins with pool fill).
+            gen_starts = {"validate": gen_t0}
+            pool = _fill_pool()
+            if not pool:
+                break
+            # Rank by the learned cost model; measure the top half.
+            # The model refits here, on read, if measurements
+            # arrived since its last fit.
+            t0 = time.perf_counter()
+            gen_starts["model-update"] = t0
+            model.refit()
+            timings["model-update"] += time.perf_counter() - t0
+            scores = model.predict([c.func for c in pool])
+            order = sorted(range(len(pool)), key=lambda i: -scores[i])
+            to_measure = order[
+                : max(1, min(len(pool) // 2 + 1, measured_budget - stats.measured))
+            ]
+            measured_funcs = []
+            measured_cycles = []
+            for idx in to_measure:
+                cand = pool[idx]
                 t0 = time.perf_counter()
-                gen_starts["model-update"] = t0
-                model.refit()
-                timings["model-update"] += time.perf_counter() - t0
-                scores = model.predict([c.func for c in pool])
-                order = sorted(range(len(pool)), key=lambda i: -scores[i])
-                to_measure = order[
-                    : max(1, min(len(pool) // 2 + 1, measured_budget - stats.measured))
-                ]
-                measured_funcs = []
-                measured_cycles = []
-                for idx in to_measure:
-                    cand = pool[idx]
-                    t0 = time.perf_counter()
-                    gen_starts.setdefault("measure", t0)
-                    try:
-                        report = estimate(cand.func, target)
-                    except CostModelError:
-                        stats.invalid_rejected += 1
-                        stats.rejected_by_code["TIR501"] += 1
-                        if recording:
-                            recorder.trial(
-                                task=task, workload=wl_key, sketch=sk_token,
-                                generation=generation, parent=cand.parent_trial,
-                                decisions=cand.decisions,
-                                predicted=float(scores[idx]),
-                                rejection="TIR501", func=cand.func,
-                            )
-                            recorder.rejection(
-                                task, sk_token, generation, "estimate", "TIR501"
-                            )
-                        continue
-                    finally:
-                        timings["measure"] += time.perf_counter() - t0
-                    stats.measured += 1
-                    stats.profiling_seconds += report.seconds * MEASURE_REPEATS
-                    record = MeasureRecord(
-                        sketch.name, cand.decisions, report.cycles, report.seconds, report.bound
-                    )
-                    result.records.append(record)
-                    measured_funcs.append(cand.func)
-                    measured_cycles.append(report.cycles)
+                gen_starts.setdefault("measure", t0)
+                try:
+                    report = estimate(cand.func, target)
+                except CostModelError:
+                    stats.invalid_rejected += 1
+                    stats.rejected_by_code["TIR501"] += 1
                     if recording:
-                        trial_rec = recorder.trial(
+                        recorder.trial(
                             task=task, workload=wl_key, sketch=sk_token,
                             generation=generation, parent=cand.parent_trial,
-                            decisions=cand.decisions, predicted=float(scores[idx]),
-                            cycles=report.cycles, seconds=report.seconds,
-                            bound=report.bound, func=cand.func,
-                            base_func=func, sketch_obj=sketch,
+                            decisions=cand.decisions,
+                            predicted=float(scores[idx]),
+                            rejection="TIR501", func=cand.func,
                         )
-                        cand.trial_id = trial_rec.trial_id
-                    if report.cycles < result.best_cycles:
-                        previous = result.best_cycles
-                        result.best_cycles = report.cycles
-                        result.best_func = cand.func
-                        result.best_report = report
-                        result.best_sketch = sketch.name
-                        result.best_decisions = list(cand.decisions)
-                        if recording:
-                            recorder.best_improved(
-                                task,
-                                cand.trial_id or 0,
-                                report.cycles,
-                                None if previous == float("inf") else previous,
-                            )
-                    elites.append((report.cycles, cand))
-                if measured_funcs:
-                    t0 = time.perf_counter()
-                    model.update(measured_funcs, measured_cycles)
-                    timings["model-update"] += time.perf_counter() - t0
-                elites.sort(key=lambda t: t[0])
-                del elites[max(4, population // 2) :]
+                        recorder.rejection(
+                            task, sk_token, generation, "estimate", "TIR501"
+                        )
+                    continue
+                finally:
+                    timings["measure"] += time.perf_counter() - t0
+                stats.measured += 1
+                stats.profiling_seconds += report.seconds * MEASURE_REPEATS
+                record = MeasureRecord(
+                    sketch.name, cand.decisions, report.cycles, report.seconds, report.bound
+                )
+                result.records.append(record)
+                measured_funcs.append(cand.func)
+                measured_cycles.append(report.cycles)
                 if recording:
-                    recorder.generation_end(
-                        task, sk_token, generation, len(pool),
-                        stats.measured, result.best_cycles,
+                    trial_rec = recorder.trial(
+                        task=task, workload=wl_key, sketch=sk_token,
+                        generation=generation, parent=cand.parent_trial,
+                        decisions=cand.decisions, predicted=float(scores[idx]),
+                        cycles=report.cycles, seconds=report.seconds,
+                        bound=report.bound, func=cand.func,
+                        base_func=func, sketch_obj=sketch,
                     )
-                if telemetry is not None:
-                    # Flush this generation's stage deltas as child spans
-                    # of the generation span, placed at their true starts.
-                    gen_total = time.perf_counter() - gen_t0
-                    gen_deltas = {
-                        stage: timings[stage] - gen_prev[stage] for stage in timings
-                    }
-                    evolve = max(gen_total - sum(gen_deltas.values()), 0.0)
-                    telemetry.add("evolve", evolve, task, start=gen_t0)
-                    for stage, seconds in gen_deltas.items():
-                        if seconds:
-                            telemetry.add(
-                                stage, seconds, task, start=gen_starts.get(stage)
-                            )
-    finally:
-        if recording:
-            # Per-backend occupancy/latency deltas go to the recorder's
-            # *meta* section — never the event stream or the trial
-            # ledger, which must stay hash-identical across backends.
-            eval_delta = {
-                key: value - eval_counters_before.get(key, 0)
-                for key, value in evaluator.counters().items()
-                if value - eval_counters_before.get(key, 0)
-            }
-            recorder.record_evaluator(evaluator.name, evaluator.workers, eval_delta)
+                    cand.trial_id = trial_rec.trial_id
+                if report.cycles < result.best_cycles:
+                    previous = result.best_cycles
+                    result.best_cycles = report.cycles
+                    result.best_func = cand.func
+                    result.best_report = report
+                    result.best_sketch = sketch.name
+                    result.best_decisions = list(cand.decisions)
+                    if recording:
+                        recorder.best_improved(
+                            task,
+                            cand.trial_id or 0,
+                            report.cycles,
+                            None if previous == float("inf") else previous,
+                        )
+                elites.append((report.cycles, cand))
+            if measured_funcs:
+                t0 = time.perf_counter()
+                model.update(measured_funcs, measured_cycles)
+                timings["model-update"] += time.perf_counter() - t0
+            elites.sort(key=lambda t: t[0])
+            del elites[max(4, population // 2) :]
+            if recording:
+                recorder.generation_end(
+                    task, sk_token, generation, len(pool),
+                    stats.measured, result.best_cycles,
+                )
+            if telemetry is not None:
+                # Flush this generation's stage deltas as child spans
+                # of the generation span, placed at their true starts.
+                gen_total = time.perf_counter() - gen_t0
+                gen_deltas = {
+                    stage: timings[stage] - gen_prev[stage] for stage in timings
+                }
+                evolve = max(gen_total - sum(gen_deltas.values()), 0.0)
+                telemetry.add("evolve", evolve, task, start=gen_t0)
+                for stage, seconds in gen_deltas.items():
+                    if seconds:
+                        telemetry.add(
+                            stage, seconds, task, start=gen_starts.get(stage)
+                        )
 
-    if telemetry is not None:
-        telemetry.absorb_stats(stats)
     return result

@@ -24,7 +24,10 @@ The session threads one :class:`~repro.meta.telemetry.Telemetry`
 through every search, and :meth:`TuningSession.run` returns a
 :class:`SessionReport` — per-task accounting plus stage timings as one
 JSON document, so Table 1-style tuning-time analysis comes from
-instrumentation instead of ad-hoc arithmetic.
+instrumentation instead of ad-hoc arithmetic.  Each count in it is read
+where it is kept: totals from the task reports, ``invalid_by_code``
+from the :class:`~repro.meta.search.SearchStats` every search returns,
+``cache_stats`` from :mod:`repro.cache`; the telemetry part is spans.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ import json
 import os
 import tempfile
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from .. import cache as _cache
 from ..diagnostics import DiagnosticContext
@@ -127,8 +131,8 @@ class SessionReport:
     #: primitive preconditions) — the §3.3 battery made observable.
     invalid_by_code: Dict[str, int] = field(default_factory=dict)
     #: memoization activity during this run, per cache: hits, misses
-    #: and hit rate (see :mod:`repro.cache`).  The recorder folds the
-    #: same window into the metrics registry (``cache_hits_total`` etc.).
+    #: and hit rate — this run's window of the :mod:`repro.cache`
+    #: counters.
     cache_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: flight-recorder activity when observability was on (event/trial
     #: counts + sink path); the full recording is written separately by
@@ -208,7 +212,6 @@ class TuningSession:
         recorder: Optional[Recorder] = None,
         provenance: str = "session",
         buckets: Optional["BucketSpec"] = None,
-        metrics=None,
     ):
         self.target = target
         self.config = config or TuneConfig()
@@ -218,21 +221,13 @@ class TuningSession:
         #: cache-miss handler).
         self.provenance = provenance
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        #: the serving/ops metrics registry
-        #: (:class:`repro.obs.metrics.MetricsRegistry`) this session
-        #: folds cache and evaluator accounting into — the single source
-        #: of truth for those numbers when set (the schedule server
-        #: passes its own).
-        self.metrics = metrics
         #: the flight recorder — built from ``config.obs`` (a no-op
         #: object when observability is off) unless one is injected.
         self.recorder = (
             recorder
             if recorder is not None
-            else Recorder(self.config.obs, telemetry=self.telemetry, metrics=metrics)
+            else Recorder(self.config.obs, telemetry=self.telemetry)
         )
-        if metrics is not None and getattr(self.recorder, "metrics", None) is None:
-            self.recorder.metrics = metrics
         #: shape-bucket spec (``repro.frontend.shapes.BucketSpec``): when
         #: set, tasks are canonicalized to bucket representatives before
         #: dedup, so every in-bucket shape shares one search and replays
@@ -318,34 +313,16 @@ class TuningSession:
         # charged to no task.
         from .evaluator import ProcessEvaluator, resolve_evaluator
 
-        session_evaluator = resolve_evaluator(self.config)
-        if isinstance(session_evaluator, ProcessEvaluator):
-            session_evaluator.warm_up()
+        evaluator = resolve_evaluator(self.config)
+        if isinstance(evaluator, ProcessEvaluator):
+            evaluator.warm_up()
         cache_before = _cache.snapshot_counts()
-        eval_before = session_evaluator.counters()
         telemetry_before = self.telemetry.mark()
         with self.telemetry.span("session") as session_span:
-            reports = self._run_inner(total_trials)
+            reports, rejected, bucket = self._run_inner(total_trials)
         cache_delta = _cache.delta_since(cache_before)
         self.recorder.record_cache_delta(cache_delta)
         self.recorder.close()
-        if self.metrics is not None:
-            # Evaluator occupancy for this run: the backend instance is
-            # shared across searches (and sessions), so the fold is a
-            # counter *delta* over the run window, labeled by backend.
-            from ..obs.metrics import fold_evaluator_counters
-
-            eval_delta = {
-                key: value - eval_before.get(key, 0)
-                for key, value in session_evaluator.counters().items()
-                if value - eval_before.get(key, 0)
-            }
-            fold_evaluator_counters(
-                self.metrics,
-                session_evaluator.name,
-                session_evaluator.workers,
-                eval_delta,
-            )
 
         # The report covers this run alone, also on a collector shared
         # with earlier runs (a server's).
@@ -360,12 +337,8 @@ class TuningSession:
             "tuning_seconds": sum(r.tuning_seconds for r in ordered),
         }
         if self.buckets is not None:
-            totals["tasks_bucket_replayed"] = float(
-                run_telemetry.counters.get("tasks_bucket_replayed", 0)
-            )
-            totals["tasks_bucket_fallback"] = float(
-                run_telemetry.counters.get("tasks_bucket_fallback", 0)
-            )
+            totals["tasks_bucket_replayed"] = float(bucket["replayed"])
+            totals["tasks_bucket_fallback"] = float(bucket["fallback"])
         obs_summary: Dict[str, object] = {}
         if self.recorder.enabled:
             obs_summary = dict(self.recorder.stream.stats())
@@ -377,18 +350,24 @@ class TuningSession:
             totals=totals,
             telemetry=run_telemetry.report(),
             wall_seconds=time.perf_counter() - t_run,
-            invalid_by_code={
-                code: int(count)
-                for code, count in sorted(
-                    run_telemetry.counters_by_prefix("rejected_by_code").items()
-                )
-            },
+            invalid_by_code=dict(sorted(rejected.items())),
             cache_stats=cache_delta,
             obs=obs_summary,
         )
 
-    def _run_inner(self, total_trials: Optional[int]) -> Dict[str, TaskReport]:
-        """The search/replay body of :meth:`run`, inside the session span."""
+    def _run_inner(
+        self, total_trials: Optional[int]
+    ) -> Tuple[Dict[str, TaskReport], Counter, Counter]:
+        """The search/replay body of :meth:`run`, inside the session span.
+
+        Returns the task reports, the per-code rejections summed over
+        every search this run made (a bucketed task's representative
+        search and each fallback tune included, as each ``tune`` returns
+        — ``self.results`` keeps only a task's final result), and the
+        bucket tally: ``"replayed"`` bucketed tasks served by adaptive
+        replay, ``"fallback"`` fresh tunes started after an infeasible
+        one.
+        """
         with self.telemetry.span("plan"):
             if self.buckets is not None:
                 from ..frontend.shapes import canonicalize
@@ -413,6 +392,8 @@ class TuningSession:
 
         to_search = [t for t in uniques if self.database.get(t.key) is None]
         reports: Dict[str, TaskReport] = {}
+        rejected: Counter = Counter()
+        bucket: Counter = Counter()
         for task in to_search:
             try:
                 result = tune(
@@ -429,6 +410,7 @@ class TuningSession:
                     trials_allocated=budgets[task.key], error=str(err),
                 )
                 continue
+            rejected.update(result.stats.rejected_by_code)
             self.results[task.name] = result
             if result.best_sketch is None or result.best_decisions is None:
                 reports[task.name] = TaskReport(
@@ -456,6 +438,7 @@ class TuningSession:
                 # to this task (it paid for the representative's search).
                 concrete = self._replay_task(task, entry)
                 if concrete is None:
+                    bucket["fallback"] += 1
                     try:
                         concrete = self._fallback_tune(task, budgets[task.key])
                     except Exception as err:  # noqa: BLE001
@@ -465,10 +448,11 @@ class TuningSession:
                             error=str(err),
                         )
                         continue
+                    rejected.update(concrete.stats.rejected_by_code)
                     measured += concrete.stats.measured
                     tuning_seconds += concrete.tuning_seconds
                 else:
-                    self.telemetry.count("tasks_bucket_replayed")
+                    bucket["replayed"] += 1
                 result = concrete
                 self.results[task.name] = result
             reports[task.name] = TaskReport(
@@ -520,12 +504,13 @@ class TuningSession:
                 self.telemetry.add(
                     "replay", time.perf_counter() - t0, task.name, start=t0
                 )
+                bucketed = task.bucketed is not None and task.bucketed.bucketed
                 if result is not None:
-                    self.telemetry.count("tasks_replayed")
-                    if task.bucketed is not None and task.bucketed.bucketed:
-                        self.telemetry.count("tasks_bucket_replayed")
-                elif task.bucketed is not None and task.bucketed.bucketed:
+                    if bucketed:
+                        bucket["replayed"] += 1
+                elif bucketed:
                     trials_allocated = budgets.get(task.key, self.config.trials)
+                    bucket["fallback"] += 1
                     try:
                         result = self._fallback_tune(task, trials_allocated)
                     except Exception as err:  # noqa: BLE001
@@ -534,6 +519,7 @@ class TuningSession:
                             trials_allocated=trials_allocated, error=str(err),
                         )
                         continue
+                    rejected.update(result.stats.rejected_by_code)
                     status = "searched"
                     measured = result.stats.measured
                     tuning_seconds = result.tuning_seconds
@@ -561,7 +547,7 @@ class TuningSession:
                 tuning_seconds=tuning_seconds,
             )
 
-        return reports
+        return reports, rejected, bucket
 
     # -- bucket-aware replay -------------------------------------------
     def _replay_task(self, task: _Task, entry: DatabaseEntry) -> Optional[TuneResult]:
@@ -599,7 +585,6 @@ class TuningSession:
             f"tune at the concrete shape",
             func=task.func,
         )
-        self.telemetry.count("tasks_bucket_fallback")
         return tune(
             task.func,
             self.target,

@@ -1,32 +1,30 @@
 """Structured instrumentation for the tuning stack.
 
 Table 1 of the paper is a tuning-*time* result, so where time goes must
-be observable, not reconstructed.  ``Telemetry`` collects
+be observable, not reconstructed.  ``Telemetry`` collects **spans** —
+wall-clock stage timings (``sketch-gen``, ``evolve``, ``validate``,
+``measure``, ``model-update``, ``replay``…), each optionally attributed
+to a task.  Spans form a **hierarchy**: every span carries a
+``span_id`` and a ``parent_id`` link
+(``session → task → generation → build/verify/estimate/measure``),
+maintained per-thread via a context-manager stack so nesting needs no
+plumbing.  A session runs its searches on the thread that opened its
+span, so every search span nests under it.  The flat
+``stage_seconds()`` / ``task_seconds()`` views aggregate **leaf** spans
+only, so their sums still track wall time — hierarchy is additive,
+container spans are never double-counted.
 
-* **spans** — wall-clock stage timings (``sketch-gen``, ``evolve``,
-  ``validate``, ``measure``, ``model-update``, ``replay``…), each
-  optionally attributed to a task.  Spans form a **hierarchy**: every
-  span carries a ``span_id`` and a ``parent_id`` link
-  (``session → task → generation → build/verify/estimate/measure``),
-  maintained per-thread via a context-manager stack so nesting needs no
-  plumbing.  A session runs its searches on the thread that opened its
-  span, so every search span nests under it.  The flat
-  ``stage_seconds()`` / ``task_seconds()`` views aggregate **leaf**
-  spans only, so their sums still track wall time — hierarchy is
-  additive, container spans are never double-counted.
-* **counters** — monotonic counts (candidates generated, mutants
-  rejected, tasks replayed…).  ``absorb_stats`` folds any dataclass of
-  numeric fields (e.g. :class:`~repro.meta.search.SearchStats`) into the
-  counters field-by-field, so a newly added counter can never be
-  silently dropped.
+Spans are all it keeps.  Every count has its own store: per-search
+counts in :class:`~repro.meta.search.SearchStats`, tasks searched or
+replayed in the session's task reports, cache activity in
+:mod:`repro.cache`.
 
 All mutation is lock-protected: one ``Telemetry`` can be shared by
 threads — a schedule server's client threads and its miss worker record
 into the same collector.
-``report()`` returns a JSON-ready dict with counters sorted by key and
-spans sorted by start time, so two identical runs produce byte-identical
-reports; a session wraps it with per-task accounting into its own
-session report.
+``report()`` returns a JSON-ready dict with spans sorted by start time,
+so two identical runs produce byte-identical reports; a session wraps
+it with per-task accounting into its own session report.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 __all__ = ["Span", "Telemetry"]
 
@@ -82,13 +80,12 @@ def _subtree(spans: List[Span], roots: Set[int]) -> List[Span]:
 
 
 class Telemetry:
-    """Thread-safe span/counter collector for one tuning run."""
+    """Thread-safe span collector for one tuning run."""
 
     def __init__(self, clock=time.perf_counter):
         self._clock = clock
         self._lock = threading.Lock()
         self.spans: List[Span] = []
-        self.counters: Dict[str, float] = {}
         self._ids = itertools.count(1)
         self._local = threading.local()
 
@@ -216,81 +213,37 @@ class Telemetry:
             out[s.task] = out.get(s.task, 0.0) + s.duration
         return dict(sorted(out.items()))
 
-    # -- counters ------------------------------------------------------
-    def count(self, name: str, value: float = 1) -> None:
-        with self._lock:
-            self.counters[name] = self.counters.get(name, 0) + value
-
-    def absorb_stats(self, stats, prefix: str = "") -> None:
-        """Fold every numeric field of a stats dataclass into counters.
-
-        Field-generic on purpose: a counter added to ``SearchStats``
-        later is aggregated here without touching this module.  A
-        mapping-valued field (e.g. ``rejected_by_code``) is folded
-        key-wise as dotted counters (``rejected_by_code.TIR105``).
-        """
-        for f in dataclasses.fields(stats):
-            value = getattr(stats, f.name)
-            if isinstance(value, (int, float)):
-                self.count(prefix + f.name, value)
-            elif isinstance(value, Mapping):
-                for key, v in value.items():
-                    if isinstance(v, (int, float)):
-                        self.count(f"{prefix}{f.name}.{key}", v)
-
-    def counters_by_prefix(self, prefix: str) -> Dict[str, float]:
-        """Counters under ``prefix.`` with the prefix stripped — e.g.
-        ``counters_by_prefix("rejected_by_code")`` returns per-code
-        rejection counts."""
-        head = prefix + "."
-        with self._lock:
-            return {
-                name[len(head):]: value
-                for name, value in self.counters.items()
-                if name.startswith(head)
-            }
-
     # -- windows -------------------------------------------------------
-    def mark(self) -> Tuple[int, Dict[str, float]]:
+    def mark(self) -> int:
         """Where this collector stands now — the start of a
         :meth:`since` window."""
         with self._lock:
-            return len(self.spans), dict(self.counters)
+            return len(self.spans)
 
-    def since(self, mark: Tuple[int, Dict[str, float]], root: int) -> "Telemetry":
+    def since(self, mark: int, root: int) -> "Telemetry":
         """A new collector holding what was recorded after ``mark``
-        under span ``root`` (the root and its descendants), with each
-        counter's growth since ``mark``.
+        under span ``root`` (the root and its descendants).
 
         How one run reports only itself on a collector that outlives it
         (a server's, shared by every tuning session it starts): the cost
         follows the window, not everything recorded before it.
         """
-        start, before = mark
         with self._lock:
-            recent = self.spans[start:]
-            counters = dict(self.counters)
+            recent = self.spans[mark:]
         out = Telemetry(self._clock)
         out.spans = _subtree(recent, {root})
-        out.counters = {
-            name: value - before.get(name, 0)
-            for name, value in counters.items()
-            if name not in before or value != before[name]
-        }
         return out
 
     # -- reporting -----------------------------------------------------
     def report(self) -> dict:
         """A JSON-ready snapshot of everything collected.
 
-        Deterministically ordered — counters sorted by name, spans by
-        (start, span_id) — so identical runs diff cleanly.
+        Deterministically ordered — spans by (start, span_id), stages by
+        name — so identical runs diff cleanly.
         """
         with self._lock:
             spans = sorted(self.spans, key=lambda s: (s.start, s.span_id))
-            counters = dict(sorted(self.counters.items()))
         return {
-            "counters": counters,
             "stage_seconds": self.stage_seconds(),
             "spans": [dataclasses.asdict(s) for s in spans],
         }

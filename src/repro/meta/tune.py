@@ -100,7 +100,6 @@ def tune(
             if replayed is not None:
                 if telemetry is not None:
                     telemetry.add("replay", time.perf_counter() - t0, task, start=t0)
-                    telemetry.count("tasks_replayed")
                 return replayed
 
         probe = Schedule(func, record_trace=False)
@@ -151,8 +150,6 @@ def tune(
             stats=combined_stats,
             best_decisions=best.best_decisions,
         )
-        if telemetry is not None:
-            telemetry.count("tasks_searched")
         if database is not None and out.best_sketch is not None and out.best_decisions is not None:
             database.record(
                 func, target, out.best_sketch, out.best_decisions, out.best_cycles

@@ -28,8 +28,12 @@ requires knowing where every second and every rejected candidate went):
 * **Serving metrics** — :mod:`repro.obs.metrics`: a typed, thread-safe
   Counter/Gauge/Histogram registry with labeled families,
   ``snapshot()``/``delta_since()`` and zero-dep Prometheus exposition,
-  threaded through the schedule server, tuning sessions, evaluator
-  backends and the persistent database.
+  owned by the schedule server and bound by its persistent database.
+
+Each count has one store.  Spans live in Telemetry, per-search counts
+in :class:`~repro.meta.search.SearchStats`, cache activity in
+:mod:`repro.cache`, and request counts in the server's ``stats()`` and
+latency histograms; the recorder and the registry keep no copies.
 
 Switch it on through the tune config::
 
@@ -50,7 +54,6 @@ from .events import (
     JsonlSink,
     ModelUpdate,
     Rejection,
-    ServeRequest,
     TrialEvent,
     event_to_json,
 )
@@ -82,7 +85,6 @@ __all__ = [
     "GenerationEnd",
     "ModelUpdate",
     "CacheEvent",
-    "ServeRequest",
     "event_to_json",
     "chrome_trace",
     "summarize",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 __all__ = ["ObsConfig"]
 
@@ -26,43 +26,22 @@ __all__ = ["ObsConfig"]
 class ObsConfig:
     """Flight-recorder settings for one tuning run.
 
-    * ``enabled`` — master switch; off by default.
+    * ``enabled`` — master switch; off by default.  When on, every event
+      is kept (the in-memory ring holds the newest
+      :data:`~repro.obs.events.MAX_EVENTS`) and every measured trial
+      gets its replayable schedule trace.
     * ``sink_path`` — append events as JSON lines to this file while the
-      run progresses, so long sessions don't grow memory unboundedly
-      (the in-memory stream stays bounded by ``max_events`` either way).
-    * ``max_events`` — capacity of the in-memory event ring; the oldest
-      events are dropped (and counted) once it fills.
-    * ``sample_rate`` — fraction of *high-volume* events (per-candidate
-      rejections) kept, applied deterministically by count so identical
-      runs record identical event streams.  Trials, generation marks,
-      best-improvements and cache events are never sampled out.
-    * ``record_traces`` — serialize the schedule trace of every measured
-      trial (the replayable provenance).  Costs one extra candidate
-      build per *measured* trial; disable to trade replayability for
-      overhead.
-    * ``on_generation`` / ``on_best_improved`` — live progress callbacks
-      for driving scripts; called synchronously with a JSON-ready dict.
-      Callbacks are excluded from serialized form.
+      run progresses, so long sessions keep every event on disk while
+      memory stays bounded.
     """
 
     enabled: bool = False
     sink_path: Optional[str] = None
-    max_events: int = 65536
-    sample_rate: float = 1.0
-    record_traces: bool = True
-    on_generation: Optional[Callable[[dict], None]] = None
-    on_best_improved: Optional[Callable[[dict], None]] = None
 
     def with_(self, **changes) -> "ObsConfig":
         """A copy with the given fields replaced."""
         return dataclasses.replace(self, **changes)
 
     def to_json(self) -> dict:
-        """JSON-ready form (callbacks omitted — they don't serialize)."""
-        return {
-            "enabled": self.enabled,
-            "sink_path": self.sink_path,
-            "max_events": self.max_events,
-            "sample_rate": self.sample_rate,
-            "record_traces": self.record_traces,
-        }
+        """JSON-ready form."""
+        return dataclasses.asdict(self)

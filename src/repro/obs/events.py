@@ -7,20 +7,20 @@ a schema instead of parsing text:
 * :class:`TrialEvent` — one measured candidate (the event-stream face of
   a :class:`~repro.obs.record.TrialRecord`).
 * :class:`Rejection` — one candidate killed before measurement, with its
-  diagnostic code.  High-volume; subject to sampling.
+  diagnostic code.  Every one is kept, so a recording's per-code mix is
+  exact unless the bounded ring dropped events (counted).
 * :class:`BestImproved` — the best-cost curve, one point per improvement.
 * :class:`GenerationEnd` — one evolutionary generation completed.
 * :class:`ModelUpdate` — the cost model refit on new measurements.
 * :class:`CacheEvent` — memoization activity over a run window.
-* :class:`ServeRequest` — one schedule-server request resolved
-  (hit / miss / coalesced), with the search trials it cost.
 
 Every event carries ``ts`` on the telemetry clock
 (``time.perf_counter``), so exported timelines interleave events with
 spans on one time axis.  :class:`EventStream` is a bounded ring: once
-``max_events`` is reached the oldest in-memory events are dropped (and
-counted), while an attached :class:`JsonlSink` has already streamed
-every kept event to disk — long sessions never grow memory unboundedly.
+:data:`MAX_EVENTS` are held the oldest in-memory events are dropped
+(and counted), while an attached :class:`JsonlSink` has already
+streamed every event to disk — long sessions never grow memory
+unboundedly.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "JsonlSink",
     "ModelUpdate",
     "Rejection",
-    "ServeRequest",
     "TrialEvent",
     "event_to_json",
 ]
@@ -128,23 +127,6 @@ class CacheEvent:
     evictions: int = 0
 
 
-@dataclass
-class ServeRequest:
-    """One schedule-server request resolved.
-
-    ``source`` is the serving path (``"hit"`` / ``"miss"`` /
-    ``"coalesced"``), ``trials`` the search trials spent serving this
-    request (0 on hits and coalesced waiters), ``wait_seconds`` the
-    submit-to-resolve latency."""
-
-    kind: ClassVar[str] = "serve-request"
-    ts: float
-    workload: str
-    source: str
-    trials: int
-    wait_seconds: float
-
-
 def event_to_json(event) -> dict:
     """``{"kind": ..., <fields>}`` — the JSONL/artifact wire form."""
     out = {"kind": event.kind}
@@ -187,46 +169,26 @@ class JsonlSink:
         self.close()
 
 
-#: event kinds subject to ``sample_rate`` (the per-candidate firehose).
-SAMPLED_KINDS = ("rejection",)
+#: capacity of a recorder's in-memory event ring.
+MAX_EVENTS = 65536
 
 
 class EventStream:
-    """Bounded, thread-safe event collector with optional JSONL sink.
+    """Bounded, thread-safe event collector with optional JSONL sink."""
 
-    Sampling is deterministic: the *n*-th event of a sampled kind is
-    kept iff ``floor(n * rate) > floor((n-1) * rate)``, so two identical
-    runs keep identical events (no RNG involved, and the search RNG is
-    never touched).
-    """
-
-    def __init__(
-        self,
-        max_events: int = 65536,
-        sink: Optional[JsonlSink] = None,
-        sample_rate: float = 1.0,
-    ):
+    def __init__(self, max_events: int = MAX_EVENTS, sink: Optional[JsonlSink] = None):
         self.sink = sink
-        self.sample_rate = max(0.0, min(1.0, sample_rate))
         self.emitted = 0       # events offered
-        self.sampled_out = 0   # dropped by sampling (never reached memory/sink)
         self.dropped = 0       # evicted from the bounded in-memory ring
         self._lock = threading.Lock()
         self._events: deque = deque(maxlen=max_events)
-        self._kind_counts: Dict[str, int] = {}
 
-    def emit(self, event) -> bool:
-        """Record one event; returns whether it was kept (vs sampled out)."""
+    def emit(self, event) -> None:
+        """Record one event."""
         with self._lock:
             self.emitted += 1
-            if event.kind in SAMPLED_KINDS and self.sample_rate < 1.0:
-                n = self._kind_counts.get(event.kind, 0) + 1
-                self._kind_counts[event.kind] = n
-                if int(n * self.sample_rate) <= int((n - 1) * self.sample_rate):
-                    self.sampled_out += 1
-                    return False
             obj = event_to_json(event)
-            if self._events.maxlen and len(self._events) == self._events.maxlen:
+            if len(self._events) == self._events.maxlen:
                 self.dropped += 1
             self._events.append(obj)
         # The sink has its own lock; writing outside ours keeps emitters
@@ -234,7 +196,6 @@ class EventStream:
         # self-contained, so interleaving across threads is fine).
         if self.sink is not None:
             self.sink.write(obj)
-        return True
 
     def events(self, kind: Optional[str] = None) -> List[dict]:
         """A snapshot of the in-memory events (oldest first)."""
@@ -253,6 +214,5 @@ class EventStream:
             return {
                 "emitted": self.emitted,
                 "kept": len(self._events),
-                "sampled_out": self.sampled_out,
                 "dropped": self.dropped,
             }

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from .metrics import quantile
+
 __all__ = ["chrome_trace", "summarize", "diff_recordings", "serve_report"]
 
 
@@ -157,17 +159,9 @@ def _table(rows: List[List[str]], header: List[str]) -> str:
 
 
 def _rejection_mix(recording: dict) -> Dict[str, int]:
-    """Per-code rejection counts: prefer exact telemetry counters, fall
-    back to the (possibly sampled) event stream."""
-    counters = recording.get("telemetry", {}).get("counters", {})
-    prefix = "rejected_by_code."
-    mix = {
-        name[len(prefix):]: int(value)
-        for name, value in counters.items()
-        if name.startswith(prefix)
-    }
-    if mix:
-        return mix
+    """Per-code rejection counts from the recording's rejection events —
+    every rejection is recorded, so the mix is exact unless the bounded
+    ring dropped events (``event_stats["dropped"]``)."""
     out: Dict[str, int] = {}
     for event in recording.get("events", []):
         if event.get("kind") == "rejection":
@@ -200,9 +194,10 @@ def summarize(recording: dict) -> str:
     stats = recording.get("event_stats", {})
     trials = recording.get("trials", [])
     measured = [t for t in trials if t.get("cycles") is not None]
+    dropped = stats.get("dropped", 0)
     out.append(
         f"events: {stats.get('emitted', 0)} emitted, {stats.get('kept', 0)} kept, "
-        f"{stats.get('sampled_out', 0)} sampled out, {stats.get('dropped', 0)} dropped; "
+        f"{dropped} dropped; "
         f"trials: {len(trials)} recorded, {len(measured)} measured, "
         f"{sum(1 for t in measured if t.get('trace'))} with replayable traces"
     )
@@ -253,6 +248,11 @@ def summarize(recording: dict) -> str:
         ]
         out.append("")
         out.append(_table(rows, ["rejection", "count", "share"]))
+        if dropped:
+            out.append(
+                f"(from the kept events only: the bounded ring dropped "
+                f"{dropped} of {stats.get('emitted', 0)})"
+            )
     return "\n".join(out)
 
 
@@ -273,15 +273,11 @@ def serve_report(snapshot: dict) -> str:
     """A human-readable digest of one serving-metrics snapshot
     (:meth:`repro.obs.metrics.MetricsRegistry.snapshot`/``save``).
 
-    Histograms get count / mean / p50 / p95 / p99 rows — quantiles come
-    from the rolling window of raw observations when present (exact,
-    matching ``ScheduleServer.health()``), else interpolated from the
-    bucket counts.  Counters and gauges each get one table.
+    Histograms get count / mean / p50 / p95 / p99 rows — exact quantiles
+    of the rolling window of raw observations, by the rule
+    ``ScheduleServer.health()`` uses.  Counters and gauges each get one
+    table.
     """
-    from .metrics import quantile_from_buckets
-
-    import math
-
     metrics = snapshot.get("metrics", {})
     counter_rows: List[List[str]] = []
     gauge_rows: List[List[str]] = []
@@ -298,29 +294,10 @@ def serve_report(snapshot: dict) -> str:
                 count = int(value.get("count", 0))
                 total = float(value.get("sum", 0.0))
                 mean = total / count if count else None
-                window = sorted(value.get("window", []))
-
-                def _q(q: float) -> Optional[float]:
-                    if window:
-                        return window[min(len(window) - 1, int(q * len(window)))]
-                    cumulative, running = [], 0
-                    for bound, n in zip(
-                        value.get("bounds", []), value.get("bucket_counts", [])
-                    ):
-                        running += n
-                        cumulative.append((bound, running))
-                    cumulative.append((math.inf, count))
-                    return quantile_from_buckets(cumulative, q)
-
+                window = value.get("window", [])
                 hist_rows.append(
-                    [
-                        label,
-                        str(count),
-                        _fmt_seconds(mean),
-                        _fmt_seconds(_q(0.50)),
-                        _fmt_seconds(_q(0.95)),
-                        _fmt_seconds(_q(0.99)),
-                    ]
+                    [label, str(count), _fmt_seconds(mean)]
+                    + [_fmt_seconds(quantile(window, q)) for q in (0.50, 0.95, 0.99)]
                 )
     out = [f"serving metrics ({snapshot.get('namespace', 'repro')})"]
     if hist_rows:

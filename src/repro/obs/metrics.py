@@ -12,7 +12,8 @@ dependencies:
 * :class:`Histogram` — fixed-bucket distributions with cumulative
   bucket counts, sum and count, plus a bounded **rolling window** of
   raw observations for exact recent quantiles (the ``health()``
-  p50/p95/p99 source).
+  p50/p95/p99 source).  Every quantile reported anywhere is
+  :func:`quantile` over such a window.
 
 Instruments are created through a :class:`MetricsRegistry` as **labeled
 families** (``registry.histogram("serve_latency_seconds",
@@ -33,6 +34,11 @@ all three work for every instrument type, so dashboards, the
 Every instrument updates its state under its own lock: an increment or
 an observation is never lost and never half-applied, and a reader
 always sees the buckets, sum, count and window agree.
+
+The registry holds the server's own measurements only.  Counts kept
+elsewhere are read there: cache activity from :mod:`repro.cache` (the
+server's ``cache_hit_rate`` gauge samples it live), evaluator activity
+from ``Evaluator.counters()``, per-search counts from ``SearchStats``.
 """
 
 from __future__ import annotations
@@ -55,9 +61,7 @@ __all__ = [
     "MAX_LABEL_SETS",
     "OVERFLOW_LABEL",
     "render_prometheus",
-    "quantile_from_buckets",
-    "fold_cache_delta",
-    "fold_evaluator_counters",
+    "quantile",
 ]
 
 #: fixed latency bucket upper bounds (seconds): log-spaced from 10 µs to
@@ -147,8 +151,7 @@ class Histogram:
     Bucket counts are **cumulative** (Prometheus ``le`` semantics): the
     count for bound ``b`` is the number of observations ``<= b``; the
     implicit ``+Inf`` bucket equals ``count``.  The rolling window keeps
-    the last ``window`` raw observations for exact recent quantiles;
-    :meth:`quantile` interpolates over the full bucket distribution.
+    the last ``window`` raw observations for exact recent quantiles.
     """
 
     kind = "histogram"
@@ -203,12 +206,6 @@ class Histogram:
         out.append((math.inf, total))
         return out
 
-    def quantile(self, q: float) -> Optional[float]:
-        """The q-quantile interpolated over the full bucket distribution
-        (``None`` when empty).  Consistent by construction with the
-        exported cumulative counts — what ``health()`` must agree with."""
-        return quantile_from_buckets(self.cumulative(), q)
-
     def window_values(self) -> List[float]:
         with self._lock:
             return list(self._window)
@@ -216,12 +213,7 @@ class Histogram:
     def window_quantile(self, q: float) -> Optional[float]:
         """Exact q-quantile over the rolling window of recent raw
         observations (``None`` when empty)."""
-        values = sorted(self.window_values())
-        if not values:
-            return None
-        q = min(max(q, 0.0), 1.0)
-        index = min(len(values) - 1, int(q * len(values)))
-        return values[index]
+        return quantile(self.window_values(), q)
 
     def to_json(self) -> dict:
         with self._lock:
@@ -234,35 +226,15 @@ class Histogram:
             }
 
 
-def quantile_from_buckets(
-    cumulative: Sequence[Tuple[float, int]], q: float
-) -> Optional[float]:
-    """Linear-interpolated quantile from cumulative ``(le, count)`` rows.
-
-    The standard Prometheus ``histogram_quantile`` estimator: find the
-    first bucket whose cumulative count reaches ``q * total`` and
-    interpolate inside it (the lowest bucket interpolates from 0; a
-    quantile landing in ``+Inf`` returns the largest finite bound).
-    """
-    if not cumulative:
+def quantile(values: Sequence[float], q: float) -> Optional[float]:
+    """The exact q-quantile of raw observations (``None`` when empty):
+    the value at rank ``int(q * n)`` of the sorted values, capped at the
+    largest."""
+    if not values:
         return None
-    total = cumulative[-1][1]
-    if total <= 0:
-        return None
+    ordered = sorted(values)
     q = min(max(q, 0.0), 1.0)
-    rank = q * total
-    prev_bound, prev_count = 0.0, 0
-    for bound, count in cumulative:
-        if count >= rank:
-            if math.isinf(bound):
-                finite = [b for b, _ in cumulative if not math.isinf(b)]
-                return finite[-1] if finite else None
-            if count == prev_count:
-                return bound
-            fraction = (rank - prev_count) / (count - prev_count)
-            return prev_bound + fraction * (bound - prev_bound)
-        prev_bound, prev_count = bound, count
-    return None
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
 class MetricFamily:
@@ -341,9 +313,6 @@ class MetricFamily:
     @property
     def value(self):
         return self._solo().value
-
-    def quantile(self, q: float):
-        return self._solo().quantile(q)
 
     def window_quantile(self, q: float):
         return self._solo().window_quantile(q)
@@ -569,6 +538,7 @@ class MetricsRegistry:
                             n - p
                             for n, p in zip(value["bucket_counts"], prev_buckets)
                         ],
+                        "window": value["window"],
                     }
             if series_out:
                 out["metrics"][name] = {**family, "series": series_out}
@@ -637,77 +607,3 @@ def render_prometheus(snapshot: dict) -> str:
             )
             lines.append(f"{full}_count{_prom_labels(pairs)} {value['count']}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-# ---------------------------------------------------------------------------
-# folds: the single source of truth for cache + evaluator accounting
-# ---------------------------------------------------------------------------
-
-
-def fold_cache_delta(registry: MetricsRegistry, delta: Dict[str, Dict[str, float]]) -> None:
-    """Fold one :func:`repro.cache.delta_since` window into ``registry``.
-
-    The one spelling of cache accounting: one labeled counter family
-    per event kind (``cache_hits_total{name=...}`` etc.).  Both the
-    flight recorder and the tuning session route through this, so the
-    registry is the single source of truth.
-    """
-    if not delta:
-        return
-    hits = registry.counter(
-        "cache_hits_total", "memo cache hits", labels=("name",)
-    )
-    misses = registry.counter(
-        "cache_misses_total", "memo cache misses", labels=("name",)
-    )
-    evictions = registry.counter(
-        "cache_evictions_total", "memo cache evictions", labels=("name",)
-    )
-    for name, counts in sorted(delta.items()):
-        if counts.get("hits"):
-            hits.labels(name=name).inc(counts["hits"])
-        if counts.get("misses"):
-            misses.labels(name=name).inc(counts["misses"])
-        if counts.get("evictions"):
-            evictions.labels(name=name).inc(counts["evictions"])
-
-
-def fold_evaluator_counters(
-    registry: MetricsRegistry,
-    name: str,
-    workers: int,
-    counters: Dict[str, float],
-) -> None:
-    """Fold one evaluation backend's occupancy/latency counters into
-    ``registry`` (labeled by backend; ``workers`` rides as a gauge).
-
-    The canonical home of evaluator accounting — the flight recorder's
-    ``meta["evaluators"]`` side channel is fed from the same numbers.
-    """
-    if not counters:
-        return
-    batches = registry.counter(
-        "evaluator_batches_total", "candidate batches evaluated", labels=("backend",)
-    )
-    candidates = registry.counter(
-        "evaluator_candidates_total", "candidates evaluated", labels=("backend",)
-    )
-    busy = registry.counter(
-        "evaluator_busy_seconds_total", "evaluator busy time", labels=("backend",)
-    )
-    ipc = registry.counter(
-        "evaluator_ipc_batches_total", "process-pool IPC round-trips",
-        labels=("backend",),
-    )
-    pool = registry.gauge(
-        "evaluator_pool_workers", "evaluation pool width", labels=("backend",)
-    )
-    if counters.get("batches"):
-        batches.labels(backend=name).inc(counters["batches"])
-    if counters.get("candidates"):
-        candidates.labels(backend=name).inc(counters["candidates"])
-    if counters.get("busy_seconds"):
-        busy.labels(backend=name).inc(counters["busy_seconds"])
-    if counters.get("ipc_batches"):
-        ipc.labels(backend=name).inc(counters["ipc_batches"])
-    pool.labels(backend=name).set(workers)

@@ -11,8 +11,12 @@ A :class:`Recorder` is threaded through ``tune`` /
   the program: workload key, sketch, generation index, mutation lineage
   (parent trial id), the decision vector, the serialized schedule
   :class:`~repro.schedule.trace.Trace` and the program's
-  ``structural_hash``,
-* the live callbacks (``on_generation`` / ``on_best_improved``).
+  ``structural_hash``.
+
+It records what happened in a run, not a second copy of its counts:
+per-search counts live in :class:`~repro.meta.search.SearchStats`,
+cache activity in :mod:`repro.cache` (a run's window arrives here as
+:class:`~repro.obs.events.CacheEvent` rows).
 
 Disabled (the default), every method returns immediately — the search
 hot path pays only an attribute check.  All methods are thread-safe;
@@ -45,7 +49,6 @@ from .events import (
     JsonlSink,
     ModelUpdate,
     Rejection,
-    ServeRequest,
     TrialEvent,
 )
 
@@ -117,29 +120,17 @@ class Recorder:
         config: Optional[ObsConfig] = None,
         telemetry=None,
         clock=time.perf_counter,
-        metrics=None,
     ):
         self.config = config or ObsConfig()
         self.enabled = bool(self.config.enabled)
         self.telemetry = telemetry
-        #: optional :class:`repro.obs.metrics.MetricsRegistry` — when
-        #: set, cache windows handed to :meth:`record_cache_delta` are
-        #: folded into it (the single source of truth for cache
-        #: accounting) even while event recording is off.  Folding never
-        #: touches the event stream or the trial ledger, so recordings
-        #: stay hash-identical with or without a registry.
-        self.metrics = metrics
         self._clock = clock
         self.sink = (
             JsonlSink(self.config.sink_path)
             if self.enabled and self.config.sink_path
             else None
         )
-        self.stream = EventStream(
-            max_events=self.config.max_events,
-            sink=self.sink,
-            sample_rate=self.config.sample_rate,
-        )
+        self.stream = EventStream(sink=self.sink)
         self.trials: List[TrialRecord] = []
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
@@ -147,7 +138,6 @@ class Recorder:
         #: perf_counter timestamps in absolute time.
         self.created_unix = time.time()
         self.created_clock = clock()
-        self.meta: Dict[str, object] = {}
 
     # -- trial provenance ----------------------------------------------
     def trial(
@@ -196,12 +186,7 @@ class Recorder:
         )
         if func is not None:
             record.structural_hash = structural_hash(func)
-        if (
-            self.config.record_traces
-            and cycles is not None
-            and base_func is not None
-            and sketch_obj is not None
-        ):
+        if cycles is not None and base_func is not None and sketch_obj is not None:
             record.trace = self._serialize_trace(base_func, sketch_obj, decisions)
         with self._lock:
             self.trials.append(record)
@@ -272,15 +257,12 @@ class Recorder:
     ) -> None:
         if not self.enabled:
             return
-        event = BestImproved(
-            ts=self._clock(), task=task, trial_id=trial_id,
-            cycles=cycles, previous=previous,
+        self.stream.emit(
+            BestImproved(
+                ts=self._clock(), task=task, trial_id=trial_id,
+                cycles=cycles, previous=previous,
+            )
         )
-        self.stream.emit(event)
-        if self.config.on_best_improved is not None:
-            from .events import event_to_json
-
-            self.config.on_best_improved(event_to_json(event))
 
     def generation_end(
         self,
@@ -295,26 +277,10 @@ class Recorder:
             return
         if best_cycles is not None and best_cycles == float("inf"):
             best_cycles = None
-        event = GenerationEnd(
-            ts=self._clock(), task=task, sketch=sketch, index=index,
-            pool=pool, measured=measured, best_cycles=best_cycles,
-        )
-        self.stream.emit(event)
-        if self.config.on_generation is not None:
-            from .events import event_to_json
-
-            self.config.on_generation(event_to_json(event))
-
-    def serve_request(
-        self, workload: str, source: str, trials: int, wait_seconds: float
-    ) -> None:
-        """One schedule-server request resolved (hit/miss/coalesced)."""
-        if not self.enabled:
-            return
         self.stream.emit(
-            ServeRequest(
-                ts=self._clock(), workload=workload, source=source,
-                trials=trials, wait_seconds=wait_seconds,
+            GenerationEnd(
+                ts=self._clock(), task=task, sketch=sketch, index=index,
+                pool=pool, measured=measured, best_cycles=best_cycles,
             )
         )
 
@@ -325,33 +291,9 @@ class Recorder:
             ModelUpdate(ts=self._clock(), samples=samples, trained=trained)
         )
 
-    def record_evaluator(
-        self, name: str, workers: int, counters: Dict[str, float]
-    ) -> None:
-        """Fold one search's evaluation-backend occupancy/latency
-        counters into the recording's **meta** section.
-
-        Deliberately *not* an event: the event stream and trial ledger
-        must stay hash-identical across evaluation backends, so backend
-        identity and timing live only in this side channel.
-        """
-        if not self.enabled:
-            return
-        with self._lock:
-            backends = self.meta.setdefault("evaluators", {})
-            slot = backends.setdefault(f"{name}x{workers}", {})
-            for key, value in counters.items():
-                slot[key] = slot.get(key, 0) + value
-
     def record_cache_delta(self, delta: Dict[str, Dict[str, float]]) -> None:
         """One :class:`CacheEvent` per cache active in a run window
-        (fed from :func:`repro.cache.delta_since`) — and the same window
-        folded into the bound metrics registry, which works even while
-        event recording is off."""
-        if self.metrics is not None and delta:
-            from .metrics import fold_cache_delta
-
-            fold_cache_delta(self.metrics, delta)
+        (fed from :func:`repro.cache.delta_since`)."""
         if not self.enabled:
             return
         now = self._clock()
@@ -376,7 +318,6 @@ class Recorder:
             "created_unix": self.created_unix,
             "clock_anchor": self.created_clock,
             "config": self.config.to_json(),
-            "meta": dict(self.meta),
             "events": self.stream.events(),
             "event_stats": self.stream.stats(),
             "trials": trials,
@@ -439,7 +380,7 @@ def replay_trial(record, base_func):
     if trace_json is None:
         raise ValueError(
             f"trial {record.get('trial_id')} has no serialized trace "
-            "(recorded with record_traces=False, or never measured)"
+            "(never measured)"
         )
     sch = Schedule(base_func, seed=0, record_trace=False)
     Trace.from_json(trace_json).apply_to(sch)

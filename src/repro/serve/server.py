@@ -17,10 +17,13 @@ stack.  Requests name a ``PrimFunc`` workload; the server answers
 With a :class:`~repro.meta.database.PersistentDatabase` behind it every
 tuned entry is committed to disk the moment its task finishes; a server
 restarted on the same directory serves byte-identical programs without
-re-tuning.  Request counts are exposed via :meth:`stats`, response
-latencies by outcome via the ``serve_latency_seconds`` histograms of
-:attr:`ScheduleServer.metrics`, and each request leaves a span in the
-server's :class:`~repro.meta.telemetry.Telemetry`.
+re-tuning.  Each count has one store: request counts in :meth:`stats`,
+responses by outcome in the ``serve_latency_seconds`` histograms of
+:attr:`ScheduleServer.metrics`, memo-cache activity in
+:mod:`repro.cache` (read live by the ``cache_hit_rate`` gauge), and
+each request leaves a span in the server's
+:class:`~repro.meta.telemetry.Telemetry`.  Every waiter is resolved:
+a failure while serving one waiter fails that waiter alone.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ from ..meta.database import (
     TuningDatabase,
     workload_key,
 )
-from ..meta.session import TuningSession
+from ..meta.session import TaskReport, TuningSession
 from ..meta.telemetry import Telemetry
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, quantile
 from ..sim import Target
 from ..tir import PrimFunc
 from ..tir.printer import script
@@ -85,7 +88,6 @@ class ScheduleServer:
         *,
         database: Optional[Database] = None,
         telemetry: Optional[Telemetry] = None,
-        recorder=None,
     ):
         self.target = target
         self.config = config or ServeConfig()
@@ -100,7 +102,6 @@ class ScheduleServer:
         else:
             self.database = TuningDatabase()
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.recorder = recorder
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._stats = ServerStats()
@@ -349,7 +350,6 @@ class ScheduleServer:
                 database=self.database,
                 telemetry=self.telemetry,
                 provenance="serve",
-                metrics=self.metrics,
             )
             for key, func in funcs.items():
                 session.add(func, name=key)
@@ -365,39 +365,51 @@ class ScheduleServer:
             if pending is None:  # pragma: no cover — defensive
                 continue
             for index, (future, request) in enumerate(pending.waiters):
-                if entry is None:
-                    with self._lock:
-                        self._stats.failures += 1
-                    self._m_failures.inc()
-                    future.set_exception(
-                        RuntimeError(
-                            f"tuning failed for workload {key}: "
-                            f"{task.error or 'no database entry'}"
-                        )
-                    )
-                    continue
-                source = "miss" if index == 0 else "coalesced"
-                trials = task.measured if index == 0 else 0
-                response = self._respond(request, entry, source, trials=trials)
-                if response is None and request.bucket_key == key:
-                    # The freshly tuned representative's decisions do
-                    # not adapt to this waiter's concrete shape: tune
-                    # the concrete shape itself (TIR702).
-                    fresh = self._fresh_tune(request)
-                    if fresh is not None:
-                        fresh_entry, measured = fresh
-                        response = self._respond(
-                            request, fresh_entry, source, trials=measured
-                        )
-                if response is None:
-                    with self._lock:
-                        self._stats.failures += 1
-                    self._m_failures.inc()
-                    future.set_exception(
-                        RuntimeError(f"replay failed for workload {key}")
-                    )
+                try:
+                    response = self._serve_waiter(key, entry, task, index, request)
+                except Exception as err:  # noqa: BLE001 — fails this waiter only
+                    self._fail(future, err)
                 else:
                     future.set_result(response)
+
+    def _serve_waiter(
+        self,
+        key: str,
+        entry: Optional[DatabaseEntry],
+        task: TaskReport,
+        index: int,
+        request: CompileRequest,
+    ) -> CompileResponse:
+        """The response for the ``index``-th waiter on ``key`` after its
+        batch's tuning run (``task`` is the run's report row for it);
+        raises when the run left nothing to serve."""
+        if entry is None:
+            raise RuntimeError(
+                f"tuning failed for workload {key}: "
+                f"{task.error or 'no database entry'}"
+            )
+        source = "miss" if index == 0 else "coalesced"
+        trials = task.measured if index == 0 else 0
+        response = self._respond(request, entry, source, trials=trials)
+        if response is None and request.bucket_key == key:
+            # The freshly tuned representative's decisions do not adapt
+            # to this waiter's concrete shape: tune the concrete shape
+            # itself (TIR702).
+            fresh = self._fresh_tune(request)
+            if fresh is not None:
+                fresh_entry, measured = fresh
+                response = self._respond(request, fresh_entry, source, trials=measured)
+        if response is None:
+            raise RuntimeError(f"replay failed for workload {key}")
+        return response
+
+    def _fail(self, future: Future, err: Exception) -> None:
+        """Resolve one waiter with ``err`` and count the failure."""
+        with self._lock:
+            self._stats.failures += 1
+        self._m_failures.inc()
+        if not future.done():
+            future.set_exception(err)
 
     def _fail_batch(self, keys: List[str], err: Exception) -> None:
         for key in keys:
@@ -406,11 +418,7 @@ class ScheduleServer:
             if pending is None:
                 continue
             for future, _request in pending.waiters:
-                with self._lock:
-                    self._stats.failures += 1
-                self._m_failures.inc()
-                if not future.done():
-                    future.set_exception(err)
+                self._fail(future, err)
 
     def _fresh_tune(self, request: CompileRequest) -> Optional[Tuple[DatabaseEntry, int]]:
         """Tune the request's concrete shape after an infeasible bucket
@@ -487,8 +495,6 @@ class ScheduleServer:
                 start=request.submitted_at, request=request.request_id,
             )
         self._m_lat_out[source].observe(wait)
-        if self.recorder is not None:
-            self.recorder.serve_request(request.key, source, trials, wait)
         return CompileResponse(
             request_id=request.request_id,
             key=request.key,
@@ -533,15 +539,7 @@ class ScheduleServer:
             hits = self._stats.hits
             bucket_hits = self._stats.bucket_hits
             pending = len(self._pending)
-        window = sorted(
-            v for child in self._m_lat_out.values() for v in child.window_values()
-        )
-
-        def _q(q: float) -> Optional[float]:
-            if not window:
-                return None
-            return window[min(len(window) - 1, int(q * len(window)))]
-
+        window = [v for child in self._m_lat_out.values() for v in child.window_values()]
         return {
             "status": "closed" if self._closed else "ok",
             "uptime_seconds": time.time() - self._started_unix,
@@ -551,9 +549,9 @@ class ScheduleServer:
             "hit_rate": (hits + bucket_hits) / requests if requests else 0.0,
             "pending_workloads": pending,
             "window_size": len(window),
-            "p50_seconds": _q(0.50),
-            "p95_seconds": _q(0.95),
-            "p99_seconds": _q(0.99),
+            "p50_seconds": quantile(window, 0.50),
+            "p95_seconds": quantile(window, 0.95),
+            "p99_seconds": quantile(window, 0.99),
         }
 
     def close(self, timeout: Optional[float] = 10.0) -> None:

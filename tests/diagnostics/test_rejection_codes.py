@@ -1,13 +1,13 @@
 """Rejection accounting: the evolutionary search groups invalid
-candidates by diagnostic code, the Telemetry folds the counters, and
-the SessionReport exposes them as ``invalid_by_code``."""
+candidates by diagnostic code in its ``SearchStats``, and the
+SessionReport sums those over the run's searches as ``invalid_by_code``."""
 
 import json
 import re
 
 import pytest
 
-from repro import Telemetry, TuneConfig, TuningSession, tune
+from repro import TuneConfig, TuningSession, tune
 from repro.frontend import ops
 from repro.meta import SearchStats
 from repro.sim import SimGPU
@@ -31,24 +31,18 @@ class TestSearchStats:
         a.merge(b)
         assert dict(a.rejected_by_code) == {"TIR105": 3, "TIR401": 4}
 
-    def test_telemetry_absorbs_mapping_fields(self):
-        stats = SearchStats()
-        stats.rejected_by_code["TIR105"] = 3
-        stats.rejected_by_code["TIR401"] = 1
-        telemetry = Telemetry()
-        telemetry.absorb_stats(stats)
-        telemetry.absorb_stats(stats)
-        counters = telemetry.counters_by_prefix("rejected_by_code")
-        assert counters == {"TIR105": 6, "TIR401": 2}
-
 
 class TestSessionReport:
     @pytest.fixture(scope="class")
-    def report(self):
+    def run(self):
         session = TuningSession(SimGPU(), TuneConfig(trials=6, seed=0))
         session.add(ops.matmul(128, 128, 128), name="a")
         session.add(ops.matmul(64, 64, 256), name="b")
-        return session.run()
+        return session, session.run()
+
+    @pytest.fixture(scope="class")
+    def report(self, run):
+        return run[1]
 
     def test_invalid_by_code_present_and_typed(self, report):
         assert all(_CODE.match(code) for code in report.invalid_by_code)
@@ -57,9 +51,14 @@ class TestSessionReport:
             for count in report.invalid_by_code.values()
         )
 
-    def test_counts_match_rejection_counters(self, report):
-        counters = report.telemetry["counters"]
-        rejected = counters.get("invalid_rejected", 0) + counters.get("apply_failed", 0)
+    def test_counts_match_rejection_counters(self, run):
+        session, report = run
+        # Both tasks were searched: the report sums their searches' stats.
+        summed = SearchStats()
+        for name in ("a", "b"):
+            summed.merge(session.results[name].stats)
+        assert report.invalid_by_code == dict(summed.rejected_by_code)
+        rejected = summed.invalid_rejected + summed.apply_failed
         assert sum(report.invalid_by_code.values()) == rejected
         # This config does reject candidates — the breakdown is not
         # vacuously empty.

@@ -8,12 +8,15 @@ sketch constraint that cannot hold at the concrete shape surfaces as
 wrong program.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.diagnostics import DiagnosticContext
 from repro.frontend import ops
 from repro.frontend.shapes import BucketSpec, canonicalize
+import repro.meta.session as session_module
 from repro.meta import TuneConfig, TuningDatabase, TuningSession, tune
 from repro.meta.database import workload_key
 from repro.runtime import run as run_program
@@ -200,6 +203,36 @@ class TestSessionBuckets:
         # The fallback task still produced a working program.
         by_name = {t.name: t for t in report.tasks}
         assert by_name["fallback"].cycles > 0
+
+    def test_invalid_by_code_sums_representative_and_fallback_searches(
+        self, monkeypatch
+    ):
+        # An in-bucket task whose adaptive replay is infeasible runs two
+        # searches: the representative's, then a fresh tune at its own
+        # shape, whose result replaces the first in ``session.results``.
+        # The report's rejections cover both.
+        searches = []
+
+        def recording_tune(*args, **kwargs):
+            searches.append(tune(*args, **kwargs))
+            return searches[-1]
+
+        monkeypatch.setattr(session_module, "tune", recording_tune)
+        database = TuningDatabase()
+        monkeypatch.setattr(database, "replay_bucketed", lambda *a, **k: None)
+        session = TuningSession(
+            SimGPU(), CONFIG, database=database, buckets=BucketSpec.pow2("n")
+        )
+        session.add(_conv(3), name="fallback")
+        report = session.run()
+        assert report.totals["tasks_bucket_fallback"] == 1.0
+        assert len(searches) == 2
+        assert session.results["fallback"] is searches[1]
+        summed = Counter()
+        for result in searches:
+            summed.update(result.stats.rejected_by_code)
+        assert report.invalid_by_code == dict(summed)
+        assert sum(searches[0].stats.rejected_by_code.values()) > 0
 
     def test_no_buckets_keeps_exact_semantics(self):
         target = SimGPU()

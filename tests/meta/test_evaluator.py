@@ -120,7 +120,7 @@ class TestPickleBoundary:
         assert clone.search_workers == 3
 
     def test_obs_config_round_trip(self):
-        config = ObsConfig(enabled=True, max_events=123, sample_rate=0.5)
+        config = ObsConfig(enabled=True, sink_path="run.jsonl")
         clone = pickle.loads(pickle.dumps(config))
         assert clone == config
 
@@ -163,36 +163,34 @@ class TestProtocolSurface:
     def test_occupancy_counters_accumulate(self):
         ev = SerialEvaluator()
         _search(ev)
-        counters = ev.counters()
-        assert counters["batches"] > 0
-        assert counters["candidates"] >= counters["batches"]
-        assert counters["busy_seconds"] > 0
+        assert ev.counters()["busy_seconds"] > 0
 
     def test_search_folds_counters_into_telemetry(self):
-        """The backend's counters reach the recorder's meta section, and
-        only there: Telemetry carries no ``evaluator.*`` copy."""
+        """Batches and candidates are counted once, in the search's
+        ``SearchStats``: the backend keeps only its own busy time and
+        Telemetry only spans."""
         telemetry = Telemetry()
-        config = TuneConfig(trials=4, population=4, seed=0, obs=ObsConfig(enabled=True))
-        recorder = Recorder(config.obs)
         evaluator = SerialEvaluator()
         func = build_matmul(64, 64, 64, dtype="float16")
         repro_cache.clear_all()
-        evolutionary_search(
+        result = evolutionary_search(
             func,
             TensorCoreSketch(),
             SimGPU(),
-            config,
+            TuneConfig(trials=4, population=4, seed=0),
             telemetry=telemetry,
-            recorder=recorder,
             evaluator=evaluator,
         )
-        folded = recorder.meta["evaluators"]["serialx1"]
-        counters = evaluator.counters()
-        assert folded["batches"] == counters["batches"] > 0
-        assert folded["candidates"] == counters["candidates"] > 0
-        assert not [k for k in telemetry.counters if k.startswith("evaluator.")]
+        stats = result.stats
+        assert 0 < stats.eval_batches <= stats.eval_batch_candidates
+        assert stats.eval_batch_candidates == stats.candidates_generated
+        assert set(evaluator.counters()) == {"busy_seconds"}
+        assert set(telemetry.report()) == {"spans", "stage_seconds"}
 
     def test_recorder_meta_carries_backend_but_not_events(self, process_pool):
+        """Batch and candidate counts are a function of the search stream,
+        not the backend; only worker slots scale with the pool.  The
+        recorded event stream is identical across backends."""
         config = TuneConfig(
             trials=4, population=4, seed=0, obs=ObsConfig(enabled=True)
         )
@@ -201,21 +199,22 @@ class TestProtocolSurface:
         def run(evaluator):
             recorder = Recorder(config.obs)
             repro_cache.clear_all()
-            evolutionary_search(
+            result = evolutionary_search(
                 func, TensorCoreSketch(), SimGPU(), config,
                 recorder=recorder, evaluator=evaluator,
             )
-            return recorder
+            return result.stats, recorder
 
-        serial = run(SerialEvaluator())
-        processes = run(process_pool)
-        assert "serialx1" in serial.meta["evaluators"]
-        assert serial.meta["evaluators"]["serialx1"]["candidates"] > 0
-        assert "processesx2" in processes.meta["evaluators"]
-        # Backend identity lives only in meta: the event stream itself
-        # must be identical across backends (the hash-identity contract).
-        serial_kinds = [e.get("kind") for e in serial.stream.events()]
-        process_kinds = [e.get("kind") for e in processes.stream.events()]
+        (serial, serial_rec), (processes, process_rec) = (
+            run(SerialEvaluator()), run(process_pool)
+        )
+        assert serial.eval_batch_candidates > 0
+        assert (serial.eval_batches, serial.eval_batch_candidates) == (
+            processes.eval_batches, processes.eval_batch_candidates
+        )
+        assert processes.eval_batch_slots == 2 * serial.eval_batch_slots
+        serial_kinds = [e.get("kind") for e in serial_rec.stream.events()]
+        process_kinds = [e.get("kind") for e in process_rec.stream.events()]
         assert serial_kinds == process_kinds
 
 

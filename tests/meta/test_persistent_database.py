@@ -81,6 +81,14 @@ class TestRoundTrip:
         assert len(lines) == 1
         assert lines[0]["schema"] == DB_SCHEMA
         assert lines[0]["key"] == "k" * 24
+        assert "trace" not in lines[0]
+        # Records written while entries still carried a ``trace`` field
+        # load unchanged: the loader drops keys it does not know.
+        with open(path, "w") as f:
+            f.write(json.dumps(dict(lines[0], trace=None)) + "\n")
+        reloaded = PersistentDatabase(str(tmp_path / "db"))
+        assert reloaded.get("k" * 24) == _entry("k" * 24)
+        assert reloaded.diagnostics == []
 
     def test_put_keeps_best(self, tmp_path):
         db = PersistentDatabase(str(tmp_path / "db"))

@@ -132,8 +132,6 @@ class TestDedupAndReplay:
         assert report.totals["tasks_searched"] == 3
         assert report.totals["tasks_replayed"] == 1
         assert report.totals["tasks_failed"] == 0
-        assert report.telemetry["counters"]["tasks_searched"] == 3
-        assert report.telemetry["counters"]["tasks_replayed"] == 1
 
     def test_replay_matches_search(self, session_report):
         _, report = session_report
@@ -262,29 +260,23 @@ class TestTelemetryReport:
 
     def test_sessions_sharing_telemetry_report_only_their_run(self):
         """A collector that outlives its sessions (a server's) must not
-        leak one session's spans or counters into the next report."""
+        leak one session's spans or rejections into the next report."""
         telemetry = Telemetry()
-        reports = []
+        runs = []
         for n in (64, 128):
             session = TuningSession(SimGPU(), TuneConfig(trials=4, seed=0), telemetry=telemetry)
-            session.add(ops.matmul(n, n, n))
-            reports.append(session.run())
+            name = session.add(ops.matmul(n, n, n))
+            runs.append((session.run(), session.results[name].stats))
+        reports = [r for r, _ in runs]
         span_ids = [{s["span_id"] for s in r.telemetry["spans"]} for r in reports]
         assert span_ids[0] and span_ids[1] and not span_ids[0] & span_ids[1]
         assert len(span_ids[0]) + len(span_ids[1]) == len(telemetry.spans)
-        for r in reports:
+        for r, stats in runs:
             assert [s["stage"] for s in r.telemetry["spans"]].count("session") == 1
-            assert r.telemetry["counters"]["tasks_searched"] == 1
             assert r.totals["tasks_searched"] == 1
-        assert telemetry.counters["tasks_searched"] == 2
-        for name, total in telemetry.counters.items():
-            assert sum(r.telemetry["counters"].get(name, 0) for r in reports) == (
-                pytest.approx(total)
-            ), name
-        rejected = telemetry.counters_by_prefix("rejected_by_code")
-        assert {
-            code: sum(r.invalid_by_code.get(code, 0) for r in reports) for code in rejected
-        } == rejected
+            # Each report's rejections are its own search's, not a
+            # running total over every session.
+            assert r.invalid_by_code == dict(stats.rejected_by_code)
 
 
 class TestBudgetAllocation:

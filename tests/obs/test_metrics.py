@@ -20,9 +20,7 @@ from repro.obs.metrics import (
     MAX_LABEL_SETS,
     OVERFLOW_LABEL,
     MetricsRegistry,
-    fold_cache_delta,
-    fold_evaluator_counters,
-    quantile_from_buckets,
+    quantile,
     render_prometheus,
 )
 
@@ -114,11 +112,14 @@ class TestHistogram:
         reg = MetricsRegistry()
         h = reg.histogram("q_seconds", buckets=DEFAULT_LATENCY_BUCKETS)
         assert h.labels().window_quantile(0.5) is None
-        assert h.labels().quantile(0.5) is None
-        for value in [0.001] * 50 + [0.1] * 50:
+        for value in [0.1] * 50 + [0.001] * 50:
             h.observe(value)
-        assert h.labels().window_quantile(0.5) in (0.001, 0.1)
-        assert 0.0005 < h.labels().quantile(0.5) <= 0.1
+        # The one rule: rank int(q * n) of the sorted window, capped.
+        assert h.labels().window_quantile(0.49) == 0.001
+        assert h.labels().window_quantile(0.5) == 0.1
+        assert h.labels().window_quantile(1.0) == 0.1
+        assert quantile([3.0, 1.0, 2.0], 0.5) == 2.0
+        assert quantile([], 0.5) is None
 
     def test_staged_observes_exact_under_threads(self):
         reg = MetricsRegistry()
@@ -134,20 +135,6 @@ class TestHistogram:
         assert h.labels().count == per_thread * threads
         assert h.labels().cumulative()[0] == (1.0, per_thread * threads)
         assert h.labels().sum == 0.5 * per_thread * threads
-
-
-class TestQuantileFromBuckets:
-    def test_interpolates_inside_bucket(self):
-        rows = [(1.0, 0), (2.0, 10), (math.inf, 10)]
-        assert quantile_from_buckets(rows, 0.5) == pytest.approx(1.5)
-
-    def test_inf_bucket_returns_last_finite_bound(self):
-        rows = [(1.0, 0), (math.inf, 10)]
-        assert quantile_from_buckets(rows, 0.99) == 1.0
-
-    def test_empty_returns_none(self):
-        assert quantile_from_buckets([], 0.5) is None
-        assert quantile_from_buckets([(1.0, 0), (math.inf, 0)], 0.5) is None
 
 
 class TestLabels:
@@ -286,26 +273,3 @@ class TestRegistryReads:
         reg = MetricsRegistry()
         g = reg.gauge("dead_depth", fn=lambda: 1 / 0)
         assert g.value == 0.0
-
-
-class TestFolds:
-    def test_fold_cache_delta_is_canonical_spelling(self):
-        reg = MetricsRegistry()
-        fold_cache_delta(
-            reg,
-            {"memo": {"hits": 3, "misses": 1, "evictions": 0}},
-        )
-        snap = reg.snapshot()["metrics"]
-        assert snap["cache_hits_total"]["series"] == {"name=memo": 3.0}
-        assert snap["cache_misses_total"]["series"] == {"name=memo": 1.0}
-        assert "name=memo" not in snap.get(
-            "cache_evictions_total", {}
-        ).get("series", {})
-
-    def test_fold_evaluator_counters(self):
-        reg = MetricsRegistry()
-        fold_evaluator_counters(
-            reg, "process-pool", 4, {"ipc_batches": 2, "evaluated": 64}
-        )
-        snap = reg.snapshot()["metrics"]
-        assert any(name.startswith("evaluator_") for name in snap)

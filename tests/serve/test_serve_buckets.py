@@ -82,7 +82,6 @@ class TestBucketHits:
             server.compile(_matmul(64))
             server.compile(_matmul(56))
             assert server.stats().bucket_hits == 1
-        assert not [name for name in telemetry.counters if name.startswith("serve.")]
         assert sum(s.stage == "serve-request" for s in telemetry.spans) == 2
 
     def test_exact_serving_unchanged_without_buckets(self):

@@ -6,18 +6,15 @@ produces a torn read, the ``serve_latency_seconds`` counts sum to the
 exact number of responses served, ``health()`` percentiles are exact
 quantiles of the pooled latency windows, every response carries a
 unique request-scoped trace id whose span tree survives the
-Chrome-trace export, and binding a metrics registry never changes what
-a tuning run records.
+Chrome-trace export.
 """
 
-import json
 import threading
 
 from repro.frontend import ops
 from repro.meta import Telemetry, TuneConfig
-from repro.meta.session import TuningSession
-from repro.obs import ObsConfig, Recorder, chrome_trace
-from repro.obs.metrics import DEFAULT_WINDOW, MetricsRegistry
+from repro.obs import chrome_trace
+from repro.obs.metrics import DEFAULT_WINDOW
 from repro.serve import ScheduleServer, ServeConfig
 from repro.sim import SimGPU
 
@@ -184,60 +181,3 @@ class TestBoundedWindows:
             for doc in series.values():
                 assert len(doc["window"]) <= DEFAULT_WINDOW
             assert server.health()["window_size"] == DEFAULT_WINDOW + 1
-
-
-class TestMetricsNeverPerturbRecordings:
-    def test_recording_identical_with_and_without_registry(self):
-        # Warm the process-global memo caches first: the very first run
-        # in a process sees extra cold-cache activity (more CacheEvent
-        # rows) regardless of any registry, which would mask the
-        # comparison this test is actually making.
-        # The warm-ups must record too: the trace-serialization cache
-        # (obs.traces) only fills during recorded runs, and its misses
-        # cascade into simplifier-memo activity.
-        for _ in range(2):  # steady state takes two runs to reach
-            warmup = TuningSession(
-                SimGPU(),
-                TuneConfig(trials=6, seed=23),
-                recorder=Recorder(
-                    ObsConfig(enabled=True), telemetry=Telemetry()
-                ),
-            )
-            warmup.add(_matmul(48), name="gemm")
-            warmup.run()
-        docs = []
-        for registry in (None, MetricsRegistry()):
-            telemetry = Telemetry()
-            recorder = Recorder(
-                ObsConfig(enabled=True),
-                telemetry=telemetry,
-                metrics=registry,
-            )
-            session = TuningSession(
-                SimGPU(),
-                TuneConfig(trials=6, seed=23),
-                recorder=recorder,
-                metrics=registry,
-            )
-            session.add(_matmul(48), name="gemm")
-            session.run()
-            doc = recorder.recording()
-            # Strip wall-clock-dependent fields; the *content* — trial
-            # provenance, decisions, hashes, event kinds — must be
-            # byte-identical whether or not a registry is bound.
-            stable = {
-                "trials": [
-                    {
-                        k: v
-                        for k, v in trial.items()
-                        if "seconds" not in k and "unix" not in k
-                    }
-                    for trial in doc["trials"]
-                ],
-                "event_kinds": [
-                    e.get("kind") for e in doc["events"]
-                ],
-                "config": doc["config"],
-            }
-            docs.append(json.dumps(stable, sort_keys=True))
-        assert docs[0] == docs[1]
