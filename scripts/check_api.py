@@ -204,33 +204,29 @@ def main() -> int:
     check("total_trials" in run_params, "TuningSession.run(total_trials=...) missing")
 
     # The database protocol: four primitives on the shared base, both
-    # backends implementing them.
+    # backends implementing them.  Exact shape: ``replay_entry`` is the
+    # one way to rebuild a stored record.
     for name in ("Database", "PersistentDatabase"):
         check(hasattr(repro, name), f"repro.{name} missing")
         check(hasattr(meta, name), f"repro.meta.{name} missing")
-    for method in ("get", "put", "evict", "keys", "record", "replay", "entries"):
-        check(
-            callable(getattr(meta.Database, method, None)),
-            f"Database.{method} missing",
-        )
+    db_methods = {
+        name for name, _ in inspect.getmembers(meta.Database, inspect.isfunction)
+        if not name.startswith("_")
+    }
+    check(
+        db_methods
+        == {"get", "put", "evict", "keys", "entries", "record", "replay_entry"},
+        f"Database's public methods are {sorted(db_methods)}",
+    )
     for backend in (repro.TuningDatabase, repro.PersistentDatabase):
         check(
             issubclass(backend, meta.Database),
             f"{backend.__name__} must subclass Database",
         )
-    for method in ("record", "replay", "entries"):
-        check(
-            callable(getattr(repro.TuningDatabase, method, None)),
-            f"TuningDatabase.{method} missing",
-        )
-    pdb_params = inspect.signature(repro.PersistentDatabase.__init__).parameters
-    for param in ("root", "ttl_seconds", "max_entries"):
-        check(param in pdb_params, f"PersistentDatabase(...{param}...) missing")
-    for method in ("evict_expired", "flush_lru", "stats"):
-        check(
-            callable(getattr(repro.PersistentDatabase, method, None)),
-            f"PersistentDatabase.{method} missing",
-        )
+    # Exact shape: the persistent store is a plain record store with no
+    # settings beyond its directory.
+    pdb_params = list(inspect.signature(repro.PersistentDatabase.__init__).parameters)
+    check(pdb_params == ["self", "root"], f"PersistentDatabase takes {pdb_params[1:]}")
     entry_fields = set(getattr(meta.DatabaseEntry, "__dataclass_fields__", {}))
     check(
         entry_fields == {
@@ -281,11 +277,13 @@ def main() -> int:
             f"ScheduleServer.{method} missing",
         )
     serve_fields = set(getattr(serve.ServeConfig, "__dataclass_fields__", {}))
-    for field in (
-        "db_path", "tune", "batch_window_seconds", "max_batch",
-        "ttl_seconds", "max_entries", "compile_programs",
-    ):
-        check(field in serve_fields, f"ServeConfig.{field} missing")
+    check(
+        serve_fields == {
+            "db_path", "tune", "batch_window_seconds", "max_batch",
+            "compile_programs", "buckets",
+        },
+        f"ServeConfig fields are {sorted(serve_fields)}",
+    )
     response_fields = set(
         getattr(serve.CompileResponse, "__dataclass_fields__", {})
     )
@@ -352,11 +350,6 @@ def main() -> int:
     stats_fields_serve = set(getattr(serve.ServerStats, "__dataclass_fields__", {}))
     for field in ("bucket_hits", "replay_fallbacks"):
         check(field in stats_fields_serve, f"ServerStats.{field} missing")
-    for method in ("replay_entry", "replay_bucketed"):
-        check(
-            callable(getattr(meta.Database, method, None)),
-            f"Database.{method} missing",
-        )
     replay_params = inspect.signature(meta.Database.replay_entry).parameters
     check(
         "decision_mode" in replay_params,
@@ -555,7 +548,6 @@ def main() -> int:
         (meta.CostModel, "predict", ["self", "funcs"]),
         (meta.Sketch, "apply", ["self", "sch"]),
         (Analyzer, "simplify", ["self", "expr"]),
-        (meta.Database, "replay", ["self", "func", "target"]),
         (meta.Database, "replay_entry", ["self", "func", "entry"]),
         (meta.Database, "get", ["self", "key"]),
         (meta.Database, "put", ["self", "entry"]),

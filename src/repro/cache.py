@@ -39,6 +39,7 @@ __all__ = [
     "cache_stats",
     "clear_all",
     "delta_since",
+    "freeze",
     "generation",
     "register_stats_source",
     "snapshot_counts",
@@ -77,6 +78,14 @@ def generation() -> int:
     return _GENERATION
 
 
+def freeze(values):
+    """A hashable copy of a decision vector for a memo key: nested lists
+    become tuples (``sample_perfect_tile`` decisions are lists)."""
+    if values is None:
+        return None
+    return tuple(freeze(v) if isinstance(v, (list, tuple)) else v for v in values)
+
+
 class MemoCache:
     """A named, bounded, thread-safe LRU memo table.
 
@@ -106,14 +115,6 @@ class MemoCache:
             self._data.move_to_end(key)
             self.hits += 1
             return value
-
-    def record_miss(self) -> None:
-        """Count a lookup that never reached the table (e.g. an
-        unhashable key forced an uncached computation).  Bypasses are
-        misses from the caller's point of view: without this, hit rates
-        overstate how much of the workload the cache actually served."""
-        with self._lock:
-            self.misses += 1
 
     def put(self, key: Any, value: Any) -> None:
         with self._lock:

@@ -170,15 +170,6 @@ def _sketch_token(sketch: Sketch) -> tuple:
     )
 
 
-def _freeze(values):
-    """Decisions → hashable (sample_perfect_tile decisions are lists)."""
-    if values is None:
-        return None
-    return tuple(
-        _freeze(v) if isinstance(v, (list, tuple)) else v for v in values
-    )
-
-
 def _build_candidate_cached(
     func: PrimFunc,
     sketch: Sketch,
@@ -190,23 +181,15 @@ def _build_candidate_cached(
 ) -> Tuple[Optional[_Candidate], Optional[Tuple[str, str]], float]:
     """Memoizing front of :func:`_build_candidate` (see cache note above);
     ``names`` is ``func``'s name fingerprint (``EvalContext.names``)."""
-    try:
-        key = (
-            structural_hash(func),
-            names,
-            _sketch_token(sketch),
-            seed,
-            _freeze(forced),
-            getattr(target, "name", None),
-            validate,
-        )
-        hash(key)  # tuple() never hashes; probe before the table does
-    except TypeError:
-        # Unhashable decision type: build uncached — but *count* the
-        # bypass as a miss, so hit rates reflect what the cache actually
-        # served rather than only what it was able to index.
-        _CANDIDATE_CACHE.record_miss()
-        return _build_candidate(func, sketch, seed, forced, target, validate)
+    key = (
+        structural_hash(func),
+        names,
+        _sketch_token(sketch),
+        seed,
+        _cache.freeze(forced),
+        getattr(target, "name", None),
+        validate,
+    )
     hit = _CANDIDATE_CACHE.lookup(key)
     if hit is not _cache.MISS:
         built, decisions, rejection = hit

@@ -10,7 +10,11 @@ the paper's record-replay behaviour (§5.2) promoted to the default
 path.  Within one :meth:`TuningSession.run` each distinct workload is
 searched once (unless the database already holds it), replayed once,
 and every duplicate shares that replayed program under its own task
-report.  Given a total trial budget, it allocates trials across tasks
+report.  Every task whose program comes from a stored record takes one
+step: replay the record (adaptively at an in-bucket shape), else, for
+an in-bucket shape where it is infeasible, :func:`fallback_tune` — the
+fresh tune the schedule server falls back through too.  Given a total
+trial budget, it allocates trials across tasks
 proportionally to each layer's estimated cost share (heavy layers get
 the search time; a 1x1 conv does not get a GEMM's budget).
 
@@ -33,8 +37,6 @@ from the :class:`~repro.meta.search.SearchStats` every search returns,
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
@@ -42,16 +44,17 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from .. import cache as _cache
 from ..diagnostics import DiagnosticContext
+from ..fileio import atomic_write
 from ..obs.record import Recorder
 from ..schedule import Schedule
-from ..sim import Target, estimate
+from ..sim import Target
 from ..tir import PrimFunc, const_int_value
 from .config import TuneConfig
 from .database import Database, DatabaseEntry, TuningDatabase, workload_key
 from .search import SearchStats, TuneResult
 from .sketch import main_block_of
 from .telemetry import Telemetry
-from .tune import tune
+from .tune import replay_result, tune
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..frontend.graph import NetworkSpec
@@ -77,6 +80,33 @@ def estimated_cost(func: PrimFunc) -> float:
         extent = const_int_value(iv.dom.extent)
         size *= extent if extent else 1
     return max(size, 1.0)
+
+
+def fallback_tune(
+    func: PrimFunc,
+    target: Target,
+    config: TuneConfig,
+    database: Database,
+    ctx: DiagnosticContext,
+    *,
+    task: str,
+    telemetry: Optional[Telemetry] = None,
+    recorder: Optional[Recorder] = None,
+) -> TuneResult:
+    """Fresh tune of a concrete shape whose bucket replay was infeasible:
+    emits ``TIR702`` into ``ctx``, then tunes ``func`` against
+    ``database``, which records the result under its exact key.  The
+    session and the schedule server both fall back through here."""
+    ctx.emit(
+        "TIR702",
+        f"bucket replay for {task!r} fell back to a fresh tune at the "
+        f"concrete shape",
+        func=func,
+    )
+    return tune(
+        func, target, config, database=database, telemetry=telemetry,
+        task=task, recorder=recorder,
+    )
 
 
 @dataclass
@@ -177,19 +207,9 @@ class SessionReport:
         return json.dumps(self.to_json(), **kwargs)
 
     def write(self, path: str) -> None:
-        """Write the report atomically (tmp file + ``os.replace``) so a
-        crashed worker can never leave a truncated JSON report."""
-        payload = self.dumps(indent=1, sort_keys=True)
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        """Write the report atomically so a crashed worker can never
+        leave a truncated JSON report."""
+        atomic_write(path, self.dumps(indent=1, sort_keys=True))
 
 
 class TuningSession:
@@ -394,12 +414,15 @@ class TuningSession:
         reports: Dict[str, TaskReport] = {}
         rejected: Counter = Counter()
         bucket: Counter = Counter()
+        # Each distinct exact workload's replayed program in this run.
+        replayed: Dict[str, TuneResult] = {}
         for task in to_search:
+            trials = budgets[task.key]
             try:
                 result = tune(
                     task.search_func,
                     self.target,
-                    self.config.with_(trials=budgets[task.key]),
+                    self.config.with_(trials=trials),
                     telemetry=self.telemetry,
                     task=task.name,
                     recorder=self.recorder,
@@ -407,7 +430,7 @@ class TuningSession:
             except Exception as err:  # noqa: BLE001 — per-task isolation
                 reports[task.name] = TaskReport(
                     task.name, task.key, "failed", task.weight,
-                    trials_allocated=budgets[task.key], error=str(err),
+                    trials_allocated=trials, error=str(err),
                 )
                 continue
             rejected.update(result.stats.rejected_by_code)
@@ -415,7 +438,7 @@ class TuningSession:
             if result.best_sketch is None or result.best_decisions is None:
                 reports[task.name] = TaskReport(
                     task.name, task.key, "failed", task.weight,
-                    trials_allocated=budgets[task.key],
+                    trials_allocated=trials,
                     measured=result.stats.measured,
                     tuning_seconds=result.tuning_seconds,
                     error="search found no valid program",
@@ -429,170 +452,114 @@ class TuningSession:
                 result.best_decisions, result.best_cycles,
                 provenance=self.provenance,
             )
-            measured = result.stats.measured
-            tuning_seconds = result.tuning_seconds
             if task.bucketed is not None and task.bucketed.bucketed:
                 # The search ran at the bucket representative; the task's
-                # own result is the stored trace replayed adaptively at
-                # the concrete shape.  The tuning cost stays attributed
-                # to this task (it paid for the representative's search).
-                concrete = self._replay_task(task, entry)
-                if concrete is None:
-                    bucket["fallback"] += 1
-                    try:
-                        concrete = self._fallback_tune(task, budgets[task.key])
-                    except Exception as err:  # noqa: BLE001
-                        reports[task.name] = TaskReport(
-                            task.name, task.key, "failed", task.weight,
-                            trials_allocated=budgets[task.key],
-                            error=str(err),
-                        )
-                        continue
-                    rejected.update(concrete.stats.rejected_by_code)
-                    measured += concrete.stats.measured
-                    tuning_seconds += concrete.tuning_seconds
-                else:
-                    bucket["replayed"] += 1
-                result = concrete
-                self.results[task.name] = result
+                # own program comes from the stored record at its
+                # concrete shape, and the search's cost stays with it.
+                reports[task.name] = self._from_record(
+                    task, entry, trials, replayed, rejected, bucket, searched=result
+                )
+                continue
             reports[task.name] = TaskReport(
                 task.name, task.key, "searched", task.weight,
                 sketch=result.best_sketch,
                 cycles=result.best_cycles,
                 seconds=result.best_report.seconds,
-                trials_allocated=budgets[task.key],
-                measured=measured,
-                tuning_seconds=tuning_seconds,
+                trials_allocated=trials,
+                measured=result.stats.measured,
+                tuning_seconds=result.tuning_seconds,
             )
 
         # Everything not searched above replays from the database: the
-        # duplicates, plus uniques already tuned in a previous run.  Each
-        # distinct exact workload replays once per run (also when it was
-        # searched above); the other tasks with that exact key share the
-        # replayed program.  With bucketing on, "duplicate" includes every
-        # other shape in a bucket — replayed adaptively, with a fresh tune
-        # as the fallback when the stored decisions are infeasible at the
-        # concrete shape.
-        replayed: Dict[str, TuneResult] = {}
+        # duplicates, plus uniques already tuned in a previous run.
         for task in self._tasks:
             if task.name in reports:
                 continue
-            result = None
-            status = "replayed"
-            trials_allocated = 0
-            measured = 0
-            tuning_seconds = 0.0
             entry = self.database.get(task.key)
-            if entry is not None:
-                t0 = time.perf_counter()
-                exact = (
-                    task.key
-                    if task.bucketed is None
-                    else workload_key(task.func, self.target)
-                )
-                shared = replayed.get(exact)
-                if shared is not None:
-                    result = replace(
-                        shared,
-                        stats=SearchStats(),
-                        best_decisions=list(shared.best_decisions),
-                    )
-                else:
-                    result = self._replay_task(task, entry)
-                    if result is not None:
-                        replayed[exact] = result
-                self.telemetry.add(
-                    "replay", time.perf_counter() - t0, task.name, start=t0
-                )
-                bucketed = task.bucketed is not None and task.bucketed.bucketed
-                if result is not None:
-                    if bucketed:
-                        bucket["replayed"] += 1
-                elif bucketed:
-                    trials_allocated = budgets.get(task.key, self.config.trials)
-                    bucket["fallback"] += 1
-                    try:
-                        result = self._fallback_tune(task, trials_allocated)
-                    except Exception as err:  # noqa: BLE001
-                        reports[task.name] = TaskReport(
-                            task.name, task.key, "failed", task.weight,
-                            trials_allocated=trials_allocated, error=str(err),
-                        )
-                        continue
-                    rejected.update(result.stats.rejected_by_code)
-                    status = "searched"
-                    measured = result.stats.measured
-                    tuning_seconds = result.tuning_seconds
-            if result is None:
-                if entry is not None:
-                    error = (
-                        f"stored record for {task.key} (sketch {entry.sketch!r}) "
-                        f"did not replay"
-                    )
-                else:
-                    searched = reports.get(self._name_for_key(task.key))
-                    error = searched.error if searched else "no database record"
+            if entry is None:
+                searched = reports.get(self._name_for_key(task.key))
                 reports[task.name] = TaskReport(
-                    task.name, task.key, "failed", task.weight, error=error
+                    task.name, task.key, "failed", task.weight,
+                    error=searched.error if searched else "no database record",
                 )
                 continue
-            self.results[task.name] = result
-            reports[task.name] = TaskReport(
-                task.name, task.key, status, task.weight,
-                sketch=result.best_sketch,
-                cycles=result.best_cycles,
-                seconds=result.best_report.seconds,
-                trials_allocated=trials_allocated,
-                measured=measured,
-                tuning_seconds=tuning_seconds,
+            reports[task.name] = self._from_record(
+                task, entry, budgets.get(task.key, self.config.trials),
+                replayed, rejected, bucket,
             )
 
         return reports, rejected, bucket
 
-    # -- bucket-aware replay -------------------------------------------
-    def _replay_task(self, task: _Task, entry: DatabaseEntry) -> Optional[TuneResult]:
-        """Rebuild ``task``'s best program from its stored record —
-        adaptively at the concrete shape when the record is the bucket
-        representative's (§5.2 forced-decision replay).  Decisions that
-        are infeasible at the task's shape surface as ``TIR701`` in
-        :attr:`diagnostics`."""
-        if task.bucketed is None:
-            sch = self.database.replay_entry(task.func, entry, ctx=self.diagnostics)
-        else:
-            sch = self.database.replay_bucketed(
-                task.bucketed, self.target, ctx=self.diagnostics
-            )
-        if sch is None:
-            return None
-        report = estimate(sch.func, self.target)
-        return TuneResult(
-            task.func.name,
-            sch.func,
-            report.cycles,
-            report,
-            entry.sketch,
-            stats=SearchStats(),
-            best_decisions=list(entry.decisions),
-            replayed=True,
-        )
+    def _from_record(
+        self,
+        task: _Task,
+        entry: DatabaseEntry,
+        trials: int,
+        replayed: Dict[str, TuneResult],
+        rejected: Counter,
+        bucket: Counter,
+        searched: Optional[TuneResult] = None,
+    ) -> TaskReport:
+        """``task``'s report with its program rebuilt from the stored
+        ``entry``; ``searched`` is the task's own representative search,
+        if it ran one.
 
-    def _fallback_tune(self, task: _Task, trials: int) -> TuneResult:
-        """Fresh tune of the concrete shape after an infeasible bucket
-        replay; the result is recorded under the concrete exact key."""
-        self.diagnostics.emit(
-            "TIR702",
-            f"bucket replay for task {task.name!r} fell back to a fresh "
-            f"tune at the concrete shape",
-            func=task.func,
-        )
-        return tune(
-            task.func,
-            self.target,
-            self.config.with_(trials=trials),
-            database=self.database,
-            telemetry=self.telemetry,
-            task=task.name,
-            recorder=self.recorder,
+        Each distinct exact workload replays once per run (``replayed``)
+        and later tasks with that exact key share the program; an
+        in-bucket shape replays adaptively (§5.2), counts in the
+        ``bucket`` tally, and falls back to :func:`fallback_tune` at its
+        concrete shape when the stored decisions are infeasible there.
+        Rejections of that fallback search go into ``rejected``.
+        """
+        in_bucket = task.bucketed is not None and task.bucketed.bucketed
+        exact = task.key if task.bucketed is None else workload_key(task.func, self.target)
+        t0 = time.perf_counter()
+        result = replayed.get(exact)
+        if result is not None:
+            result = replace(
+                result, stats=SearchStats(), best_decisions=list(result.best_decisions)
+            )
+        else:
+            result = replay_result(
+                task.func, self.target, self.database, entry,
+                decision_mode="adapt" if in_bucket else "strict",
+                ctx=self.diagnostics,
+            )
+            if result is not None:
+                replayed[exact] = result
+        self.telemetry.add("replay", time.perf_counter() - t0, task.name, start=t0)
+        fresh = None
+        if in_bucket:
+            bucket["replayed" if result is not None else "fallback"] += 1
+            if result is None:
+                try:
+                    result = fresh = fallback_tune(
+                        task.func, self.target, self.config.with_(trials=trials),
+                        self.database, self.diagnostics, task=task.name,
+                        telemetry=self.telemetry, recorder=self.recorder,
+                    )
+                except Exception as err:  # noqa: BLE001 — per-task isolation
+                    return TaskReport(
+                        task.name, task.key, "failed", task.weight,
+                        trials_allocated=trials, error=str(err),
+                    )
+                rejected.update(fresh.stats.rejected_by_code)
+        if result is None:
+            return TaskReport(
+                task.name, task.key, "failed", task.weight,
+                error=f"stored record for {task.key} (sketch {entry.sketch!r}) "
+                f"did not replay",
+            )
+        self.results[task.name] = result
+        searches = [r for r in (searched, fresh) if r is not None]
+        return TaskReport(
+            task.name, task.key, "searched" if searches else "replayed", task.weight,
+            sketch=result.best_sketch,
+            cycles=result.best_cycles,
+            seconds=result.best_report.seconds,
+            trials_allocated=trials if searches else 0,
+            measured=sum(r.stats.measured for r in searches),
+            tuning_seconds=sum((r.tuning_seconds for r in searches), 0.0),
         )
 
     def _name_for_key(self, key: str) -> str:

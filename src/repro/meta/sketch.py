@@ -43,6 +43,7 @@ __all__ = [
     "GpuScalarSketch",
     "CpuSdotSketch",
     "CpuScalarSketch",
+    "SKETCHES",
     "generate_sketches",
     "main_block_of",
     "inline_prologue",
@@ -548,6 +549,14 @@ class CpuScalarSketch(Sketch):
             except ScheduleError:
                 pass
         schedule_remaining_stages(sch, SimCPU(), exclude=[main.name])
+
+
+#: every sketch class by its ``name`` — what a stored record's
+#: ``sketch`` field names when it is replayed.
+SKETCHES = {
+    cls.name: cls
+    for cls in (TensorCoreSketch, GpuScalarSketch, CpuSdotSketch, CpuScalarSketch)
+}
 
 
 #: Applicability analysis is a pure function of (workload structure,

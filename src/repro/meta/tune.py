@@ -8,8 +8,10 @@ configuration used in the evaluation.
 
 Record-replay (§5.2) is the default path: pass a ``database`` and an
 already-tuned workload is rebuilt from its stored decision vector with
-zero search; fresh results are recorded back.  Every tuning option
-lives on :class:`~repro.meta.config.TuneConfig`.
+zero search; fresh results are recorded back.  :func:`replay_result` is
+the one way a stored record becomes a ``TuneResult`` — ``tune`` and the
+tuning session both use it.  Every tuning option lives on
+:class:`~repro.meta.config.TuneConfig`.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ from contextlib import nullcontext
 from typing import Optional
 
 from .. import cache as _cache
+from ..diagnostics import DiagnosticContext
 from ..obs.record import Recorder
 from ..schedule import Schedule
 from ..sim import Target, estimate
 from ..tir import PrimFunc
 from .config import TuneConfig
 from .cost_model import CostModel
-from .database import Database, workload_key
+from .database import Database, DatabaseEntry, workload_key
 from .search import SearchStats, TuneResult, evolutionary_search
 from .sketch import generate_sketches
 from .telemetry import Telemetry
@@ -33,14 +36,19 @@ from .telemetry import Telemetry
 __all__ = ["tune"]
 
 
-def _replay_result(
-    func: PrimFunc, target: Target, database: Database
+def replay_result(
+    func: PrimFunc,
+    target: Target,
+    database: Database,
+    entry: DatabaseEntry,
+    *,
+    decision_mode: str = "strict",
+    ctx: Optional[DiagnosticContext] = None,
 ) -> Optional[TuneResult]:
-    """Rebuild a stored best program with zero search (§5.2)."""
-    entry = database.get(workload_key(func, target))
-    if entry is None:
-        return None
-    sch = database.replay(func, target)
+    """``entry`` rebuilt at ``func`` with zero search (§5.2) and costed,
+    as a ``replayed`` result; ``None`` when it does not replay there
+    (see :meth:`~repro.meta.database.Database.replay_entry`)."""
+    sch = database.replay_entry(func, entry, decision_mode=decision_mode, ctx=ctx)
     if sch is None:
         return None
     report = estimate(sch.func, target)
@@ -96,7 +104,8 @@ def tune(
     with task_span:
         if database is not None:
             t0 = time.perf_counter()
-            replayed = _replay_result(func, target, database)
+            entry = database.get(workload_key(func, target))
+            replayed = None if entry is None else replay_result(func, target, database, entry)
             if replayed is not None:
                 if telemetry is not None:
                     telemetry.add("replay", time.perf_counter() - t0, task, start=t0)

@@ -21,24 +21,11 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
+from ..fileio import atomic_write
 from .export import chrome_trace, diff_recordings, serve_report, summarize
 from .metrics import render_prometheus
 from .record import load_recording
-
-
-def _write_atomic(path: str, payload: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".obs-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def main(argv=None) -> int:
@@ -87,7 +74,7 @@ def main(argv=None) -> int:
             trace = chrome_trace(load_recording(args.recording), request=args.request)
             payload = json.dumps(trace, indent=1, sort_keys=True)
             if args.out:
-                _write_atomic(args.out, payload)
+                atomic_write(args.out, payload)
                 print(
                     f"wrote {args.out} ({len(trace['traceEvents'])} trace events)",
                     file=sys.stderr,

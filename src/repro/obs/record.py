@@ -32,14 +32,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import os
 import threading
 import time
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .. import cache as _cache
+from ..fileio import atomic_write
 from .config import ObsConfig
 from .events import (
     BestImproved,
@@ -64,15 +63,6 @@ SCHEMA = "repro.obs/1"
 #: values are the JSON dicts stored verbatim in the artifact; callers
 #: must not mutate them.
 _TRACE_CACHE = _cache.MemoCache("obs.traces", maxsize=1024)
-
-
-def _freeze(values):
-    """Decisions → hashable (sample_perfect_tile decisions are lists)."""
-    if values is None:
-        return None
-    return tuple(
-        _freeze(v) if isinstance(v, (list, tuple)) else v for v in values
-    )
 
 
 @dataclass
@@ -228,15 +218,12 @@ class Recorder:
                 return None
             return sch.trace.to_json() if sch.trace is not None else None
 
-        try:
-            key = (
-                structural_hash(base_func),
-                type(sketch_obj).__qualname__,
-                sketch_obj.token(),
-                _freeze(decisions),
-            )
-        except TypeError:  # unhashable decision type: rebuild uncached
-            return rebuild()
+        key = (
+            structural_hash(base_func),
+            type(sketch_obj).__qualname__,
+            sketch_obj.token(),
+            _cache.freeze(decisions),
+        )
         return _TRACE_CACHE.get_or_compute(key, rebuild)
 
     # -- events ---------------------------------------------------------
@@ -327,20 +314,9 @@ class Recorder:
         return out
 
     def save(self, path: str) -> dict:
-        """Write the recording atomically (tmp file + ``os.replace``);
-        returns the document written."""
+        """Write the recording atomically; returns the document written."""
         doc = self.recording()
-        payload = json.dumps(doc, indent=1, sort_keys=True)
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".obs-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        atomic_write(path, json.dumps(doc, indent=1, sort_keys=True))
         return doc
 
     def close(self) -> None:

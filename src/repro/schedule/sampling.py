@@ -22,6 +22,10 @@ __all__ = [
 ]
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def divisors_of(n: int) -> List[int]:
     """Sorted positive divisors of ``n``."""
     small, large = [], []
@@ -65,6 +69,8 @@ def sample_perfect_tile(
     if ext is None:
         raise ScheduleError("sample_perfect_tile requires a constant loop extent")
     if decision is not None:
+        if not isinstance(decision, (list, tuple)) or not all(map(_is_int, decision)):
+            raise ScheduleError(f"decision {decision!r} is not a list of tile sizes")
         decision = list(decision)
         if len(decision) != n:
             raise ScheduleError(f"decision has {len(decision)} factors, expected {n}")
@@ -104,7 +110,7 @@ def coerce_perfect_tile(
     """
     if extent is None or not isinstance(decision, (list, tuple)) or len(decision) != n:
         return None
-    if any(not isinstance(f, int) or isinstance(f, bool) for f in decision):
+    if not all(map(_is_int, decision)):
         return None
     remaining = int(extent)
     factors = [1] * n
@@ -126,7 +132,7 @@ def coerce_categorical(decision: object, n_candidates: int) -> Optional[int]:
     the shape, so an index recorded at the bucket representative is
     mapped to the nearest valid choice.  Identity for in-range indices,
     so strict replays are unaffected."""
-    if n_candidates <= 0 or not isinstance(decision, int) or isinstance(decision, bool):
+    if n_candidates <= 0 or not _is_int(decision):
         return None
     return min(max(decision, 0), n_candidates - 1)
 
@@ -141,6 +147,8 @@ def sample_categorical(
     if n_candidates <= 0:
         raise ScheduleError("sample_categorical with no candidates")
     if decision is not None:
+        if not _is_int(decision):
+            raise ScheduleError(f"decision {decision!r} is not a candidate index")
         if not 0 <= decision < n_candidates:
             raise ScheduleError(f"decision {decision} out of range [0, {n_candidates})")
         return decision

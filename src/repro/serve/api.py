@@ -36,8 +36,6 @@ class ServeConfig:
       the first queued miss for more misses to share the session (the
       amortize-across-tenants knob).
     * ``max_batch`` — cap on unique workloads tuned per session run.
-    * ``ttl_seconds`` / ``max_entries`` — eviction policy forwarded to
-      the persistent database.
     * ``compile_programs`` — attach a runtime-compiled callable to every
       response (off for pure schedule-serving).
     * ``buckets`` — a :class:`~repro.frontend.shapes.BucketSpec` enabling
@@ -52,8 +50,6 @@ class ServeConfig:
     tune: TuneConfig = field(default_factory=lambda: TuneConfig(trials=16))
     batch_window_seconds: float = 0.02
     max_batch: int = 8
-    ttl_seconds: Optional[float] = None
-    max_entries: Optional[int] = None
     compile_programs: bool = True
     buckets: Optional[BucketSpec] = None
 

@@ -45,7 +45,7 @@ from ..meta.database import (
     TuningDatabase,
     workload_key,
 )
-from ..meta.session import TaskReport, TuningSession
+from ..meta.session import TaskReport, TuningSession, fallback_tune
 from ..meta.telemetry import Telemetry
 from ..obs.metrics import MetricsRegistry, quantile
 from ..sim import Target
@@ -94,11 +94,7 @@ class ScheduleServer:
         if database is not None:
             self.database = database
         elif self.config.db_path:
-            self.database = PersistentDatabase(
-                self.config.db_path,
-                ttl_seconds=self.config.ttl_seconds,
-                max_entries=self.config.max_entries,
-            )
+            self.database = PersistentDatabase(self.config.db_path)
         else:
             self.database = TuningDatabase()
         self.telemetry = telemetry if telemetry is not None else Telemetry()
@@ -149,7 +145,7 @@ class ScheduleServer:
         )
         # Persistent databases accept a metrics binding (duck-typed, no
         # obs dependency in the storage layer): get/put latency,
-        # corrupt-line recoveries, evictions by reason.
+        # corrupt-line recoveries, evictions.
         bind = getattr(self.database, "bind_metrics", None)
         if bind is not None:
             bind(self.metrics)
@@ -239,7 +235,8 @@ class ScheduleServer:
                     future.set_result(response)
                     return future
                 # The stored record could not be replayed (e.g. an
-                # unknown sketch from a newer writer): drop it and tune.
+                # unknown sketch from a newer writer, or decisions that do
+                # not fit its sketch — TIR701): drop it and tune.
                 self.database.evict(request.key)
             # Miss.  In-bucket misses park on the *bucket* key with the
             # representative function, so two shapes of one bucket in a
@@ -394,11 +391,18 @@ class ScheduleServer:
         if response is None and request.bucket_key == key:
             # The freshly tuned representative's decisions do not adapt
             # to this waiter's concrete shape: tune the concrete shape
-            # itself (TIR702).
-            fresh = self._fresh_tune(request)
-            if fresh is not None:
-                fresh_entry, measured = fresh
-                response = self._respond(request, fresh_entry, source, trials=measured)
+            # itself (TIR702).  A tune that raises fails this waiter.
+            with self._lock:
+                self._stats.replay_fallbacks += 1
+            fresh = fallback_tune(
+                request.func, self.target, self.config.tune, self.database,
+                self.diagnostics, task=request.key, telemetry=self.telemetry,
+            )
+            fresh_entry = self.database.get(request.key)
+            if fresh_entry is not None:
+                response = self._respond(
+                    request, fresh_entry, source, trials=fresh.stats.measured
+                )
         if response is None:
             raise RuntimeError(f"replay failed for workload {key}")
         return response
@@ -419,35 +423,6 @@ class ScheduleServer:
                 continue
             for future, _request in pending.waiters:
                 self._fail(future, err)
-
-    def _fresh_tune(self, request: CompileRequest) -> Optional[Tuple[DatabaseEntry, int]]:
-        """Tune the request's concrete shape after an infeasible bucket
-        replay; returns (entry, measured trials) or ``None``."""
-        from ..meta.tune import tune
-
-        self.diagnostics.emit(
-            "TIR702",
-            f"bucket replay for {request.key} fell back to a fresh tune "
-            f"at the concrete shape",
-            func=request.func,
-        )
-        with self._lock:
-            self._stats.replay_fallbacks += 1
-        try:
-            result = tune(
-                request.func,
-                self.target,
-                self.config.tune,
-                database=self.database,
-                telemetry=self.telemetry,
-                task=request.key,
-            )
-        except Exception:  # noqa: BLE001 — caller reports the failure
-            return None
-        entry = self.database.get(request.key)
-        if entry is None:
-            return None
-        return entry, result.stats.measured
 
     # -- response construction ------------------------------------------
     def _respond(
@@ -573,8 +548,6 @@ class ScheduleServer:
             for future, _request in pending.waiters:
                 if not future.done():
                     future.set_exception(RuntimeError("ScheduleServer closed"))
-        if isinstance(self.database, PersistentDatabase):
-            self.database.flush_lru()
 
     def __enter__(self) -> "ScheduleServer":
         return self

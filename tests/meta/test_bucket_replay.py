@@ -12,6 +12,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.diagnostics import DiagnosticContext
 from repro.frontend import ops
@@ -43,6 +45,14 @@ def _oracle_matches(func, sch, *, fp16):
     run_program(sch.func, got)
     tol = dict(rtol=2e-2, atol=2e-2) if fp16 else dict(rtol=1e-4, atol=1e-4)
     return all(np.allclose(oracle[k], got[k], **tol) for k in oracle)
+
+
+def _replay_at_concrete_shape(db, bucketed, target, ctx=None):
+    """The bucket representative's stored record replayed at the concrete
+    shape — adaptively unless the bucket is degenerate."""
+    entry = db.get(workload_key(bucketed.representative, target))
+    mode = "adapt" if bucketed.bucketed else "strict"
+    return db.replay_entry(bucketed.concrete, entry, decision_mode=mode, ctx=ctx)
 
 
 class TestCoercion:
@@ -93,7 +103,7 @@ class TestAdaptiveReplay:
         tune(ops.matmul(64, 32, 32), target, CONFIG, database=db)
         ctx = DiagnosticContext()
         bucketed = canonicalize(ops.matmul(56, 32, 32), BucketSpec.pow2("n"))
-        sch = db.replay_bucketed(bucketed, target, ctx=ctx)
+        sch = _replay_at_concrete_shape(db, bucketed, target, ctx=ctx)
         assert sch is not None
         assert _oracle_matches(ops.matmul(56, 32, 32), sch, fp16=True)
 
@@ -103,7 +113,7 @@ class TestAdaptiveReplay:
         tune(ops.matmul(64, 32, 32), target, CONFIG, database=db)
         bucketed = canonicalize(ops.matmul(64, 32, 32), BucketSpec.pow2("n"))
         assert not bucketed.bucketed
-        sch = db.replay_bucketed(bucketed, target)
+        sch = _replay_at_concrete_shape(db, bucketed, target)
         assert sch is not None and sch.adapted_decisions == 0
 
     def test_adapted_decisions_counted(self):
@@ -113,7 +123,7 @@ class TestAdaptiveReplay:
         db = TuningDatabase()
         tune(_conv(8), target, CONFIG, database=db)
         bucketed = canonicalize(_conv(5), BucketSpec.pow2("n"))
-        sch = db.replay_bucketed(bucketed, target)
+        sch = _replay_at_concrete_shape(db, bucketed, target)
         assert sch is not None
         assert sch.adapted_decisions > 0
         assert _oracle_matches(_conv(5), sch, fp16=False)
@@ -121,7 +131,7 @@ class TestAdaptiveReplay:
     def test_missing_representative_record_returns_none(self):
         db = TuningDatabase()
         bucketed = canonicalize(_conv(5), BucketSpec.pow2("n"))
-        assert db.replay_bucketed(bucketed, SimGPU()) is None
+        assert db.get(workload_key(bucketed.representative, SimGPU())) is None
 
     def test_strict_replay_across_shapes_emits_tir701(self):
         # Without adapt mode, rep-8 tile decisions do not divide n=5:
@@ -145,10 +155,48 @@ class TestAdaptiveReplay:
         tune(_conv(4), target, CONFIG, database=db)
         ctx = DiagnosticContext()
         bucketed = canonicalize(_conv(3), BucketSpec.pow2("n"))
-        sch = db.replay_bucketed(bucketed, target, ctx=ctx)
+        sch = _replay_at_concrete_shape(db, bucketed, target, ctx=ctx)
         if sch is not None:
             pytest.skip("decision vector happens to adapt at this budget")
         assert ctx.counts_by_code().get("TIR701", 0) >= 1
+
+
+@pytest.fixture(scope="module")
+def representatives():
+    """One database holding a tensor-core fp16 matmul tuned at n=64 and a
+    gpu-scalar conv tuned at n=8 — the representatives of the pow2
+    buckets the property test draws from."""
+    target = SimGPU()
+    db = TuningDatabase()
+    matmul = tune(ops.matmul(64, 32, 32), target, CONFIG, database=db)
+    conv = tune(_conv(8), target, CONFIG, database=db)
+    assert (matmul.best_sketch, conv.best_sketch) == ("tensor-core", "gpu-scalar")
+    return db, target
+
+
+class TestAdaptiveReplayProperty:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        case=st.one_of(
+            st.tuples(st.just("matmul"), st.integers(33, 64)),
+            st.tuples(st.just("conv"), st.integers(5, 8)),
+        )
+    )
+    def test_in_bucket_replay_is_oracle_equal_or_tir701(self, representatives, case):
+        db, target = representatives
+        kind, n = case
+        if kind == "matmul":
+            func, rep = ops.matmul(n, 32, 32), ops.matmul(64, 32, 32)
+        else:
+            func, rep = _conv(n), _conv(8)
+        ctx = DiagnosticContext()
+        sch = db.replay_entry(
+            func, db.get(workload_key(rep, target)), decision_mode="adapt", ctx=ctx
+        )
+        if sch is None:
+            assert ctx.counts_by_code() == {"TIR701": 1}
+        else:
+            assert _oracle_matches(func, sch, fp16=kind == "matmul")
 
 
 class TestSessionBuckets:
@@ -219,7 +267,7 @@ class TestSessionBuckets:
 
         monkeypatch.setattr(session_module, "tune", recording_tune)
         database = TuningDatabase()
-        monkeypatch.setattr(database, "replay_bucketed", lambda *a, **k: None)
+        monkeypatch.setattr(database, "replay_entry", lambda *a, **k: None)
         session = TuningSession(
             SimGPU(), CONFIG, database=database, buckets=BucketSpec.pow2("n")
         )

@@ -4,6 +4,8 @@ The database surface is one typed protocol — ``get`` / ``put`` /
 ``evict`` / ``keys``; this module covers it on the in-memory backend.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.frontend import ops
@@ -44,7 +46,8 @@ class TestDatabase:
         func, result = tuned
         db = TuningDatabase()
         db.record(func, SimGPU(), result.best_sketch, result.best_decisions, result.best_cycles)
-        sch = db.replay(ops.matmul(128, 128, 128), SimGPU())
+        replica = ops.matmul(128, 128, 128)
+        sch = db.replay_entry(replica, db.get(workload_key(replica, SimGPU())))
         assert sch is not None
         assert estimate(sch.func, SimGPU()).cycles == pytest.approx(result.best_cycles)
 
@@ -89,4 +92,27 @@ class TestDatabase:
     def test_miss_returns_none(self):
         db = TuningDatabase()
         assert db.get(workload_key(ops.matmul(32, 32, 32), SimGPU())) is None
-        assert db.replay(ops.matmul(32, 32, 32), SimGPU()) is None
+
+    def test_tune_replays_a_stored_workload_with_one_get_and_one_rebuild(self, tuned):
+        func, result = tuned
+
+        class Counting(TuningDatabase):
+            def __init__(self):
+                super().__init__()
+                self.calls = Counter()
+
+            def get(self, key):
+                self.calls["get"] += 1
+                return super().get(key)
+
+            def replay_entry(self, func, entry, **kwargs):
+                self.calls["replay_entry"] += 1
+                return super().replay_entry(func, entry, **kwargs)
+
+        db = Counting()
+        db.record(func, SimGPU(), result.best_sketch, result.best_decisions, result.best_cycles)
+        db.calls.clear()
+        replayed = tune(func, SimGPU(), TuneConfig(trials=8, seed=0), database=db)
+        assert replayed.replayed and replayed.stats.measured == 0
+        assert replayed.best_cycles == pytest.approx(result.best_cycles)
+        assert db.calls == {"get": 1, "replay_entry": 1}

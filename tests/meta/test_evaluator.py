@@ -28,7 +28,6 @@ from repro.meta import (
 )
 from repro.meta.evaluator import EvalContext, EvalOutcome, resolve_evaluator
 from repro.obs import ObsConfig, Recorder
-from repro.schedule.validation import _names_fingerprint
 from repro.sim import SimGPU
 from repro.tir import parse_script, script, structural_hash
 
@@ -243,40 +242,6 @@ class TestRenamedWorkload:
         repro_cache.clear_all()
         assert "A: Buffer" in best(original)
         assert best(renamed) == cold
-
-
-class TestCandidateCacheBypass:
-    def test_unhashable_decisions_count_a_miss(self):
-        """The TypeError bypass must be visible in hit-rate accounting."""
-        from repro.meta.search import _CANDIDATE_CACHE, _build_candidate_cached
-
-        class UnhashableInt(int):
-            __hash__ = None  # a decision the cache key cannot index
-
-        def poison(value):
-            if isinstance(value, list):
-                return [poison(v) for v in value]
-            if isinstance(value, int):
-                return UnhashableInt(value)
-            return value
-
-        func = build_matmul(64, 64, 64, dtype="float16")
-        sketch, target = TensorCoreSketch(), SimGPU()
-        repro_cache.clear_all()
-        names = _names_fingerprint(func)
-        cand, rejection, _ = _build_candidate_cached(
-            func, sketch, 0, None, target, True, names
-        )
-        assert cand is not None, rejection
-        forced = [poison(v) for v in cand.decisions]
-        before = _CANDIDATE_CACHE.misses
-        replayed, rejection, _ = _build_candidate_cached(
-            func, sketch, 0, forced, target, True, names
-        )
-        assert _CANDIDATE_CACHE.misses == before + 1
-        # The uncached build is still the real build.
-        assert replayed is not None, rejection
-        assert replayed.decisions == cand.decisions
 
 
 class TestIpcBatching:

@@ -3,6 +3,7 @@ determinism, budget allocation and the JSON telemetry report."""
 
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -42,8 +43,8 @@ def session_report(four_layer_net):
 
 
 class CountingDatabase(TuningDatabase):
-    """Counts stored-record replays; ``Database.replay`` goes through
-    ``replay_entry`` too."""
+    """Counts stored-record replays: every rebuild goes through
+    ``replay_entry``."""
 
     def __init__(self):
         super().__init__()
@@ -52,6 +53,11 @@ class CountingDatabase(TuningDatabase):
     def replay_entry(self, func, entry, **kwargs):
         self.replays += 1
         return super().replay_entry(func, entry, **kwargs)
+
+
+def _rebuild(database, func):
+    """The program ``database`` holds for ``func``, rebuilt."""
+    return database.replay_entry(func, database.get(workload_key(func, SimGPU()))).func
 
 
 def _run_duplicated_matmuls(database):
@@ -90,7 +96,7 @@ class TestDedupAndReplay:
             t.name for t in report.tasks if t.status == "replayed"
         )
         for name, func in funcs.items():
-            expected = database.replay(func, SimGPU()).func
+            expected = _rebuild(database, func)
             assert script(session.results[name].best_func) == script(expected), name
         results = list(session.results.values())
         assert len({id(r.stats) for r in results}) == len(results)
@@ -102,7 +108,7 @@ class TestDedupAndReplay:
         assert report.totals["tasks_replayed"] == 6
         assert replays == 2
         for name, func in funcs.items():
-            expected = database.replay(func, SimGPU()).func
+            expected = _rebuild(database, func)
             assert script(session.results[name].best_func) == script(expected), name
 
     @pytest.mark.parametrize(
@@ -126,6 +132,23 @@ class TestDedupAndReplay:
             assert "did not replay" in task.error
         infeasible = session.diagnostics.counts_by_code().get("TIR701", 0)
         assert (infeasible > 0) == (sketch == "tensor-core")
+
+    def test_record_with_a_wrong_type_decision_fails_its_task_alone(self):
+        target = SimGPU()
+        func = ops.matmul(64, 64, 64)
+        database = TuningDatabase()
+        tune(func, target, TuneConfig(trials=4), database=database)
+        entry = database.get(workload_key(func, target))
+        database.evict(entry.key)
+        database.put(replace(entry, decisions=[[1, 2]] + entry.decisions[1:]))
+        session = TuningSession(target, TuneConfig(trials=4, seed=0), database=database)
+        session.add(func, name="stored")
+        session.add(ops.matmul(32, 32, 32), name="fresh")
+        report = session.run()
+        assert report.task("stored").status == "failed"
+        assert "did not replay" in report.task("stored").error
+        assert report.task("fresh").status == "searched"
+        assert session.diagnostics.counts_by_code() == {"TIR701": 1}
 
     def test_exactly_three_searches_one_replay(self, session_report):
         _, report = session_report

@@ -159,7 +159,7 @@ class TestInBucketCoalescing:
 
 
 class TestReplayFallback:
-    def test_infeasible_replay_falls_back_to_fresh_tune(self):
+    def test_infeasible_replay_falls_back_to_a_new_tune(self):
         with ScheduleServer(SimGPU(), CFG) as server:
             rep = server.compile(_conv(4))
             assert rep.source == "miss"

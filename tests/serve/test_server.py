@@ -6,6 +6,8 @@ directory serves **byte-identical** programs, and concurrent cache
 misses for one workload coalesce into a **single** tuning run.
 """
 
+import json
+import os
 import threading
 from concurrent.futures import wait
 
@@ -13,8 +15,8 @@ import pytest
 
 import repro
 from repro.frontend import ops
-from repro.meta import Telemetry, TuneConfig, TuningDatabase
-from repro.meta.database import DatabaseEntry, workload_key
+from repro.meta import Telemetry, TuneConfig, TuningDatabase, tune
+from repro.meta.database import DatabaseEntry, PersistentDatabase, workload_key
 from repro.serve import (
     Client,
     CompileResponse,
@@ -110,6 +112,28 @@ class TestServeBasics:
             resp = server.compile(func)
         assert resp.source == "miss"
         assert db.get(key).sketch != "no-such-sketch"
+
+    def test_decision_of_the_wrong_type_is_evicted_and_retuned(self, tmp_path):
+        # A stored categorical decision rewritten into a list no longer
+        # fits its sketch: the hit path drops the record (TIR701) and
+        # re-tunes instead of raising.
+        root = str(tmp_path / "db")
+        func = ops.matmul(64, 64, 64)
+        key = workload_key(func, SimGPU())
+        tune(func, SimGPU(), TuneConfig(trials=4), database=PersistentDatabase(root))
+        path = os.path.join(root, "entries", f"{key}.jsonl")
+        with open(path) as f:
+            record = json.loads(f.read())
+        assert record["decisions"][0] == 1
+        record["decisions"][0] = [1, 2]
+        with open(path, "w") as f:
+            f.write(json.dumps(record) + "\n")
+        with ScheduleServer(SimGPU(), CFG.with_(db_path=root)) as server:
+            resp = server.compile(func)
+            stats = server.stats()
+        assert resp.source == "miss"
+        assert stats.requests == 1 and stats.failures == 0
+        assert server.diagnostics.counts_by_code().get("TIR701", 0) == 1
 
     def test_submit_after_close_raises(self):
         server = ScheduleServer(SimGPU(), CFG)
