@@ -183,6 +183,15 @@ def main() -> int:
         check(field in cfg_fields, f"TuneConfig.{field} missing")
     # search_workers is the one parallelism setting.
     check("evaluator" not in cfg_fields, "TuneConfig.evaluator must not exist")
+    # Exact shape: search budget and space only — recording is switched
+    # by handing a run a Recorder, not by a config field.
+    cfg_names = list(repro.TuneConfig.field_names())
+    check(
+        cfg_names
+        == ["trials", "seed", "allow_tensorize", "sketches", "validate",
+            "population", "generations", "search_workers"],
+        f"TuneConfig fields are {cfg_names}",
+    )
 
     tune_params = inspect.signature(repro.tune).parameters
     for param in ("func", "target", "config", "database", "telemetry"):
@@ -405,18 +414,9 @@ def main() -> int:
     from repro import obs
 
     for name in (
-        "ObsConfig",
         "Recorder",
         "TrialRecord",
-        "EventStream",
-        "JsonlSink",
-        "TrialEvent",
         "Rejection",
-        "BestImproved",
-        "GenerationEnd",
-        "ModelUpdate",
-        "CacheEvent",
-        "event_to_json",
         "chrome_trace",
         "summarize",
         "diff_recordings",
@@ -424,28 +424,28 @@ def main() -> int:
         "replay_trial",
     ):
         check(hasattr(obs, name), f"repro.obs.{name} missing")
-    check("obs" in cfg_fields, "TuneConfig.obs missing")
-    check(hasattr(repro, "ObsConfig"), "repro.ObsConfig missing")
-    obs_fields = set(getattr(obs.ObsConfig, "__dataclass_fields__", {}))
+    check(hasattr(repro, "Recorder"), "repro.Recorder missing")
+    # Exact shape: a recorder keeps one row per candidate — a trial row
+    # or a rejection row — and writes them out; nothing else.
+    recorder_methods = {
+        name for name, _ in inspect.getmembers(obs.Recorder, inspect.isfunction)
+        if not name.startswith("_")
+    }
     check(
-        obs_fields == {"enabled", "sink_path"},
-        f"ObsConfig fields are {sorted(obs_fields)}",
+        recorder_methods == {"trial", "rejection", "recording", "save"},
+        f"Recorder's public methods are {sorted(recorder_methods)}",
     )
-    check(not obs.ObsConfig().enabled, "ObsConfig must default to disabled")
-    for method in ("trial", "rejection", "best_improved", "generation_end",
-                   "model_update", "record_cache_delta", "recording", "save",
-                   "close"):
-        check(
-            callable(getattr(obs.Recorder, method, None)),
-            f"Recorder.{method} missing",
-        )
-    recorder_params = list(inspect.signature(obs.Recorder.__init__).parameters)
+    # Exact shape: the flight recorder is the recorder, its exporters and
+    # the CLI, beside the serving metrics.
+    import pkgutil
+
+    obs_modules = {m.name for m in pkgutil.iter_modules(obs.__path__)}
     check(
-        recorder_params == ["self", "config", "telemetry", "clock"],
-        f"Recorder takes {recorder_params[1:]}",
+        obs_modules == {"__main__", "export", "metrics", "record"},
+        f"repro.obs submodules are {sorted(obs_modules)}",
     )
     trial_fields = set(getattr(obs.TrialRecord, "__dataclass_fields__", {}))
-    for field in ("trial_id", "task", "workload", "sketch", "generation",
+    for field in ("trial_id", "ts", "task", "workload", "sketch", "generation",
                   "parent", "decisions", "structural_hash", "trace"):
         check(field in trial_fields, f"TrialRecord.{field} missing")
 
@@ -498,10 +498,6 @@ def main() -> int:
     span_fields = set(getattr(meta.Span, "__dataclass_fields__", {}))
     for field in ("span_id", "parent_id"):
         check(field in span_fields, f"Span.{field} missing")
-    check(
-        "obs" in getattr(meta.SessionReport, "__dataclass_fields__", {}),
-        "SessionReport.obs missing",
-    )
     check(
         callable(getattr(repro.TuningSession, "save_recording", None)),
         "TuningSession.save_recording missing",
@@ -563,6 +559,13 @@ def main() -> int:
                 for fn in defined),
             f"{owner.__name__}.{method}({', '.join(params[1:])}, ...) missing",
         )
+    # Exact shape: the cost model reports its updates to no recorder;
+    # they are the search's model-update spans.
+    cost_params = list(inspect.signature(meta.CostModel.__init__).parameters)
+    check(
+        cost_params == ["self", "target", "min_data"],
+        f"CostModel takes {cost_params[1:]}",
+    )
     for module, name in (
         ("repro.schedule.validation", "verify"),
         ("repro.tir.structural", "structural_hash"),

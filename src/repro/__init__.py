@@ -41,9 +41,9 @@ from .meta import (  # noqa: F401  — the documented top-level tuning API
     CandidateSpec,
     Database,
     Evaluator,
-    ObsConfig,
     PersistentDatabase,
     ProcessEvaluator,
+    Recorder,
     SerialEvaluator,
     Telemetry,
     TuneConfig,
@@ -73,7 +73,7 @@ __all__ = [
     "obs",
     "tune",
     "TuneConfig",
-    "ObsConfig",
+    "Recorder",
     "TuneResult",
     "TuningSession",
     "Database",

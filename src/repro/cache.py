@@ -2,9 +2,9 @@
 
 Evolutionary search evaluates thousands of candidate programs that share
 most of their structure (a mutation keeps a prefix of the parent's
-decisions, so whole subtrees are byte-for-byte identical).  Every
-expensive analysis keyed on *program structure* — feature extraction,
-``verify()`` diagnostics, the analytical cost estimate — is therefore
+decisions, so whole subtrees are byte-for-byte identical).  Expensive
+analyses keyed on *program structure* — feature extraction, the
+shared-memory footprint, the analytical cost estimate — are therefore
 memoized on :func:`repro.tir.structural_hash`, through the small
 registry in this module.
 

@@ -1,6 +1,6 @@
 """The tensorization-aware auto-scheduler (paper §4)."""
 
-from ..obs import ObsConfig, Recorder, TrialRecord
+from ..obs import Recorder, TrialRecord
 from .autocopy import (
     schedule_default_spatial_cpu,
     schedule_default_spatial_gpu,
@@ -63,7 +63,6 @@ __all__ = [
     "workload_key",
     "Telemetry",
     "Span",
-    "ObsConfig",
     "Recorder",
     "TrialRecord",
     "CostModel",

@@ -12,8 +12,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence, TYPE_CHECKING
 
-from ..obs.config import ObsConfig
-
 if TYPE_CHECKING:  # pragma: no cover
     from .sketch import Sketch
 
@@ -40,10 +38,6 @@ class TuneConfig:
       (:mod:`repro.meta.evaluator`).  Candidate specs are drawn
       serially and results consumed in submission order, so results
       are identical for any worker count.
-    * ``obs`` — flight-recorder settings (:class:`repro.obs.ObsConfig`):
-      event stream + sink, per-trial provenance, live callbacks.
-      Disabled by default; recording never changes search results (it
-      consumes no search RNG).
     """
 
     trials: int = 32
@@ -54,7 +48,6 @@ class TuneConfig:
     population: int = 8
     generations: Optional[int] = None
     search_workers: int = 1
-    obs: ObsConfig = ObsConfig()
 
     def with_(self, **changes) -> "TuneConfig":
         """A copy with the given fields replaced."""

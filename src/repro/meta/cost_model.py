@@ -26,7 +26,7 @@ __all__ = ["CostModel"]
 
 
 class CostModel:
-    def __init__(self, target: Target, min_data: int = 8, recorder=None):
+    def __init__(self, target: Target, min_data: int = 8):
         self.target = target
         self.min_data = min_data
         self._X: List[np.ndarray] = []
@@ -34,9 +34,6 @@ class CostModel:
         self._model: Optional[GradientBoostedTrees] = None
         #: samples the current model was fitted on
         self._fitted = 0
-        #: optional :class:`repro.obs.Recorder` — every update is emitted
-        #: as a ``model-update`` event on the flight recording.
-        self.recorder = recorder
 
     @property
     def n_samples(self) -> int:
@@ -55,8 +52,6 @@ class CostModel:
         for func, c in zip(funcs, cycles):
             self._X.append(self.features(func))
             self._y.append(-math.log(max(c, 1.0)))  # higher = faster
-        if self.recorder is not None:
-            self.recorder.model_update(len(self._y), self.is_trained)
 
     def refit(self) -> None:
         """Fit on every sample so far, unless the model already has or

@@ -407,7 +407,7 @@ class PersistentDatabase(Database):
                     if entry is not None:
                         best = entry
         except OSError as err:
-            self.diagnostics.append(f"{os.path.basename(path)}: unreadable ({err})")
+            self._note_recovery(f"{os.path.basename(path)}: unreadable ({err})")
         return best
 
     def _scan(self) -> None:

@@ -140,7 +140,7 @@ class _Candidate:
         self.sketch = sketch
         self.func = func
         self.decisions = decisions
-        #: flight-recorder lineage (set only when a recorder is active):
+        #: flight-recorder lineage (set only when a recorder is passed):
         #: the ledger id this candidate got when measured, and the
         #: ledger id of the elite it was mutated from.
         self.trial_id: Optional[int] = None
@@ -269,17 +269,15 @@ def evolutionary_search(
     stats (modulo worker-slot accounting) and the flight recording are
     identical across backends and worker counts.
 
-    With a :class:`~repro.obs.record.Recorder` attached (or
-    ``config.obs.enabled``), every generation, rejection, measured trial
-    and best-improvement is recorded — without consuming search RNG, so
-    recorded and unrecorded runs find identical programs.
+    With a :class:`~repro.obs.record.Recorder`, every candidate gets one
+    row: a trial row when it reaches the measurer, a rejection row when
+    it dies before — without consuming search RNG, so recorded and
+    unrecorded runs find identical programs.
     """
     config = config or TuneConfig()
     rng = random.Random(config.seed)
-    if recorder is None and config.obs.enabled:
-        recorder = Recorder(config.obs, telemetry=telemetry)
-    recording = recorder is not None and recorder.enabled
-    model = cost_model or CostModel(target, recorder=recorder)
+    recording = recorder is not None
+    model = cost_model or CostModel(target)
     stats = SearchStats()
     result = TuneResult(func.name, None, float("inf"), None, None, stats=stats)
     task = task or func.name
@@ -398,9 +396,6 @@ def evolutionary_search(
                             predicted=float(scores[idx]),
                             rejection="TIR501", func=cand.func,
                         )
-                        recorder.rejection(
-                            task, sk_token, generation, "estimate", "TIR501"
-                        )
                     continue
                 finally:
                     timings["measure"] += time.perf_counter() - t0
@@ -423,19 +418,11 @@ def evolutionary_search(
                     )
                     cand.trial_id = trial_rec.trial_id
                 if report.cycles < result.best_cycles:
-                    previous = result.best_cycles
                     result.best_cycles = report.cycles
                     result.best_func = cand.func
                     result.best_report = report
                     result.best_sketch = sketch.name
                     result.best_decisions = list(cand.decisions)
-                    if recording:
-                        recorder.best_improved(
-                            task,
-                            cand.trial_id or 0,
-                            report.cycles,
-                            None if previous == float("inf") else previous,
-                        )
                 elites.append((report.cycles, cand))
             if measured_funcs:
                 t0 = time.perf_counter()
@@ -443,11 +430,6 @@ def evolutionary_search(
                 timings["model-update"] += time.perf_counter() - t0
             elites.sort(key=lambda t: t[0])
             del elites[max(4, population // 2) :]
-            if recording:
-                recorder.generation_end(
-                    task, sk_token, generation, len(pool),
-                    stats.measured, result.best_cycles,
-                )
             if telemetry is not None:
                 # Flush this generation's stage deltas as child spans
                 # of the generation span, placed at their true starts.

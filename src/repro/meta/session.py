@@ -164,10 +164,6 @@ class SessionReport:
     #: and hit rate — this run's window of the :mod:`repro.cache`
     #: counters.
     cache_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: flight-recorder activity when observability was on (event/trial
-    #: counts + sink path); the full recording is written separately by
-    #: :meth:`TuningSession.save_recording`.
-    obs: Dict[str, object] = field(default_factory=dict)
 
     def task(self, name: str) -> TaskReport:
         for t in self.tasks:
@@ -199,7 +195,6 @@ class SessionReport:
             "totals": dict(self.totals),
             "invalid_by_code": dict(self.invalid_by_code),
             "cache_stats": {k: dict(v) for k, v in sorted(self.cache_stats.items())},
-            "obs": dict(self.obs),
             "telemetry": self.telemetry,
         }
 
@@ -241,13 +236,9 @@ class TuningSession:
         #: cache-miss handler).
         self.provenance = provenance
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        #: the flight recorder — built from ``config.obs`` (a no-op
-        #: object when observability is off) unless one is injected.
-        self.recorder = (
-            recorder
-            if recorder is not None
-            else Recorder(self.config.obs, telemetry=self.telemetry)
-        )
+        #: the flight recorder every search of this session records
+        #: into; ``None`` records nothing.
+        self.recorder = recorder
         #: shape-bucket spec (``repro.frontend.shapes.BucketSpec``): when
         #: set, tasks are canonicalized to bucket representatives before
         #: dedup, so every in-bucket shape shares one search and replays
@@ -260,9 +251,12 @@ class TuningSession:
         self.results: Dict[str, TuneResult] = {}
 
     def save_recording(self, path: str) -> dict:
-        """Write the flight recording (events + trial provenance +
-        telemetry) atomically; see ``python -m repro.obs`` for readers."""
-        return self.recorder.save(path)
+        """Write the flight recording (the recorder's rows + this
+        session's spans) atomically; see ``python -m repro.obs`` for
+        readers."""
+        if self.recorder is None:
+            raise ValueError("this session has no recorder")
+        return self.recorder.save(path, telemetry=self.telemetry)
 
     # -- workload intake -----------------------------------------------
     def add(self, func: PrimFunc, name: Optional[str] = None, weight: float = 1.0) -> str:
@@ -341,8 +335,6 @@ class TuningSession:
         with self.telemetry.span("session") as session_span:
             reports, rejected, bucket = self._run_inner(total_trials)
         cache_delta = _cache.delta_since(cache_before)
-        self.recorder.record_cache_delta(cache_delta)
-        self.recorder.close()
 
         # The report covers this run alone, also on a collector shared
         # with earlier runs (a server's).
@@ -359,11 +351,6 @@ class TuningSession:
         if self.buckets is not None:
             totals["tasks_bucket_replayed"] = float(bucket["replayed"])
             totals["tasks_bucket_fallback"] = float(bucket["fallback"])
-        obs_summary: Dict[str, object] = {}
-        if self.recorder.enabled:
-            obs_summary = dict(self.recorder.stream.stats())
-            obs_summary["trials_recorded"] = len(self.recorder.trials)
-            obs_summary["sink_path"] = self.recorder.config.sink_path
         return SessionReport(
             target=self.target.name,
             tasks=ordered,
@@ -372,7 +359,6 @@ class TuningSession:
             wall_seconds=time.perf_counter() - t_run,
             invalid_by_code=dict(sorted(rejected.items())),
             cache_stats=cache_delta,
-            obs=obs_summary,
         )
 
     def _run_inner(

@@ -20,7 +20,6 @@ import time
 from contextlib import nullcontext
 from typing import Optional
 
-from .. import cache as _cache
 from ..diagnostics import DiagnosticContext
 from ..obs.record import Recorder
 from ..schedule import Schedule
@@ -83,20 +82,12 @@ def tune(
     divide-and-conquer search space is *smaller*, converging in fewer
     trials).
 
-    With ``config.obs.enabled`` (or an explicit ``recorder``) the run is
-    flight-recorded: hierarchical spans, per-candidate events and a
-    per-trial provenance ledger.  A recorder created here (from the
-    config) has its JSONL sink flushed before returning; pass your own
-    ``recorder`` to keep the in-memory ledger across calls.
+    Pass a ``recorder`` to flight-record the run: one row per candidate
+    of every sketch's search (spans go to ``telemetry``).  No recorder
+    means no recording.
     """
     config = config or TuneConfig()
     task = task or func.name
-    owns_recorder = False
-    if recorder is None and config.obs.enabled:
-        recorder = Recorder(config.obs, telemetry=telemetry)
-        owns_recorder = True
-    recording = recorder is not None and recorder.enabled
-    cache_before = _cache.snapshot_counts() if owns_recorder and recording else None
 
     task_span = (
         telemetry.span("task", task) if telemetry is not None else nullcontext()
@@ -123,7 +114,7 @@ def tune(
         if not sketches:
             raise ValueError(f"no applicable sketches for {func.name}")
 
-        model = CostModel(target, recorder=recorder)
+        model = CostModel(target)
         best: Optional[TuneResult] = None
         combined_stats = SearchStats()
         records = []
@@ -163,8 +154,4 @@ def tune(
             database.record(
                 func, target, out.best_sketch, out.best_decisions, out.best_cycles
             )
-        if cache_before is not None:
-            recorder.record_cache_delta(_cache.delta_since(cache_before))
-        if owns_recorder:
-            recorder.close()
         return out

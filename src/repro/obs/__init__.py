@@ -10,16 +10,14 @@ requires knowing where every second and every rejected candidate went):
   nested through a per-thread span stack: a session searches on the
   thread that opened its span.  The flat ``stage_seconds()`` view
   counts leaf spans only.
-* **Typed events** — a bounded, thread-safe
-  :class:`~repro.obs.events.EventStream` (:class:`TrialEvent`,
-  :class:`Rejection`, :class:`BestImproved`, :class:`GenerationEnd`,
-  :class:`ModelUpdate`, :class:`CacheEvent`) with an optional JSONL
-  sink, so long sessions never grow memory unboundedly.
-* **Per-trial provenance** — every candidate that reaches the measurer
-  gets a :class:`~repro.obs.record.TrialRecord` (workload key, sketch,
-  generation, mutation lineage, decision vector, serialized schedule
-  trace, structural hash): any recorded best program can be re-derived
-  by :func:`replay_trial`.
+* **One row per candidate** — a :class:`~repro.obs.record.Recorder`
+  keeps a :class:`~repro.obs.record.TrialRecord` for every candidate
+  that reached the measurer (workload key, sketch, generation, mutation
+  lineage, decision vector, serialized schedule trace, structural hash
+  — or the measurer's rejection code), so any recorded program can be
+  re-derived by :func:`replay_trial`, and a
+  :class:`~repro.obs.record.Rejection` for every candidate rejected
+  before that point.
 * **Exporters + CLI** — ``python -m repro.obs`` summarizes a recording,
   exports a Chrome-trace/Perfetto timeline (optionally narrowed to one
   serving request's span tree), diffs two runs, and digests a
@@ -33,30 +31,19 @@ requires knowing where every second and every rejected candidate went):
 Each count has one store.  Spans live in Telemetry, per-search counts
 in :class:`~repro.meta.search.SearchStats`, cache activity in
 :mod:`repro.cache`, and request counts in the server's ``stats()`` and
-latency histograms; the recorder and the registry keep no copies.
+latency histograms; the recorder and the registry keep no copies, and
+the exporters derive the best-cost curve from the trial rows.
 
-Switch it on through the tune config::
+Record by handing a recorder to the run; no recorder means no
+recording::
 
-    cfg = TuneConfig(trials=32, obs=ObsConfig(enabled=True, sink_path="run.jsonl"))
-    session = TuningSession(SimGPU(), cfg)
+    session = TuningSession(SimGPU(), TuneConfig(trials=32), recorder=Recorder())
     session.add(ops.matmul(512, 512, 512))
     report = session.run()
-    session.recorder.save("run.json")          # the flight recording
+    session.save_recording("run.json")         # rows + the session's spans
     # then: python -m repro.obs summarize run.json
 """
 
-from .config import ObsConfig
-from .events import (
-    BestImproved,
-    CacheEvent,
-    EventStream,
-    GenerationEnd,
-    JsonlSink,
-    ModelUpdate,
-    Rejection,
-    TrialEvent,
-    event_to_json,
-)
 from .export import chrome_trace, diff_recordings, serve_report, summarize
 from .metrics import (
     Counter,
@@ -65,10 +52,9 @@ from .metrics import (
     MetricsRegistry,
     render_prometheus,
 )
-from .record import Recorder, TrialRecord, load_recording, replay_trial
+from .record import Recorder, Rejection, TrialRecord, load_recording, replay_trial
 
 __all__ = [
-    "ObsConfig",
     "MetricsRegistry",
     "Counter",
     "Gauge",
@@ -77,15 +63,7 @@ __all__ = [
     "serve_report",
     "Recorder",
     "TrialRecord",
-    "EventStream",
-    "JsonlSink",
-    "TrialEvent",
     "Rejection",
-    "BestImproved",
-    "GenerationEnd",
-    "ModelUpdate",
-    "CacheEvent",
-    "event_to_json",
     "chrome_trace",
     "summarize",
     "diff_recordings",

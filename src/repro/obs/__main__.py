@@ -6,10 +6,12 @@
     python -m repro.obs diff A.json B.json
     python -m repro.obs serve-report METRICS.json [--prom]
 
-``summarize`` prints the per-stage / per-task / rejection-mix tables;
-``export --chrome`` writes a Chrome-trace/Perfetto timeline
-(``--request`` narrows it to one serving request's span tree); ``diff``
-compares two runs (stage seconds, rejection mix, best-cost curve);
+A recording is what ``Recorder.save`` wrote: the trial and rejection
+rows, plus the spans it was handed.  ``summarize`` prints the per-stage
+/ per-task / rejection-mix tables; ``export --chrome`` writes a
+Chrome-trace/Perfetto timeline (``--request`` narrows it to one serving
+request's span tree); ``diff`` compares two runs (stage seconds,
+rejection mix, the best-cost curve derived from the trial rows);
 ``serve-report`` digests a ``MetricsRegistry.save()`` snapshot into
 summary tables, or dumps it in Prometheus text exposition with
 ``--prom``.

@@ -1,10 +1,10 @@
 """Exporters over a saved flight recording.
 
-* :func:`chrome_trace` — the telemetry span hierarchy + event stream as
-  a Chrome-trace/Perfetto JSON timeline (``traceEvents`` with complete
-  ``ph: "X"`` slices per span, ``ph: "i"`` instants per event, and
-  thread-name metadata).  Load it at ``ui.perfetto.dev`` or
-  ``chrome://tracing``.
+* :func:`chrome_trace` — the telemetry span hierarchy + the recorded
+  rows as a Chrome-trace/Perfetto JSON timeline (``traceEvents`` with
+  complete ``ph: "X"`` slices per span, ``ph: "i"`` instants per trial,
+  rejection and best-cost improvement, and thread-name metadata).  Load
+  it at ``ui.perfetto.dev`` or ``chrome://tracing``.
 * :func:`summarize` — a per-stage / per-task text table: where the
   seconds went, what was rejected and why, the best program per task.
 * :func:`diff_recordings` — two runs side by side: stage seconds,
@@ -12,12 +12,17 @@
   can be localized without re-running anything.
 
 All three consume the plain-dict artifact written by
-:meth:`~repro.obs.record.Recorder.save`; nothing here imports the
-compiler stack, so post-mortem analysis works in any Python.
+:meth:`~repro.obs.record.Recorder.save`, and derive what the artifact
+does not store from its two row lists: the rejection mix from the
+rejection rows plus the trial rows that carry a code, the best-cost
+curve as the running minimum of trial cycles per task in trial-id
+order.  Nothing here imports the compiler stack, so post-mortem
+analysis works in any Python.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional
 
 from .metrics import quantile
@@ -55,10 +60,22 @@ def _leaf_spans(recording: dict) -> List[dict]:
     return [s for s in spans if s.get("span_id") not in parents]
 
 
+def _improvements(recording: dict) -> List[dict]:
+    """The trial rows that lowered their task's best cycles, in trial-id
+    order — the best-cost curve, derived from the ledger."""
+    best: Dict[str, float] = {}
+    out: List[dict] = []
+    for trial in sorted(recording.get("trials", []), key=lambda t: t["trial_id"]):
+        cycles, task = trial.get("cycles"), trial.get("task", "?")
+        if cycles is not None and (task not in best or cycles < best[task]):
+            best[task] = cycles
+            out.append(trial)
+    return out
+
+
 def _base_ts(recording: dict) -> float:
-    spans = _spans(recording)
-    events = recording.get("events", [])
-    candidates = [s["start"] for s in spans] + [e["ts"] for e in events]
+    rows = recording.get("trials", []) + recording.get("rejections", [])
+    candidates = [s["start"] for s in _spans(recording)] + [r["ts"] for r in rows]
     anchor = recording.get("clock_anchor")
     if anchor is not None:
         candidates.append(anchor)
@@ -68,13 +85,13 @@ def _base_ts(recording: dict) -> float:
 def chrome_trace(recording: dict, request: Optional[str] = None) -> dict:
     """Convert a recording to Chrome-trace JSON (Perfetto-loadable).
 
-    Timestamps are microseconds relative to the earliest span/event.
+    Timestamps are microseconds relative to the earliest span/row.
     Each telemetry thread becomes a ``tid`` (named via ``thread_name``
     metadata); spans carry their ``span_id``/``parent_id``/``task`` —
     and, for serving spans, the ``request`` id — in ``args`` so the
     hierarchy survives into the UI and a request's span tree
     round-trips through the export.  ``request`` narrows the timeline
-    to one serving request's span tree (events are dropped).
+    to one serving request's span tree (rows are dropped).
     """
     base = _base_ts(recording)
     tids: Dict[str, int] = {}
@@ -115,18 +132,22 @@ def chrome_trace(recording: dict, request: Optional[str] = None) -> dict:
                 },
             }
         )
-    for event in [] if request is not None else recording.get("events", []):
-        args = {k: v for k, v in event.items() if k not in ("kind", "ts")}
+    instants = [] if request is not None else (
+        [("trial", t) for t in recording.get("trials", [])]
+        + [("rejection", r) for r in recording.get("rejections", [])]
+        + [("best-improved", t) for t in _improvements(recording)]
+    )
+    for name, row in instants:
         trace_events.append(
             {
-                "name": event.get("kind", "event"),
-                "cat": "event",
+                "name": name,
+                "cat": "row",
                 "ph": "i",
                 "s": "p",  # process-scoped instant
-                "ts": round((event.get("ts", base) - base) * 1e6, 3),
+                "ts": round((row["ts"] - base) * 1e6, 3),
                 "pid": 1,
-                "tid": tid_of("events"),
-                "args": args,
+                "tid": tid_of("rows"),
+                "args": {k: v for k, v in row.items() if k not in ("ts", "trace")},
             }
         )
     return {
@@ -159,31 +180,17 @@ def _table(rows: List[List[str]], header: List[str]) -> str:
 
 
 def _rejection_mix(recording: dict) -> Dict[str, int]:
-    """Per-code rejection counts from the recording's rejection events —
-    every rejection is recorded, so the mix is exact unless the bounded
-    ring dropped events (``event_stats["dropped"]``)."""
-    out: Dict[str, int] = {}
-    for event in recording.get("events", []):
-        if event.get("kind") == "rejection":
-            out[event["code"]] = out.get(event["code"], 0) + 1
-    return out
+    """Per-code rejection counts: every rejection row plus every trial
+    row the measurer refused — one row per candidate, so the mix is
+    exact."""
+    codes = [r["code"] for r in recording.get("rejections", [])]
+    codes += [t["rejection"] for t in recording.get("trials", []) if t.get("rejection")]
+    return dict(Counter(codes))
 
 
 def _best_by_task(recording: dict) -> Dict[str, float]:
-    best: Dict[str, float] = {}
-    for trial in recording.get("trials", []):
-        cycles = trial.get("cycles")
-        if cycles is None:
-            continue
-        task = trial.get("task", "?")
-        if task not in best or cycles < best[task]:
-            best[task] = cycles
-    if best:
-        return best
-    for event in recording.get("events", []):
-        if event.get("kind") == "best-improved":
-            best[event["task"]] = event["cycles"]
-    return best
+    # Improvements are strictly decreasing per task: the last one wins.
+    return {t.get("task", "?"): t["cycles"] for t in _improvements(recording)}
 
 
 def summarize(recording: dict) -> str:
@@ -191,15 +198,12 @@ def summarize(recording: dict) -> str:
     telemetry = recording.get("telemetry", {})
     out: List[str] = []
     out.append(f"flight recording ({recording.get('schema', '?')})")
-    stats = recording.get("event_stats", {})
     trials = recording.get("trials", [])
     measured = [t for t in trials if t.get("cycles") is not None]
-    dropped = stats.get("dropped", 0)
     out.append(
-        f"events: {stats.get('emitted', 0)} emitted, {stats.get('kept', 0)} kept, "
-        f"{dropped} dropped; "
         f"trials: {len(trials)} recorded, {len(measured)} measured, "
-        f"{sum(1 for t in measured if t.get('trace'))} with replayable traces"
+        f"{sum(1 for t in measured if t.get('trace'))} with replayable traces; "
+        f"rejections before measuring: {len(recording.get('rejections', []))}"
     )
 
     stage_seconds = telemetry.get("stage_seconds", {})
@@ -248,11 +252,6 @@ def summarize(recording: dict) -> str:
         ]
         out.append("")
         out.append(_table(rows, ["rejection", "count", "share"]))
-        if dropped:
-            out.append(
-                f"(from the kept events only: the bounded ring dropped "
-                f"{dropped} of {stats.get('emitted', 0)})"
-            )
     return "\n".join(out)
 
 
@@ -319,13 +318,9 @@ def serve_report(snapshot: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _best_curve(recording: dict, task: Optional[str] = None) -> List[float]:
-    curve = [
-        e["cycles"]
-        for e in recording.get("events", [])
-        if e.get("kind") == "best-improved" and (task is None or e.get("task") == task)
-    ]
-    return curve
+def _best_curve(recording: dict, task: str) -> List[float]:
+    """``task``'s best-cost curve: its best cycles after each improvement."""
+    return [t["cycles"] for t in _improvements(recording) if t.get("task") == task]
 
 
 def diff_recordings(a: dict, b: dict, label_a: str = "A", label_b: str = "B") -> str:

@@ -1,26 +1,25 @@
-"""The flight recorder: per-trial provenance + the run artifact.
+"""The flight recorder: one row per candidate, and the run artifact.
 
-A :class:`Recorder` is threaded through ``tune`` /
-``evolutionary_search`` / ``TuningSession`` / ``CostModel`` (built from
-``TuneConfig.obs``).  It owns
+A :class:`Recorder` handed to ``tune`` / ``evolutionary_search`` /
+``fallback_tune`` / ``TuningSession`` keeps two lists:
 
-* the bounded :class:`~repro.obs.events.EventStream` (optionally backed
-  by a JSONL sink),
-* the **provenance ledger** — one :class:`TrialRecord` per candidate
-  that reached the measurer, carrying everything needed to re-derive
-  the program: workload key, sketch, generation index, mutation lineage
-  (parent trial id), the decision vector, the serialized schedule
+* ``trials`` — one :class:`TrialRecord` per candidate that reached the
+  measurer, carrying everything needed to re-derive the program:
+  workload key, sketch, generation index, mutation lineage (parent
+  trial id), the decision vector, the serialized schedule
   :class:`~repro.schedule.trace.Trace` and the program's
-  ``structural_hash``.
+  ``structural_hash`` — or, when the measurer refused it, its code
+  (``TIR501``);
+* ``rejections`` — one :class:`Rejection` per candidate rejected before
+  it reached the measurer.
 
-It records what happened in a run, not a second copy of its counts:
-per-search counts live in :class:`~repro.meta.search.SearchStats`,
-cache activity in :mod:`repro.cache` (a run's window arrives here as
-:class:`~repro.obs.events.CacheEvent` rows).
-
-Disabled (the default), every method returns immediately — the search
-hot path pays only an attribute check.  All methods are thread-safe;
-trial ids are globally ordered across concurrent task searches.
+No recorder means no recording.  The recorder keeps no copy of what
+another store holds: spans live in
+:class:`~repro.meta.telemetry.Telemetry` (a saved recording embeds the
+ones it is handed), per-search counts in
+:class:`~repro.meta.search.SearchStats`, cache activity in
+:mod:`repro.cache`; the best-cost curve is derived from the trial rows
+(:mod:`repro.obs.export`).  All methods are thread-safe.
 
 :func:`replay_trial` is the other half of the contract: given a record
 and the base workload function, it replays the stored trace and asserts
@@ -35,26 +34,15 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .. import cache as _cache
 from ..fileio import atomic_write
-from .config import ObsConfig
-from .events import (
-    BestImproved,
-    CacheEvent,
-    EventStream,
-    GenerationEnd,
-    JsonlSink,
-    ModelUpdate,
-    Rejection,
-    TrialEvent,
-)
 
-__all__ = ["Recorder", "TrialRecord", "replay_trial", "load_recording"]
+__all__ = ["Recorder", "TrialRecord", "Rejection", "replay_trial", "load_recording"]
 
 #: artifact schema identifier (bump on breaking changes to the layout).
-SCHEMA = "repro.obs/1"
+SCHEMA = "repro.obs/2"
 
 #: Serialized-trace memo: re-deriving a measured candidate's trace is a
 #: full (deterministic) candidate build, keyed exactly like the
@@ -69,16 +57,18 @@ _TRACE_CACHE = _cache.MemoCache("obs.traces", maxsize=1024)
 class TrialRecord:
     """Provenance of one candidate that reached the measurer.
 
-    ``rejection`` is the diagnostic code when the measurer itself killed
-    the candidate (``TIR501`` — the analytical model could not cost it);
-    otherwise ``predicted``/``cycles``/``seconds`` hold the scored and
-    measured cost.  ``trace`` is the serialized schedule trace
-    (:meth:`~repro.schedule.trace.Trace.to_json`); replaying it onto a
-    fresh schedule of the workload re-derives a program whose
+    ``ts`` is when it was recorded (``time.perf_counter``, the telemetry
+    clock).  ``rejection`` is the diagnostic code when the measurer
+    itself killed the candidate (``TIR501`` — the analytical model could
+    not cost it); otherwise ``predicted``/``cycles``/``seconds`` hold the
+    scored and measured cost.  ``trace`` is the serialized schedule
+    trace (:meth:`~repro.schedule.trace.Trace.to_json`); replaying it
+    onto a fresh schedule of the workload re-derives a program whose
     ``structural_hash`` equals the recorded one.
     """
 
     trial_id: int
+    ts: float
     task: str
     workload: str  # workload_key(func, target) — database-compatible
     sketch: str
@@ -96,40 +86,36 @@ class TrialRecord:
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_json(cls, data: dict) -> "TrialRecord":
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
+
+@dataclass
+class Rejection:
+    """One candidate rejected before it reached the measurer.
+
+    ``stage`` is where it died — ``"apply"`` (a primitive precondition)
+    or ``"invalid"`` (the §3.3 validation battery) — and ``code`` the
+    diagnostic error code (``TIRnnn``)."""
+
+    ts: float
+    task: str
+    sketch: str
+    generation: int
+    stage: str
+    code: str
 
 
 class Recorder:
-    """Collects events + trial provenance for one run (or many)."""
+    """The trial ledger and rejection rows of one run (or many)."""
 
-    def __init__(
-        self,
-        config: Optional[ObsConfig] = None,
-        telemetry=None,
-        clock=time.perf_counter,
-    ):
-        self.config = config or ObsConfig()
-        self.enabled = bool(self.config.enabled)
-        self.telemetry = telemetry
-        self._clock = clock
-        self.sink = (
-            JsonlSink(self.config.sink_path)
-            if self.enabled and self.config.sink_path
-            else None
-        )
-        self.stream = EventStream(sink=self.sink)
+    def __init__(self):
         self.trials: List[TrialRecord] = []
+        self.rejections: List[Rejection] = []
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         #: wall-clock ↔ telemetry-clock anchor, so exporters can place
         #: perf_counter timestamps in absolute time.
         self.created_unix = time.time()
-        self.created_clock = clock()
+        self.created_clock = time.perf_counter()
 
-    # -- trial provenance ----------------------------------------------
     def trial(
         self,
         *,
@@ -147,7 +133,7 @@ class Recorder:
         func=None,
         base_func=None,
         sketch_obj=None,
-    ) -> Optional[TrialRecord]:
+    ) -> TrialRecord:
         """Ledger one measured (or measurer-rejected) candidate.
 
         ``func`` is the scheduled program (hashed); ``base_func`` +
@@ -156,44 +142,31 @@ class Recorder:
         path builds candidates without trace recording, so provenance is
         reconstructed only for the few candidates that get measured.
         """
-        if not self.enabled:
-            return None
         from ..tir import structural_hash
 
-        record = TrialRecord(
-            trial_id=next(self._ids),
-            task=task,
-            workload=workload,
-            sketch=sketch,
-            generation=generation,
-            parent=parent,
-            decisions=list(decisions),
-            predicted=predicted,
-            cycles=cycles,
-            seconds=seconds,
-            bound=bound,
-            rejection=rejection,
-        )
-        if func is not None:
-            record.structural_hash = structural_hash(func)
+        shash = None if func is None else structural_hash(func)
+        trace = None
         if cycles is not None and base_func is not None and sketch_obj is not None:
-            record.trace = self._serialize_trace(base_func, sketch_obj, decisions)
+            trace = self._serialize_trace(base_func, sketch_obj, decisions)
         with self._lock:
-            self.trials.append(record)
-        if cycles is not None:
-            self.stream.emit(
-                TrialEvent(
-                    ts=self._clock(),
-                    task=task,
-                    sketch=sketch,
-                    generation=generation,
-                    trial_id=record.trial_id,
-                    predicted=predicted,
-                    cycles=cycles,
-                    seconds=seconds if seconds is not None else 0.0,
-                    bound=bound or "",
-                )
+            record = TrialRecord(
+                trial_id=next(self._ids),
+                ts=time.perf_counter(),
+                task=task,
+                workload=workload,
+                sketch=sketch,
+                generation=generation,
+                parent=parent,
+                decisions=list(decisions),
+                predicted=predicted,
+                cycles=cycles,
+                seconds=seconds,
+                bound=bound,
+                rejection=rejection,
+                structural_hash=shash,
+                trace=trace,
             )
+            self.trials.append(record)
         return record
 
     def _serialize_trace(self, base_func, sketch_obj, decisions) -> Optional[dict]:
@@ -226,110 +199,36 @@ class Recorder:
         )
         return _TRACE_CACHE.get_or_compute(key, rebuild)
 
-    # -- events ---------------------------------------------------------
     def rejection(
         self, task: str, sketch: str, generation: int, stage: str, code: str
     ) -> None:
-        if not self.enabled:
-            return
-        self.stream.emit(
-            Rejection(
-                ts=self._clock(), task=task, sketch=sketch,
-                generation=generation, stage=stage, code=code,
-            )
-        )
-
-    def best_improved(
-        self, task: str, trial_id: int, cycles: float, previous: Optional[float]
-    ) -> None:
-        if not self.enabled:
-            return
-        self.stream.emit(
-            BestImproved(
-                ts=self._clock(), task=task, trial_id=trial_id,
-                cycles=cycles, previous=previous,
-            )
-        )
-
-    def generation_end(
-        self,
-        task: str,
-        sketch: str,
-        index: int,
-        pool: int,
-        measured: int,
-        best_cycles: Optional[float],
-    ) -> None:
-        if not self.enabled:
-            return
-        if best_cycles is not None and best_cycles == float("inf"):
-            best_cycles = None
-        self.stream.emit(
-            GenerationEnd(
-                ts=self._clock(), task=task, sketch=sketch, index=index,
-                pool=pool, measured=measured, best_cycles=best_cycles,
-            )
-        )
-
-    def model_update(self, samples: int, trained: bool) -> None:
-        if not self.enabled:
-            return
-        self.stream.emit(
-            ModelUpdate(ts=self._clock(), samples=samples, trained=trained)
-        )
-
-    def record_cache_delta(self, delta: Dict[str, Dict[str, float]]) -> None:
-        """One :class:`CacheEvent` per cache active in a run window
-        (fed from :func:`repro.cache.delta_since`)."""
-        if not self.enabled:
-            return
-        now = self._clock()
-        for name, counts in sorted(delta.items()):
-            self.stream.emit(
-                CacheEvent(
-                    ts=now,
-                    name=name,
-                    hits=int(counts.get("hits", 0)),
-                    misses=int(counts.get("misses", 0)),
-                    evictions=int(counts.get("evictions", 0)),
-                )
-            )
+        """Record one candidate rejected before measuring."""
+        row = Rejection(time.perf_counter(), task, sketch, generation, stage, code)
+        with self._lock:
+            self.rejections.append(row)
 
     # -- the artifact ----------------------------------------------------
     def recording(self) -> dict:
-        """The flight recording as one JSON-ready document."""
+        """The recorded rows as one JSON-ready document."""
         with self._lock:
             trials = [t.to_json() for t in self.trials]
-        out = {
+            rejections = [dataclasses.asdict(r) for r in self.rejections]
+        return {
             "schema": SCHEMA,
             "created_unix": self.created_unix,
             "clock_anchor": self.created_clock,
-            "config": self.config.to_json(),
-            "events": self.stream.events(),
-            "event_stats": self.stream.stats(),
             "trials": trials,
+            "rejections": rejections,
         }
-        if self.telemetry is not None:
-            out["telemetry"] = self.telemetry.report()
-        return out
 
-    def save(self, path: str) -> dict:
-        """Write the recording atomically; returns the document written."""
+    def save(self, path: str, telemetry=None) -> dict:
+        """Write the recording atomically, with the spans of
+        ``telemetry`` when given; returns the document written."""
         doc = self.recording()
+        if telemetry is not None:
+            doc["telemetry"] = telemetry.report()
         atomic_write(path, json.dumps(doc, indent=1, sort_keys=True))
         return doc
-
-    def close(self) -> None:
-        """Flush the JSONL sink (the stream stays usable — the sink
-        reopens in append mode on the next write)."""
-        if self.sink is not None:
-            self.sink.close()
-
-    def __enter__(self) -> "Recorder":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def load_recording(path: str) -> dict:

@@ -105,8 +105,8 @@ def coerce_perfect_tile(
     remaining extent that does not exceed it — when the stored vector is
     already feasible this reproduces it exactly (every factor divides
     the product), so strict replays are unaffected.  Returns ``None``
-    when the decision cannot be interpreted as a tile vector at all
-    (the caller then samples afresh).
+    when the decision cannot be interpreted as a tile vector at all;
+    the replay then rejects it, as a strict replay would.
     """
     if extent is None or not isinstance(decision, (list, tuple)) or len(decision) != n:
         return None

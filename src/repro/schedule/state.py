@@ -462,9 +462,12 @@ class Schedule:
                 coerced = coerce_perfect_tile(
                     decision, const_int_value(extent), n, max_innermost_factor
                 )
-                if coerced != (list(decision) if isinstance(decision, (list, tuple)) else decision):
-                    self.adapted_decisions += 1
-                decision = coerced
+                # A decision the coercer cannot read stays as stored, so
+                # the strict check below rejects it, as in strict mode.
+                if coerced is not None:
+                    if coerced != list(decision):
+                        self.adapted_decisions += 1
+                    decision = coerced
         factors = sample_perfect_tile(self.rng, extent, n, max_innermost_factor, decision)
         self.decisions.append(list(factors))
         self._record(
@@ -489,9 +492,10 @@ class Schedule:
             decision = self._next_forced_decision()
             if decision is not None and self.decision_mode == "adapt":
                 coerced = coerce_categorical(decision, len(candidates))
-                if coerced != decision:
-                    self.adapted_decisions += 1
-                decision = coerced
+                if coerced is not None:  # else rejected below, as in strict mode
+                    if coerced != decision:
+                        self.adapted_decisions += 1
+                    decision = coerced
         index = sample_categorical(self.rng, len(candidates), probs, decision)
         self.decisions.append(index)
         self._record(

@@ -56,10 +56,9 @@ __all__ = [
 ]
 
 
-#: memoized per-function analyses keyed on structural hash — see the
-#: caching notes on :func:`verify`.
+#: the shared-memory footprint, memoized on structural hash — see
+#: :func:`shared_footprint_bytes`.
 _FOOTPRINT_CACHE = _cache.MemoCache("schedule.shared_footprint", maxsize=4096)
-_VERIFY_CACHE = _cache.MemoCache("schedule.verify", maxsize=4096)
 
 
 def shared_footprint_bytes(func: PrimFunc) -> int:
@@ -161,31 +160,6 @@ def verify(
     / ``.render()`` give the typed view.  Pass ``ctx`` to accumulate
     into an existing :class:`~repro.diagnostics.DiagnosticContext`.
     """
-    from ..tir.structural import structural_hash
-
-    # Diagnostics embed block/loop/buffer *names* in their messages and
-    # rendered spans, while structurally-equal programs may differ in
-    # names — so the key carries a cheap name fingerprint next to the
-    # alpha-invariant hash.
-    key = (
-        structural_hash(func),
-        getattr(target, "name", None) if target is not None else None,
-        _names_fingerprint(func),
-    )
-    hit = _VERIFY_CACHE.lookup(key)
-    if hit is not _cache.MISS:
-        diagnostics = list(hit)
-        if ctx is not None:
-            ctx.extend(diagnostics)
-        return diagnostics
-    diagnostics = _verify_impl(func, target, ctx)
-    _VERIFY_CACHE.put(key, tuple(diagnostics))
-    return diagnostics
-
-
-def _verify_impl(
-    func: PrimFunc, target=None, ctx: Optional[DiagnosticContext] = None
-) -> List[Diagnostic]:
     if ctx is None:
         ctx = DiagnosticContext(func)
     first = len(ctx.diagnostics)
@@ -200,7 +174,9 @@ def _verify_impl(
 
 
 def _names_fingerprint(func: PrimFunc) -> int:
-    """Hash of every name a diagnostic message could mention."""
+    """Hash of every name in ``func`` — what its alpha-invariant
+    structural hash ignores.  Caches whose values print names (built
+    candidates, workload keys) key on it next to that hash."""
     parts: List[str] = [func.name]
     parts.extend(buf.name for buf in func.buffer_map.values())
     stack: List[Stmt] = [func.body]

@@ -9,6 +9,7 @@ wrong program.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -145,6 +146,22 @@ class TestAdaptiveReplay:
         sch = db.replay_entry(_conv(5), entry, decision_mode="strict", ctx=ctx)
         assert sch is None
         assert ctx.counts_by_code().get("TIR701", 0) >= 1
+
+    def test_unreadable_stored_decision_is_rejected_not_redrawn(self):
+        # A stored decision the coercer cannot interpret is rejected in
+        # adapt mode as in strict mode (TIR701): redrawing it from the
+        # replay's RNG would serve a program that is not the record's.
+        target = SimGPU()
+        db = TuningDatabase()
+        tune(ops.matmul(64, 32, 32), target, CONFIG, database=db)
+        entry = db.get(workload_key(ops.matmul(64, 32, 32), target))
+        assert entry.sketch == "tensor-core" and entry.decisions[0] == 1
+        broken = replace(entry, decisions=[[1, 2]] + list(entry.decisions[1:]))
+        for n, mode in ((64, "strict"), (56, "adapt")):
+            ctx = DiagnosticContext()
+            func = ops.matmul(n, 32, 32)
+            assert db.replay_entry(func, broken, decision_mode=mode, ctx=ctx) is None
+            assert ctx.counts_by_code() == {"TIR701": 1}, mode
 
     def test_infeasible_adapt_replay_emits_tir701(self):
         # n=3 from the rep-4 conv record is infeasible even under adapt

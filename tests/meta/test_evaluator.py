@@ -17,6 +17,7 @@ from repro import cache as repro_cache
 from repro.frontend import ops
 from repro.meta import (
     CandidateSpec,
+    GpuScalarSketch,
     ProcessEvaluator,
     SerialEvaluator,
     TensorCoreSketch,
@@ -27,7 +28,7 @@ from repro.meta import (
     tune,
 )
 from repro.meta.evaluator import EvalContext, EvalOutcome, resolve_evaluator
-from repro.obs import ObsConfig, Recorder
+from repro.obs import Recorder
 from repro.sim import SimGPU
 from repro.tir import parse_script, script, structural_hash
 
@@ -118,11 +119,6 @@ class TestPickleBoundary:
         assert clone == config
         assert clone.search_workers == 3
 
-    def test_obs_config_round_trip(self):
-        config = ObsConfig(enabled=True, sink_path="run.jsonl")
-        clone = pickle.loads(pickle.dumps(config))
-        assert clone == config
-
     def test_unpicklable_context_falls_back_to_serial(self, process_pool):
         # A distinct workload size: context blobs are cached by content
         # key, and a cached blob would mask the pickling failure.
@@ -186,35 +182,35 @@ class TestProtocolSurface:
         assert set(evaluator.counters()) == {"busy_seconds"}
         assert set(telemetry.report()) == {"spans", "stage_seconds"}
 
-    def test_recorder_meta_carries_backend_but_not_events(self, process_pool):
+    def test_recording_is_identical_across_backends(self, process_pool):
         """Batch and candidate counts are a function of the search stream,
         not the backend; only worker slots scale with the pool.  The
-        recorded event stream is identical across backends."""
-        config = TuneConfig(
-            trials=4, population=4, seed=0, obs=ObsConfig(enabled=True)
-        )
+        recorded rows, timestamps aside, are identical across backends."""
+        config = TuneConfig(trials=4, population=4, seed=2)
         func = build_matmul(64, 64, 64, dtype="float16")
 
-        def run(evaluator):
-            recorder = Recorder(config.obs)
+        def run(workers):
+            recorder = Recorder()
             repro_cache.clear_all()
             result = evolutionary_search(
-                func, TensorCoreSketch(), SimGPU(), config,
-                recorder=recorder, evaluator=evaluator,
+                func, GpuScalarSketch(), SimGPU(),
+                config.with_(search_workers=workers), recorder=recorder,
             )
-            return result.stats, recorder
+            doc = recorder.recording()
+            rows = [
+                [{k: v for k, v in row.items() if k != "ts"} for row in doc[kind]]
+                for kind in ("trials", "rejections")
+            ]
+            return result.stats, rows
 
-        (serial, serial_rec), (processes, process_rec) = (
-            run(SerialEvaluator()), run(process_pool)
-        )
+        (serial, serial_rows), (processes, process_rows) = run(1), run(2)
         assert serial.eval_batch_candidates > 0
         assert (serial.eval_batches, serial.eval_batch_candidates) == (
             processes.eval_batches, processes.eval_batch_candidates
         )
         assert processes.eval_batch_slots == 2 * serial.eval_batch_slots
-        serial_kinds = [e.get("kind") for e in serial_rec.stream.events()]
-        process_kinds = [e.get("kind") for e in process_rec.stream.events()]
-        assert serial_kinds == process_kinds
+        assert serial_rows[0] and serial_rows[1]
+        assert serial_rows == process_rows
 
 
 class TestRenamedWorkload:

@@ -25,6 +25,7 @@ from repro.meta.database import (
     PersistentDatabase,
     workload_key,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import SimGPU, estimate
 
 
@@ -207,6 +208,23 @@ class TestCorruptionRecovery:
         db2 = PersistentDatabase(root)
         assert len(db2.diagnostics) == 1, db2.diagnostics
         assert db2.keys() == ["aa", "bb"]
+        assert db2.get("aa") == _entry("aa", cycles=42.0)
+
+    def test_unreadable_entry_file_counts_as_a_recovery(self, tmp_path):
+        # A directory where an entry file should be cannot be read: the
+        # open skips it with one diagnostic and counts it like any other
+        # recovered record.
+        root = str(tmp_path / "db")
+        db = PersistentDatabase(root)
+        db.put(_entry("aa", cycles=42.0))
+        os.makedirs(os.path.join(root, "entries", "bad.jsonl"))
+        db2 = PersistentDatabase(root)
+        assert len(db2.diagnostics) == 1, db2.diagnostics
+        assert "unreadable" in db2.diagnostics[0]
+        registry = MetricsRegistry()
+        db2.bind_metrics(registry)
+        assert registry.counter("db_corrupt_lines_total").value == 1
+        assert db2.keys() == ["aa"]
         assert db2.get("aa") == _entry("aa", cycles=42.0)
 
     def test_directory_with_old_bookkeeping_sidecar_opens_clean(self, tmp_path):

@@ -1,104 +1,36 @@
-"""Tests for the flight recorder: event stream, provenance ledger,
-lineage, replay, the live event feed, bounding, and the off switch.
+"""Tests for the flight recorder: one row per candidate (the trial
+ledger and the rejection rows), lineage, replay, the derived best-cost
+curve, and that recording never changes what a search finds.
 """
 
 import json
 import os
-import threading
 
 import pytest
 
-from repro.meta import ObsConfig, Recorder, TuneConfig, evolutionary_search, tune
+from repro.frontend import ops
+from repro.meta import Recorder, TuneConfig, evolutionary_search, tune
 from repro.meta.sketch import TensorCoreSketch
-from repro.obs import (
-    EventStream,
-    JsonlSink,
-    Rejection,
-    TrialEvent,
-    load_recording,
-    replay_trial,
-)
-from repro.sim import SimGPU
+from repro.obs import diff_recordings, load_recording, replay_trial
+from repro.obs.export import _best_curve, _rejection_mix
+from repro.sim import SimGPU, Target
 
 from ..common import build_matmul
+from ..meta.test_hotpath_caches import IdentitySketch
 
 
-def _rejection(n: int) -> Rejection:
-    return Rejection(ts=float(n), task="t", sketch="s", generation=1,
-                     stage="invalid", code="TIR105")
-
-
-def _trial(n: int) -> TrialEvent:
-    return TrialEvent(ts=float(n), task="t", sketch="s", generation=1,
-                      trial_id=n, predicted=None, cycles=100.0, seconds=0.1,
-                      bound="compute")
-
-
-class TestEventStream:
-    def test_bounded_ring_drops_oldest(self):
-        stream = EventStream(max_events=4)
-        for n in range(10):
-            stream.emit(_trial(n))
-        assert len(stream) == 4
-        stats = stream.stats()
-        assert stats == {"emitted": 10, "kept": 4, "dropped": 6}
-        assert [e["trial_id"] for e in stream.events()] == [6, 7, 8, 9]
-
-    def test_concurrent_emit_loses_nothing(self):
-        stream = EventStream(max_events=100000)
-        barrier = threading.Barrier(6)
-
-        def worker():
-            barrier.wait()
-            for n in range(300):
-                stream.emit(_trial(n))
-
-        threads = [threading.Thread(target=worker) for _ in range(6)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        assert stream.stats()["emitted"] == 1800
-        assert len(stream) == 1800
-
-
-class TestJsonlSink:
-    def test_lines_parse_and_reopen_after_close(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        sink = JsonlSink(path)
-        sink.write({"kind": "a"})
-        sink.close()
-        sink.write({"kind": "b"})  # reopens in append mode
-        sink.close()
-        lines = [json.loads(l) for l in open(path)]
-        assert [l["kind"] for l in lines] == ["a", "b"]
-        assert sink.lines_written == 2
-
-
-class TestRecorderOffSwitch:
-    def test_disabled_recorder_is_a_noop(self):
-        rec = Recorder(ObsConfig(enabled=False))
-        assert not rec.enabled
-        assert rec.trial(task="t", workload="w", sketch="s", generation=1,
-                         parent=None, decisions=[]) is None
-        rec.rejection("t", "s", 1, "invalid", "TIR105")
-        rec.best_improved("t", 1, 100.0, None)
-        rec.generation_end("t", "s", 1, 4, 2, 100.0)
-        rec.model_update(8, True)
-        rec.record_cache_delta({"x": {"hits": 1, "misses": 1}})
-        assert rec.trials == []
-        assert rec.stream.stats()["emitted"] == 0
-
+class TestRecordingIsPassive:
     def test_recording_does_not_change_search_results(self):
         """The recorder consumes no search RNG: recorded and unrecorded
         runs must find the identical best program."""
         func = build_matmul(128, 128, 128, dtype="float16")
         cfg = TuneConfig(trials=6, population=4, seed=3)
         plain = evolutionary_search(func, TensorCoreSketch(), SimGPU(), cfg)
+        rec = Recorder()
         recorded = evolutionary_search(
-            func, TensorCoreSketch(), SimGPU(),
-            cfg.with_(obs=ObsConfig(enabled=True)),
+            func, TensorCoreSketch(), SimGPU(), cfg, recorder=rec
         )
+        assert rec.trials
         assert recorded.best_cycles == plain.best_cycles
         assert recorded.best_decisions == plain.best_decisions
         assert recorded.stats.measured == plain.stats.measured
@@ -108,7 +40,7 @@ class TestRecorderOffSwitch:
 def recorded_search():
     """One recorded evolutionary search, shared by the ledger tests."""
     func = build_matmul(128, 128, 128, dtype="float16")
-    rec = Recorder(ObsConfig(enabled=True))
+    rec = Recorder()
     result = evolutionary_search(
         func, TensorCoreSketch(), SimGPU(),
         TuneConfig(trials=8, population=6, seed=0), recorder=rec,
@@ -174,44 +106,73 @@ class TestProvenanceLedger:
             replay_trial(doc, func)
 
 
-class TestCallbacksAndArtifact:
-    def test_live_callbacks_fire(self, tmp_path):
-        """The live progress feed is the recording itself: generation and
-        best-improved events, streamed to the JSONL sink as they occur."""
-        sink = tmp_path / "run.jsonl"
-        cfg = TuneConfig(
-            trials=4, population=4, seed=0,
-            obs=ObsConfig(enabled=True, sink_path=str(sink)),
+@pytest.fixture(scope="module")
+def recorded_tune():
+    """One recorded ``tune()`` over every applicable sketch."""
+    rec = Recorder()
+    result = tune(
+        ops.matmul(128, 128, 128), SimGPU(), TuneConfig(trials=8, seed=3),
+        recorder=rec,
+    )
+    return rec, result
+
+
+class TestOneRowPerCandidate:
+    def test_rejection_mix_equals_search_stats(self, recorded_tune):
+        rec, result = recorded_tune
+        mix = _rejection_mix(rec.recording())
+        assert mix == dict(result.stats.rejected_by_code)
+        assert sum(mix.values()) == len(rec.rejections) + sum(
+            1 for t in rec.trials if t.rejection is not None
         )
-        rec = Recorder(cfg.obs)
-        func = build_matmul(64, 64, 64, dtype="float16")
-        result = tune(func, SimGPU(), cfg, recorder=rec)
-        rec.close()
-        assert result.best_func is not None
-        assert rec.stream.events("generation")
-        # tune() searches each sketch separately; the curve is strictly
-        # decreasing within a search and restarts (previous=None) when
-        # the next sketch's search begins.
-        bests = rec.stream.events("best-improved")
-        assert bests
-        assert bests[0]["previous"] is None
-        for prev, cur in zip(bests, bests[1:]):
-            if cur["previous"] is None:
-                continue  # new search started
-            assert cur["cycles"] < prev["cycles"]
-            assert cur["previous"] == pytest.approx(prev["cycles"])
-        # The sink holds one parseable line per event, in emit order.
-        lines = [json.loads(l) for l in open(sink)]
-        assert lines == rec.stream.events()
+        assert {r.stage for r in rec.rejections} <= {"apply", "invalid"}
+
+    def test_measured_trials_are_the_trial_rows_with_cycles(self, recorded_tune):
+        rec, result = recorded_tune
+        measured = [t for t in rec.trials if t.cycles is not None]
+        assert len(measured) == result.stats.measured
+        assert [t.trial_id for t in rec.trials] == list(range(1, len(rec.trials) + 1))
+
+    def test_measurer_refusal_is_only_a_trial_row(self):
+        # An abstract target has no performance model: every candidate
+        # that reaches the measurer is refused (TIR501) and recorded
+        # once, as a trial row carrying the code.
+        rec = Recorder()
+        result = evolutionary_search(
+            ops.matmul(16, 16, 16), IdentitySketch(), Target(),
+            TuneConfig(trials=4, seed=0, validate=False, generations=1),
+            recorder=rec,
+        )
+        refused = result.stats.rejected_by_code["TIR501"]
+        assert refused > 0 and result.stats.measured == 0
+        assert [t.rejection for t in rec.trials] == ["TIR501"] * refused
+        assert all(t.cycles is None and t.trace is None for t in rec.trials)
+        assert rec.rejections == []
+        assert _rejection_mix(rec.recording()) == {"TIR501": refused}
+
+    def test_best_cost_curve_is_derived_from_trials(self, recorded_tune):
+        """The curve is the running minimum of trial cycles per task, in
+        trial-id order: strictly decreasing, ending at the best found."""
+        rec, result = recorded_tune
+        doc = rec.recording()
+        curve = _best_curve(doc, "matmul")
+        assert curve
+        assert all(b < a for a, b in zip(curve, curve[1:]))
+        assert curve[-1] == result.best_cycles
+        text = diff_recordings(doc, doc)
+        assert f"{len(curve)}/{len(curve)}" in text
 
     def test_save_and_load_roundtrip(self, tmp_path, recorded_search):
         _, rec, _ = recorded_search
         path = str(tmp_path / "run.json")
         doc = rec.save(path)
         loaded = load_recording(path)
-        assert loaded["schema"] == "repro.obs/1"
+        assert loaded["schema"] == "repro.obs/2"
         assert loaded["trials"] == json.loads(json.dumps(doc["trials"]))
-        assert loaded["event_stats"]["emitted"] == doc["event_stats"]["emitted"]
+        assert loaded["rejections"] == json.loads(json.dumps(doc["rejections"]))
+        assert len(loaded["trials"]) == len(rec.trials)
+        assert len(loaded["rejections"]) == len(rec.rejections)
+        assert "telemetry" not in loaded  # no spans were handed to save
         # Atomic write leaves no temp files behind.
         leftovers = [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
         assert leftovers == []

@@ -9,13 +9,15 @@ than failing the request.
 """
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.frontend import ops
 from repro.frontend.shapes import BucketSpec
-from repro.meta import Telemetry, TuneConfig, tune
+from repro.meta import Telemetry, TuneConfig, TuningDatabase, tune
+from repro.meta.database import workload_key
 from repro.runtime import random_args, run
 from repro.runtime.interp import interpret
 from repro.serve import ScheduleServer, ServeConfig
@@ -159,6 +161,24 @@ class TestInBucketCoalescing:
 
 
 class TestReplayFallback:
+    def test_unreadable_stored_decision_is_tuned_afresh(self):
+        # The representative's record holds a decision the coercer cannot
+        # interpret: an in-bucket request is served by the TIR702 fresh
+        # tune at its own shape, not by a program redrawn at replay.
+        db = TuningDatabase()
+        key = workload_key(_matmul(64), SimGPU())
+        tune(_matmul(64), SimGPU(), CFG.tune, database=db)
+        entry = db.get(key)
+        db.evict(key)
+        db.put(replace(entry, decisions=[[1, 2]] + list(entry.decisions[1:])))
+        with ScheduleServer(SimGPU(), CFG, database=db) as server:
+            resp = server.compile(_matmul(56))
+            stats = server.stats()
+        assert resp.source == "miss" and resp.trials > 0
+        assert stats.bucket_hits == 0 and stats.replay_fallbacks == 1
+        assert server.diagnostics.counts_by_code().get("TIR702", 0) == 1
+        assert _matches_oracle(_matmul(56), resp.func)
+
     def test_infeasible_replay_falls_back_to_a_new_tune(self):
         with ScheduleServer(SimGPU(), CFG) as server:
             rep = server.compile(_conv(4))
