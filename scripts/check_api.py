@@ -37,10 +37,6 @@ def main() -> int:
         "DiagnosticContext",
         "DiagnosticError",
         "Severity",
-        "Evaluator",
-        "SerialEvaluator",
-        "ProcessEvaluator",
-        "CandidateSpec",
         "__version__",
     ):
         check(hasattr(repro, name), f"repro.{name} missing")
@@ -62,12 +58,6 @@ def main() -> int:
         "TuneResult",
         "evolutionary_search",
         "estimated_cost",
-        "Evaluator",
-        "SerialEvaluator",
-        "ProcessEvaluator",
-        "CandidateSpec",
-        "get_evaluator",
-        "shutdown_evaluators",
     ):
         check(hasattr(meta, name), f"repro.meta.{name} missing")
 
@@ -178,18 +168,16 @@ def main() -> int:
         "allow_tensorize",
         "sketches",
         "validate",
-        "search_workers",
     ):
         check(field in cfg_fields, f"TuneConfig.{field} missing")
-    # search_workers is the one parallelism setting.
-    check("evaluator" not in cfg_fields, "TuneConfig.evaluator must not exist")
     # Exact shape: search budget and space only — recording is switched
-    # by handing a run a Recorder, not by a config field.
+    # by handing a run a Recorder, and a session picks its own search
+    # width, so neither is a config field.
     cfg_names = list(repro.TuneConfig.field_names())
     check(
         cfg_names
         == ["trials", "seed", "allow_tensorize", "sketches", "validate",
-            "population", "generations", "search_workers"],
+            "population", "generations"],
         f"TuneConfig fields are {cfg_names}",
     )
 
@@ -393,22 +381,15 @@ def main() -> int:
         "SearchStats.search_signature missing",
     )
 
-    # --- the evaluator protocol (pluggable backends) ------------------
-    for method in ("evaluate", "counters", "close"):
-        check(
-            callable(getattr(repro.Evaluator, method, None)),
-            f"Evaluator.{method} missing",
-        )
-    for backend in (repro.SerialEvaluator, repro.ProcessEvaluator):
-        check(
-            issubclass(backend, repro.Evaluator),
-            f"{backend.__name__} must subclass Evaluator",
-        )
-    spec_fields = set(getattr(repro.CandidateSpec, "__dataclass_fields__", {}))
-    for field in ("seed", "forced", "parent_trial"):
-        check(field in spec_fields, f"CandidateSpec.{field} missing")
-    search_params = inspect.signature(meta.evolutionary_search).parameters
-    check("evaluator" in search_params, "evolutionary_search(...evaluator...) missing")
+    # Exact shape: one search builds its candidates inline; there is no
+    # evaluation backend to hand it.
+    search_params = list(inspect.signature(meta.evolutionary_search).parameters)
+    check(
+        search_params
+        == ["func", "sketch", "target", "config", "cost_model", "telemetry",
+            "task", "recorder"],
+        f"evolutionary_search takes {search_params}",
+    )
 
     # --- the observability layer (flight recorder) --------------------
     from repro import obs
@@ -426,13 +407,14 @@ def main() -> int:
         check(hasattr(obs, name), f"repro.obs.{name} missing")
     check(hasattr(repro, "Recorder"), "repro.Recorder missing")
     # Exact shape: a recorder keeps one row per candidate — a trial row
-    # or a rejection row — and writes them out; nothing else.
+    # or a rejection row, its own or a session search's — and writes
+    # them out; nothing else.
     recorder_methods = {
         name for name, _ in inspect.getmembers(obs.Recorder, inspect.isfunction)
         if not name.startswith("_")
     }
     check(
-        recorder_methods == {"trial", "rejection", "recording", "save"},
+        recorder_methods == {"trial", "rejection", "adopt", "recording", "save"},
         f"Recorder's public methods are {sorted(recorder_methods)}",
     )
     # Exact shape: the flight recorder is the recorder, its exporters and
@@ -517,7 +499,6 @@ def main() -> int:
         "profiling_seconds",
         "eval_batches",
         "eval_batch_candidates",
-        "eval_batch_slots",
         "rejected_by_code",
     ):
         check(field in stats_fields, f"SearchStats.{field} missing")

@@ -38,13 +38,9 @@ from .diagnostics import (  # noqa: F401  — the typed diagnostics API
     Severity,
 )
 from .meta import (  # noqa: F401  — the documented top-level tuning API
-    CandidateSpec,
     Database,
-    Evaluator,
     PersistentDatabase,
-    ProcessEvaluator,
     Recorder,
-    SerialEvaluator,
     Telemetry,
     TuneConfig,
     TuneResult,
@@ -80,10 +76,6 @@ __all__ = [
     "TuningDatabase",
     "PersistentDatabase",
     "Telemetry",
-    "Evaluator",
-    "SerialEvaluator",
-    "ProcessEvaluator",
-    "CandidateSpec",
     "workload_key",
     "compile",
     "ScheduleServer",

@@ -16,11 +16,11 @@ Design rules:
   counters; all caches register themselves in a process-wide registry so
   telemetry (``SessionReport.cache_stats``) and the benchmark can
   observe them uniformly.
-* :func:`clear_all` is the one way to a cold state.  It also reaches
-  worker processes: each clear bumps :func:`generation`, evaluators ship
-  it with every batch, and a worker that sees a new value clears its own
-  registry before building.  Every memo front keeps the uncached
-  ``_impl`` function it wraps, which tests use as the oracle.
+* :func:`clear_all` is the one way to a cold state.  A tuning session's
+  search workers are forked for one run, so they start from the
+  caches of the process that forked them and need no clear of their
+  own.  Every memo front keeps the uncached ``_impl`` function it
+  wraps, which tests use as the oracle.
 * Cached values must be immutable or defensively copied by the caller:
   a cache returns the same object to every hit.
 """
@@ -40,7 +40,6 @@ __all__ = [
     "clear_all",
     "delta_since",
     "freeze",
-    "generation",
     "register_stats_source",
     "snapshot_counts",
     "worker_counts",
@@ -66,16 +65,8 @@ _STATS_SOURCES: Dict[str, Callable[[], Tuple[int, int]]] = {}
 #: :func:`absorb_worker_counts`): each worker owns a private registry, so
 #: its activity is shipped back as deltas and merged here.  Keyed like the
 #: local registry; folded into :func:`snapshot_counts` so session reports
-#: see one merged view regardless of evaluation backend.
+#: see one merged view wherever their searches ran.
 _WORKER_COUNTS: Dict[str, list] = {}
-#: how many times :func:`clear_all` has run in this process.
-_GENERATION = 0
-
-
-def generation() -> int:
-    """The number of :func:`clear_all` calls so far in this process —
-    what a worker process compares to know its caches are stale."""
-    return _GENERATION
 
 
 def freeze(values):
@@ -188,21 +179,23 @@ def cache_stats() -> Dict[str, Dict[str, float]]:
     return out
 
 
-def absorb_worker_counts(delta: Dict[str, Tuple[int, int, int]]) -> None:
-    """Merge cache-counter deltas shipped back from a worker *process*.
+def absorb_worker_counts(delta: Dict[str, Dict[str, float]]) -> None:
+    """Merge the cache activity of a worker *process*: a
+    :func:`delta_since` window it shipped back.
 
     Worker processes run their own private cache registries (memo
     entries never cross the process boundary — only these counters do).
-    Each absorbed delta accumulates into a process-level side table that
+    Each absorbed window accumulates into a process-level side table that
     :func:`snapshot_counts` folds into the per-cache totals, so
-    ``delta_since`` windows and ``SessionReport.cache_stats`` describe
-    the whole evaluation fleet, not just the coordinating process.
+    ``delta_since`` windows and ``SessionReport.cache_stats`` cover the
+    workers too, not just the coordinating process.
     """
     with _REGISTRY_LOCK:
-        for name, counts in delta.items():
+        for name, window in delta.items():
             slot = _WORKER_COUNTS.setdefault(name, [0, 0, 0])
-            for i in range(3):
-                slot[i] += counts[i]
+            slot[0] += window["hits"]
+            slot[1] += window["misses"]
+            slot[2] += window["evictions"]
 
 
 def worker_counts() -> Dict[str, Tuple[int, int, int]]:
@@ -251,12 +244,7 @@ def delta_since(before: Dict[str, Tuple[int, int, int]]) -> Dict[str, Dict[str, 
 
 
 def clear_all() -> None:
-    """Empty every registered cache and bump :func:`generation`, so
-    worker processes empty theirs before their next build.  Counters are
-    kept — they are cumulative; use :func:`snapshot_counts` for windowed
-    accounting."""
-    global _GENERATION
+    """Empty every registered cache.  Counters are kept — they are
+    cumulative; use :func:`snapshot_counts` for windowed accounting."""
     for cache in all_caches().values():
         cache.clear()
-    with _REGISTRY_LOCK:
-        _GENERATION += 1

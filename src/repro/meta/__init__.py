@@ -16,14 +16,6 @@ from .database import (
     TuningDatabase,
     workload_key,
 )
-from .evaluator import (
-    CandidateSpec,
-    Evaluator,
-    ProcessEvaluator,
-    SerialEvaluator,
-    get_evaluator,
-    shutdown_evaluators,
-)
 from .feature import FEATURE_NAMES, extract_features
 from .search import MeasureRecord, SearchStats, TuneResult, evolutionary_search
 from .session import SessionReport, TaskReport, TuningSession, estimated_cost
@@ -49,12 +41,6 @@ __all__ = [
     "TuningSession",
     "SessionReport",
     "TaskReport",
-    "Evaluator",
-    "SerialEvaluator",
-    "ProcessEvaluator",
-    "CandidateSpec",
-    "get_evaluator",
-    "shutdown_evaluators",
     "estimated_cost",
     "Database",
     "TuningDatabase",

@@ -32,12 +32,11 @@ class TuneConfig:
       applicable sketches (§4.3).
     * ``validate`` — reject invalid mutants before measuring (§3.3).
     * ``population`` / ``generations`` — evolutionary-search shape.
-    * ``search_workers`` — the one parallelism setting.  ``1``
-      (default) builds and validates candidates inline; ``>1`` builds
-      each batch on a shared pool of that many worker processes
-      (:mod:`repro.meta.evaluator`).  Candidate specs are drawn
-      serially and results consumed in submission order, so results
-      are identical for any worker count.
+
+    There is no parallelism setting: one search builds its candidates
+    inline, and a :class:`~repro.meta.session.TuningSession` spreads its
+    distinct searches over worker processes by itself, with results
+    identical at every width.
     """
 
     trials: int = 32
@@ -47,7 +46,6 @@ class TuneConfig:
     validate: bool = True
     population: int = 8
     generations: Optional[int] = None
-    search_workers: int = 1
 
     def with_(self, **changes) -> "TuneConfig":
         """A copy with the given fields replaced."""

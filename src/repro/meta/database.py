@@ -35,14 +35,15 @@ from .. import cache as _cache
 from ..diagnostics import DiagnosticContext
 from ..fileio import atomic_write
 from ..schedule import Schedule, ScheduleError
-from ..schedule.validation import _names_fingerprint
+from ..schedule.sref import children_of
 from ..sim import Target
-from ..tir import PrimFunc, structural_hash
+from ..tir import Block, For, PrimFunc, Stmt, structural_hash
 from ..tir.printer import script
 from .sketch import SKETCHES
 
 __all__ = [
     "workload_key",
+    "names_fingerprint",
     "DatabaseEntry",
     "Database",
     "TuningDatabase",
@@ -56,10 +57,32 @@ __all__ = [
 DB_SCHEMA = "repro.db/1"
 
 #: memoized key computation — serializing the full function on every
-#: database/serve lookup is the hot cost; the memo key is the same
-#: (alpha-invariant hash, name fingerprint, target) triple the verify
-#: cache uses, so structurally-equal-but-renamed functions never alias.
+#: database/serve lookup is the hot cost; the memo key is the
+#: (alpha-invariant hash, name fingerprint, target) triple, so
+#: structurally-equal-but-renamed functions never alias.
 _KEY_CACHE = _cache.MemoCache("meta.workload_key", maxsize=8192)
+
+
+def names_fingerprint(func: PrimFunc) -> int:
+    """Hash of every name in ``func`` — what its alpha-invariant
+    structural hash ignores.  Caches whose values print names (workload
+    keys, built candidates) key on it next to that hash."""
+    parts: List[str] = [func.name]
+    parts.extend(buf.name for buf in func.buffer_map.values())
+    stack: List[Stmt] = [func.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, For):
+            parts.append(node.loop_var.name)
+            parts.append(node.thread_tag or "")
+        elif isinstance(node, Block):
+            parts.append(node.name_hint)
+            parts.extend(iv.var.name for iv in node.iter_vars)
+            parts.extend(buf.name for buf in node.alloc_buffers)
+            parts.extend(r.buffer.name for r in node.reads)
+            parts.extend(w.buffer.name for w in node.writes)
+        stack.extend(children_of(node))
+    return hash(tuple(parts))
 
 
 def workload_key(func: PrimFunc, target: Target) -> str:
@@ -75,7 +98,7 @@ def workload_key(func: PrimFunc, target: Target) -> str:
     script adds over structure), so repeat lookups on the serve path
     skip the full-function print.
     """
-    cache_key = (structural_hash(func), _names_fingerprint(func), target.name)
+    cache_key = (structural_hash(func), names_fingerprint(func), target.name)
     hit = _KEY_CACHE.lookup(cache_key)
     if hit is not _cache.MISS:
         return hit

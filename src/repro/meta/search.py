@@ -33,7 +33,7 @@ from ..sim.cost import CostModelError
 from ..tir import PrimFunc, structural_hash
 from .config import TuneConfig
 from .cost_model import CostModel
-from .evaluator import CandidateSpec, EvalContext, Evaluator, resolve_evaluator
+from .database import names_fingerprint, workload_key
 from .sketch import Sketch
 from .telemetry import Telemetry
 
@@ -59,15 +59,11 @@ class SearchStats:
     apply_failed: int = 0
     measured: int = 0
     profiling_seconds: float = 0.0
-    #: batched-evaluation accounting: ``eval_batches`` evaluator batches
-    #: submitted, holding ``eval_batch_candidates`` candidates over
-    #: ``eval_batch_slots`` worker slots — occupancy = candidates /
-    #: slots.  Batch and candidate counts are a pure function of the
-    #: search stream (backend-invariant); only ``eval_batch_slots``
-    #: scales with the configured worker count.
+    #: pool-fill accounting: ``eval_batches`` rounds of candidate
+    #: builds, holding ``eval_batch_candidates`` candidates — both a
+    #: pure function of the search stream.
     eval_batches: int = 0
     eval_batch_candidates: int = 0
-    eval_batch_slots: int = 0
     #: rejected candidates per diagnostic error code: validation
     #: failures count their primary (first) code, primitive-precondition
     #: failures the ScheduleError's code, and candidates the analytical
@@ -76,18 +72,12 @@ class SearchStats:
     rejected_by_code: Counter = field(default_factory=Counter)
 
     def search_signature(self) -> dict:
-        """The backend-invariant view of these stats.
-
-        Every field except ``eval_batch_slots`` is a pure function of
-        (workload, config seed) — slots scale with the configured worker
-        count, which is exactly the knob an evaluation backend is
-        allowed to turn.  The determinism matrix asserts this view is
-        identical across serial and process evaluation.
+        """These stats as plain data: every field is a pure function of
+        (workload, config seed), so the determinism tests compare this
+        view across cache states and search widths.
         """
         out = {}
         for f in dataclasses.fields(self):
-            if f.name == "eval_batch_slots":
-                continue
             value = getattr(self, f.name)
             out[f.name] = dict(value) if isinstance(value, Counter) else value
         return out
@@ -180,7 +170,8 @@ def _build_candidate_cached(
     names: int,
 ) -> Tuple[Optional[_Candidate], Optional[Tuple[str, str]], float]:
     """Memoizing front of :func:`_build_candidate` (see cache note above);
-    ``names`` is ``func``'s name fingerprint (``EvalContext.names``)."""
+    ``names`` is ``func``'s :func:`~repro.meta.database.names_fingerprint`,
+    taken once per search."""
     key = (
         structural_hash(func),
         names,
@@ -216,7 +207,7 @@ def _build_candidate(
     validate: bool,
 ) -> Tuple[Optional[_Candidate], Optional[Tuple[str, str]], float]:
     """Instantiate one candidate without touching shared state — pure in
-    its arguments, so a worker process builds what the coordinator would.
+    its arguments, so a cached build is what a fresh one would be.
 
     Returns ``(candidate, rejection, validate_seconds)`` where
     ``rejection`` is ``("apply" | "invalid", code)`` on failure.
@@ -257,17 +248,16 @@ def evolutionary_search(
     telemetry: Optional[Telemetry] = None,
     task: Optional[str] = None,
     recorder: Optional[Recorder] = None,
-    evaluator: Optional[Evaluator] = None,
 ) -> TuneResult:
     """Search one sketch's decision space; ``config.trials`` bounds the
     number of measured candidates.
 
-    Candidate builds run on an :class:`~repro.meta.evaluator.Evaluator`
-    (resolved from ``config.search_workers`` unless one is passed
-    explicitly).  Specs are drawn serially from the search RNG and
-    outcomes consumed in submission order, so the programs found, the
-    stats (modulo worker-slot accounting) and the flight recording are
-    identical across backends and worker counts.
+    Each candidate is drawn from the one search RNG — a seed and, for a
+    mutant, a prefix of an elite's decisions — and built inline, in
+    draw order, so the programs found, the stats and the flight
+    recording are a pure function of (workload, config).  A session
+    that searches several workloads at once runs each whole search in
+    its own worker process (:mod:`repro.meta.session`).
 
     With a :class:`~repro.obs.record.Recorder`, every candidate gets one
     row: a trial row when it reaches the measurer, a rejection row when
@@ -281,12 +271,8 @@ def evolutionary_search(
     stats = SearchStats()
     result = TuneResult(func.name, None, float("inf"), None, None, stats=stats)
     task = task or func.name
-    wl_key = None
     sk_token = sketch.token()
-    if recording:
-        from .database import workload_key
-
-        wl_key = workload_key(func, target)
+    wl_key = workload_key(func, target) if recording else None
     timings = {"validate": 0.0, "measure": 0.0, "model-update": 0.0}
     t_start = time.perf_counter()
 
@@ -295,12 +281,11 @@ def evolutionary_search(
     measured_budget = trials
     generation = 0
     max_generations = config.generations or max(2, trials // max(population // 2, 1))
-    evaluator = evaluator or resolve_evaluator(config)
-    eval_ctx = EvalContext(func, sketch, target, config.validate)
+    names = names_fingerprint(func)
 
-    def _draw_spec() -> CandidateSpec:
-        """One candidate spec, drawn from the search RNG on the
-        coordinating thread.  The parent trial id is provenance only —
+    def _draw() -> Tuple[int, Optional[List[object]], Optional[int]]:
+        """One candidate's (seed, forced prefix, parent trial id), drawn
+        from the search RNG.  The parent trial id is provenance only —
         it never feeds back into the RNG stream, so recording cannot
         perturb the search."""
         forced = None
@@ -311,9 +296,9 @@ def evolutionary_search(
             _, parent = rng.choice(elites)
             if parent.decisions:
                 cut = rng.randrange(len(parent.decisions))
-                forced = tuple(parent.decisions[:cut])
+                forced = parent.decisions[:cut]
                 parent_trial = parent.trial_id
-        return CandidateSpec(rng.randrange(1 << 30), forced, parent_trial)
+        return rng.randrange(1 << 30), forced, parent_trial
 
     def _emit_rejection(rejection: Tuple[str, str]) -> None:
         if recording:
@@ -321,31 +306,29 @@ def evolutionary_search(
             recorder.rejection(task, sk_token, generation, kind, code)
 
     def _fill_pool() -> List[_Candidate]:
-        # One loop for every backend.  Each round draws exactly the
-        # pool's current deficit (never more), so the RNG stream — and
-        # with it every downstream result — is identical to the
-        # historical one-at-a-time serial path, for any evaluator and
-        # any worker count.  Outcomes come back in submission order, so
-        # stats/recording fold in deterministically too.
+        # Each round draws exactly the pool's current deficit (never
+        # more), so the RNG stream — and with it every downstream
+        # result — is that of the historical one-at-a-time path.
         pool: List[_Candidate] = []
         attempts = 0
         cap = population * 6
         while len(pool) < population and attempts < cap:
             want = min(cap - attempts, population - len(pool))
-            specs = [_draw_spec() for _ in range(want)]
             attempts += want
             stats.candidates_generated += want
             stats.eval_batches += 1
             stats.eval_batch_candidates += want
-            stats.eval_batch_slots += evaluator.workers
-            for outcome in evaluator.evaluate(eval_ctx, specs):
-                timings["validate"] += outcome.validate_seconds
-                if outcome.rejection is not None:
-                    _count_rejection(stats, outcome.rejection)
-                    _emit_rejection(outcome.rejection)
-                elif outcome.func is not None:
-                    cand = _Candidate(sketch, outcome.func, list(outcome.decisions))
-                    cand.parent_trial = outcome.spec.parent_trial
+            for _ in range(want):
+                seed, forced, parent_trial = _draw()
+                cand, rejection, validate_seconds = _build_candidate_cached(
+                    func, sketch, seed, forced, target, config.validate, names
+                )
+                timings["validate"] += validate_seconds
+                if rejection is not None:
+                    _count_rejection(stats, rejection)
+                    _emit_rejection(rejection)
+                elif cand is not None:
+                    cand.parent_trial = parent_trial
                     pool.append(cand)
         return pool
 

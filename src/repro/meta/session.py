@@ -3,7 +3,7 @@ first-class subsystem.
 
 A :class:`TuningSession` takes a set of workloads (or a whole
 ``NetworkSpec``), deduplicates them by :func:`~repro.meta.database.workload_key`,
-searches the unique ones one after another, in task order, and replays
+searches the unique ones (in parallel, see below), and replays
 every duplicate from the shared
 :class:`~repro.meta.database.TuningDatabase` instead of re-searching —
 the paper's record-replay behaviour (§5.2) promoted to the default
@@ -18,14 +18,20 @@ trial budget, it allocates trials across tasks
 proportionally to each layer's estimated cost share (heavy layers get
 the search time; a 1x1 conv does not get a GEMM's budget).
 
-Results are deterministic for any ``TuneConfig.search_workers``: every
-task's search depends only on (workload, config), never on shared
-mutable state.  Parallelism lives inside each search, on the process
-pool ``search_workers`` selects; threads would only queue on the
-interpreter lock.
+The distinct searches run in parallel, one whole ``tune()`` per worker
+process, on a fork pool made for the run and closed before it returns;
+planning, database writes, replays and the task reports stay in the
+calling process.  Results are identical at every pool width: every
+search depends only on (workload, config), never on shared mutable
+state, and the session folds each search's result, spans, recorder rows
+and cache counts in task order.  A forked worker starts from this
+process's caches and keeps its hash seed, so the structural hashes it
+records verify here.  Fork is safe only in a single-threaded process,
+so while another thread is alive — a schedule server's — the session
+searches in-process, one search after another.
 
-The session threads one :class:`~repro.meta.telemetry.Telemetry`
-through every search, and :meth:`TuningSession.run` returns a
+The session gathers every search's spans into one
+:class:`~repro.meta.telemetry.Telemetry`, and :meth:`TuningSession.run` returns a
 :class:`SessionReport` — per-task accounting plus stage timings as one
 JSON document, so Table 1-style tuning-time analysis comes from
 instrumentation instead of ad-hoc arithmetic.  Each count in it is read
@@ -37,15 +43,19 @@ from the :class:`~repro.meta.search.SearchStats` every search returns,
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import threading
 import time
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from .. import cache as _cache
 from ..diagnostics import DiagnosticContext
 from ..fileio import atomic_write
-from ..obs.record import Recorder
+from ..obs.record import Recorder, Rejection, TrialRecord
 from ..schedule import Schedule
 from ..sim import Target
 from ..tir import PrimFunc, const_int_value
@@ -53,7 +63,7 @@ from .config import TuneConfig
 from .database import Database, DatabaseEntry, TuningDatabase, workload_key
 from .search import SearchStats, TuneResult
 from .sketch import main_block_of
-from .telemetry import Telemetry
+from .telemetry import Span, Telemetry
 from .tune import replay_result, tune
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -107,6 +117,55 @@ def fallback_tune(
         func, target, config, database=database, telemetry=telemetry,
         task=task, recorder=recorder,
     )
+
+
+@dataclass
+class _Searched:
+    """What one search hands back to its session, the same whether it
+    ran in this process or in a worker: the result (``None`` with an
+    ``error`` when the search raised), its spans and recorder rows, its
+    cache activity (a :func:`repro.cache.delta_since` window) and the
+    process it ran in."""
+
+    result: Optional[TuneResult]
+    error: Optional[str]
+    spans: List[Span]
+    trials: List[TrialRecord]
+    rejections: List[Rejection]
+    cache_delta: Dict[str, Dict[str, float]]
+    pid: int
+
+
+def _search(
+    func: PrimFunc, target: Target, config: TuneConfig, task: str, record: bool
+) -> _Searched:
+    """One whole ``tune()`` of a session task, with a span collector of
+    its own and, when ``record``, a recorder of its own."""
+    telemetry = Telemetry()
+    recorder = Recorder() if record else None
+    before = _cache.snapshot_counts()
+    result, error = None, None
+    try:
+        result = tune(
+            func, target, config, telemetry=telemetry, task=task, recorder=recorder
+        )
+    except Exception as err:  # noqa: BLE001 — per-task isolation
+        error = str(err)
+    trials, rejections = (recorder.trials, recorder.rejections) if record else ([], [])
+    return _Searched(
+        result, error, telemetry.spans, trials, rejections,
+        _cache.delta_since(before), os.getpid(),
+    )
+
+
+def _search_width(searches: int) -> int:
+    """Worker processes for ``searches`` pending searches: one per search
+    up to the CPUs this process may run on — or 1, searching in this
+    process, while another thread is alive, because a forked child
+    inherits every lock in the state the fork found it."""
+    if threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), searches)
 
 
 @dataclass
@@ -322,18 +381,10 @@ class TuningSession:
         the budget is split across searched tasks by cost share.
         """
         t_run = time.perf_counter()
-        # Resolve the evaluation backend, and start a process pool's
-        # workers, before the first search, so that their start-up is
-        # charged to no task.
-        from .evaluator import ProcessEvaluator, resolve_evaluator
-
-        evaluator = resolve_evaluator(self.config)
-        if isinstance(evaluator, ProcessEvaluator):
-            evaluator.warm_up()
         cache_before = _cache.snapshot_counts()
         telemetry_before = self.telemetry.mark()
         with self.telemetry.span("session") as session_span:
-            reports, rejected, bucket = self._run_inner(total_trials)
+            reports, rejected, bucket = self._run_inner(total_trials, session_span)
         cache_delta = _cache.delta_since(cache_before)
 
         # The report covers this run alone, also on a collector shared
@@ -362,9 +413,10 @@ class TuningSession:
         )
 
     def _run_inner(
-        self, total_trials: Optional[int]
+        self, total_trials: Optional[int], session_span: int
     ) -> Tuple[Dict[str, TaskReport], Counter, Counter]:
-        """The search/replay body of :meth:`run`, inside the session span.
+        """The search/replay body of :meth:`run`, inside the session span
+        (``session_span``, which adopts every search's spans).
 
         Returns the task reports, the per-code rejections summed over
         every search this run made (a bucketed task's representative
@@ -402,21 +454,14 @@ class TuningSession:
         bucket: Counter = Counter()
         # Each distinct exact workload's replayed program in this run.
         replayed: Dict[str, TuneResult] = {}
-        for task in to_search:
+        for task, outcome in zip(to_search, self._search_all(to_search, budgets)):
             trials = budgets[task.key]
-            try:
-                result = tune(
-                    task.search_func,
-                    self.target,
-                    self.config.with_(trials=trials),
-                    telemetry=self.telemetry,
-                    task=task.name,
-                    recorder=self.recorder,
-                )
-            except Exception as err:  # noqa: BLE001 — per-task isolation
+            self._fold(outcome, session_span)
+            result = outcome.result
+            if result is None:
                 reports[task.name] = TaskReport(
                     task.name, task.key, "failed", task.weight,
-                    trials_allocated=trials, error=str(err),
+                    trials_allocated=trials, error=outcome.error,
                 )
                 continue
             rejected.update(result.stats.rejected_by_code)
@@ -475,6 +520,53 @@ class TuningSession:
             )
 
         return reports, rejected, bucket
+
+    def _search_all(
+        self, to_search: List[_Task], budgets: Dict[str, int]
+    ) -> List[_Searched]:
+        """Every pending search's outcome, in task order.
+
+        With two or more workers (:func:`_search_width`) each search runs
+        in a worker of a fork pool made for this call and closed before
+        it returns; otherwise the searches run here, one after another.
+        A worker that dies breaks the pool: every search not yet
+        returned fails with an error naming the death.
+        """
+        jobs = [
+            (task.search_func, self.target, self.config.with_(trials=budgets[task.key]),
+             task.name, self.recorder is not None)
+            for task in to_search
+        ]
+        width = _search_width(len(jobs))
+        if width < 2:
+            return [_search(*job) for job in jobs]
+        out = []
+        pool = ProcessPoolExecutor(width, mp_context=multiprocessing.get_context("fork"))
+        try:
+            futures = [pool.submit(_search, *job) for job in jobs]
+            for future in futures:
+                try:
+                    out.append(future.result())
+                except Exception as err:  # noqa: BLE001 — a dead worker fails its searches
+                    error = f"search worker failed: {type(err).__name__}: {err}"
+                    out.append(_Searched(None, error, [], [], [], {}, os.getpid()))
+        finally:
+            # An interrupt leaves searches queued; start none of them.
+            pool.shutdown(cancel_futures=True)
+        return out
+
+    def _fold(self, outcome: _Searched, session_span: int) -> None:
+        """Take one search's spans, recorder rows and, when it ran in a
+        worker, cache counts into this session's stores."""
+        in_worker = outcome.pid != os.getpid()
+        self.telemetry.adopt(
+            outcome.spans, session_span,
+            thread=f"search-worker-{outcome.pid}" if in_worker else None,
+        )
+        if self.recorder is not None:
+            self.recorder.adopt(outcome.trials, outcome.rejections)
+        if in_worker:
+            _cache.absorb_worker_counts(outcome.cache_delta)
 
     def _from_record(
         self,

@@ -8,8 +8,9 @@ to a task.  Spans form a **hierarchy**: every span carries a
 ``span_id`` and a ``parent_id`` link
 (``session → task → generation → build/verify/estimate/measure``),
 maintained per-thread via a context-manager stack so nesting needs no
-plumbing.  A session runs its searches on the thread that opened its
-span, so every search span nests under it.  The flat
+plumbing.  A session's searches record into collectors of their own —
+in a worker process when it runs them in parallel — and the session
+takes their spans in under its own span (:meth:`Telemetry.adopt`).  The flat
 ``stage_seconds()`` / ``task_seconds()`` views aggregate **leaf** spans
 only, so their sums still track wall time — hierarchy is additive,
 container spans are never double-counted.
@@ -163,6 +164,30 @@ class Telemetry:
                     request,
                 )
             )
+
+    def adopt(
+        self, spans: List[Span], parent: Optional[int], thread: Optional[str] = None
+    ) -> None:
+        """Take in ``spans`` recorded by another collector — one search of
+        a session, perhaps in a worker process — under span ``parent``.
+
+        Each span gets a new id here, so ids stay unique; the spans'
+        roots get ``parent`` as their parent; ``thread`` (when given)
+        relabels the lane they ran on.  Start times are comparable
+        across processes: ``perf_counter`` is a system-wide monotonic
+        clock.
+        """
+        with self._lock:
+            ids = {s.span_id: next(self._ids) for s in spans}
+            for s in spans:
+                self.spans.append(
+                    dataclasses.replace(
+                        s,
+                        span_id=ids[s.span_id],
+                        parent_id=ids.get(s.parent_id, parent),
+                        thread=thread or s.thread,
+                    )
+                )
 
     def span_tree(self, request: str) -> List[Span]:
         """Every completed span belonging to one serving request.

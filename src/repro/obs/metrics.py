@@ -37,8 +37,8 @@ always sees the buckets, sum, count and window agree.
 
 The registry holds the server's own measurements only.  Counts kept
 elsewhere are read there: cache activity from :mod:`repro.cache` (the
-server's ``cache_hit_rate`` gauge samples it live), evaluator activity
-from ``Evaluator.counters()``, per-search counts from ``SearchStats``.
+server's ``cache_hit_rate`` gauge samples it live), per-search counts
+from ``SearchStats``.
 """
 
 from __future__ import annotations

@@ -13,7 +13,10 @@ A :class:`Recorder` handed to ``tune`` / ``evolutionary_search`` /
 * ``rejections`` — one :class:`Rejection` per candidate rejected before
   it reached the measurer.
 
-No recorder means no recording.  The recorder keeps no copy of what
+No recorder means no recording.  A session's searches each record
+into a recorder of their own — in a worker process when the session
+runs them in parallel — and the session's recorder takes their rows in
+task order (:meth:`Recorder.adopt`).  The recorder keeps no copy of what
 another store holds: spans live in
 :class:`~repro.meta.telemetry.Telemetry` (a saved recording embeds the
 ones it is handed), per-search counts in
@@ -206,6 +209,20 @@ class Recorder:
         row = Rejection(time.perf_counter(), task, sketch, generation, stage, code)
         with self._lock:
             self.rejections.append(row)
+
+    def adopt(self, trials: List[TrialRecord], rejections: List[Rejection]) -> None:
+        """Append the rows of another recorder — one search of a session,
+        perhaps in a worker process — renumbering their trial ids and
+        mutation parents onto this recorder's sequence."""
+        with self._lock:
+            ids = {}
+            for row in trials:
+                ids[row.trial_id] = next(self._ids)
+                parent = None if row.parent is None else ids[row.parent]
+                self.trials.append(
+                    dataclasses.replace(row, trial_id=ids[row.trial_id], parent=parent)
+                )
+            self.rejections.extend(rejections)
 
     # -- the artifact ----------------------------------------------------
     def recording(self) -> dict:

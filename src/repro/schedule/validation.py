@@ -31,7 +31,6 @@ from .. import cache as _cache
 from ..arith import Analyzer, IntSet, detect_iter_map, eval_int_set
 from ..diagnostics import Diagnostic, DiagnosticContext, DiagnosticError
 from ..tir import (
-    Block,
     BlockRealize,
     Buffer,
     For,
@@ -45,7 +44,7 @@ from ..tir import (
     const_int_value,
 )
 from ..tir.expr import And, LT
-from .sref import children_of, find_blocks, loops_above
+from .sref import find_blocks, loops_above
 
 __all__ = [
     "verify",
@@ -171,28 +170,6 @@ def verify(
     if target is not None and getattr(target, "kind", None) == "gpu":
         _check_threading(func, realizes, target, ctx)
     return ctx.diagnostics[first:]
-
-
-def _names_fingerprint(func: PrimFunc) -> int:
-    """Hash of every name in ``func`` — what its alpha-invariant
-    structural hash ignores.  Caches whose values print names (built
-    candidates, workload keys) key on it next to that hash."""
-    parts: List[str] = [func.name]
-    parts.extend(buf.name for buf in func.buffer_map.values())
-    stack: List[Stmt] = [func.body]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, For):
-            parts.append(node.loop_var.name)
-            parts.append(node.thread_tag or "")
-        elif isinstance(node, Block):
-            parts.append(node.name_hint)
-            parts.extend(iv.var.name for iv in node.iter_vars)
-            parts.extend(buf.name for buf in node.alloc_buffers)
-            parts.extend(r.buffer.name for r in node.reads)
-            parts.extend(w.buffer.name for w in node.writes)
-        stack.extend(children_of(node))
-    return hash(tuple(parts))
 
 
 def _check_execution_order(func: PrimFunc, ctx: DiagnosticContext) -> None:

@@ -64,7 +64,7 @@ class CompileRequest:
     ``request_id`` is the request-scoped trace id (``"req-000042"``):
     it stamps the request's telemetry spans, so
     ``telemetry.span_tree(request_id)`` recovers the full serve →
-    session → evaluator trace for any response.
+    session → search trace for any response.
     """
 
     request_id: str

@@ -1,8 +1,22 @@
-"""Shared IR construction helpers for the test suite."""
+"""Shared IR construction and session helpers for the test suite."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
+import pytest
+
+from repro.meta import session as session_mod
 from repro.tir import IRBuilder, PrimFunc, call
+
+
+@contextmanager
+def search_width(width: int):
+    """Run a session's searches ``width`` at a time: on a pool of that
+    many worker processes, or in-process for 1."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(session_mod, "_search_width", lambda searches: min(width, searches))
+        yield
 
 
 def build_matmul(n: int = 64, m: int = 64, k: int = 64, dtype: str = "float32") -> PrimFunc:

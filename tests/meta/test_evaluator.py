@@ -1,171 +1,176 @@
-"""Tests for the pluggable candidate-evaluation backends (§4.4 seam).
+"""Tests for where a session's searches run: in this process, one after
+another (width 1), or one whole search per worker process (width 2).
 
-The load-bearing property is the determinism contract: both backends —
-serial and processes, at any worker count — must find the same
-programs, produce the same statistics (modulo worker-slot accounting)
-and reject the same candidates for the same reasons.  The matrix test
-asserts exactly that; the rest covers the protocol surface, the pickle
-boundary, and the graceful-degradation paths.
+The load-bearing property is the determinism contract: every width must
+find the same programs, produce the same statistics, reports and flight
+recording, and reject the same candidates for the same reasons.  The
+rest covers what crosses the process boundary — recorder rows that
+replay here, spans that nest under the session, cache counts — and the
+single-search surface that stays in-process.
 """
 
 import pickle
 import re
+from dataclasses import asdict
 
 import pytest
 
 from repro import cache as repro_cache
 from repro.frontend import ops
 from repro.meta import (
-    CandidateSpec,
-    GpuScalarSketch,
-    ProcessEvaluator,
-    SerialEvaluator,
     TensorCoreSketch,
     Telemetry,
     TuneConfig,
+    TuningSession,
     evolutionary_search,
-    get_evaluator,
     tune,
 )
-from repro.meta.evaluator import EvalContext, EvalOutcome, resolve_evaluator
-from repro.obs import Recorder
+from repro.obs import Recorder, replay_trial
 from repro.sim import SimGPU
 from repro.tir import parse_script, script, structural_hash
 
-from ..common import build_matmul
+from ..common import build_matmul, search_width
+
+#: three distinct workloads and a duplicate; the float32 matmul gets the
+#: gpu-scalar sketch alone, so rejection rows exist.
+_WORKLOADS = {
+    "gemm": lambda: build_matmul(64, 64, 64, dtype="float16"),
+    "gemm-wide": lambda: build_matmul(64, 64, 128, dtype="float16"),
+    "gemm-fp32": lambda: build_matmul(64, 64, 64),
+    "gemm-dup": lambda: build_matmul(64, 64, 64, dtype="float16"),
+}
 
 
-def _search(evaluator, seed=3, trials=6):
-    func = build_matmul(64, 64, 64, dtype="float16")
-    config = TuneConfig(trials=trials, population=4, seed=seed)
-    repro_cache.clear_all()
-    return evolutionary_search(
-        func, TensorCoreSketch(), SimGPU(), config, evaluator=evaluator
+def _session_run(width, config=None):
+    """One recorded session over ``_WORKLOADS`` at search ``width``;
+    returns the session, its report, its recorder and the functions."""
+    recorder = Recorder()
+    session = TuningSession(
+        SimGPU(), config or TuneConfig(trials=6, population=4, seed=2), recorder=recorder
     )
+    funcs = {}
+    for name, build in _WORKLOADS.items():
+        func = build()
+        funcs[session.add(func, name=name)] = func
+    with search_width(width):
+        report = session.run()
+    return session, report, recorder, funcs
 
 
 @pytest.fixture(scope="module")
-def process_pool():
-    # Process workers are expensive to start on a small box — every test
-    # in this module shares the registry instance (as real searches do).
-    return get_evaluator(2)
+def widths():
+    """A cold run at width 1, then one at width 2."""
+    runs = {}
+    for width in (1, 2):
+        repro_cache.clear_all()
+        runs[width] = _session_run(width)
+    return runs
 
 
-@pytest.fixture(scope="module")
-def one_process_pool():
-    with ProcessEvaluator(1) as pool:
-        yield pool
+def _rows(recorder):
+    doc = recorder.recording()
+    return [
+        [{k: v for k, v in row.items() if k != "ts"} for row in doc[kind]]
+        for kind in ("trials", "rejections")
+    ]
 
 
 class TestBackendDeterminism:
-    def test_matrix_identical_results(self, process_pool):
-        """serial == processes(2), byte for byte."""
-        results = {
-            "serial": _search(SerialEvaluator()),
-            "processes": _search(process_pool),
-        }
-        base = results["serial"]
-        assert base.best_func is not None
-        base_hash = structural_hash(base.best_func)
-        for name, result in results.items():
+    def test_matrix_identical_results(self, widths):
+        """width 1 == width 2, search by search, byte for byte."""
+        (one, _, _, _), (two, _, _, _) = widths[1], widths[2]
+        assert set(one.results) == set(two.results) == set(_WORKLOADS)
+        for name, base in one.results.items():
+            result = two.results[name]
+            assert base.best_func is not None, name
             assert result.best_cycles == base.best_cycles, name
-            assert structural_hash(result.best_func) == base_hash, name
-            assert (
-                result.stats.rejected_by_code == base.stats.rejected_by_code
-            ), name
+            assert script(result.best_func) == script(base.best_func), name
+            assert structural_hash(result.best_func) == structural_hash(base.best_func)
+            assert result.best_decisions == base.best_decisions, name
+            assert result.stats.rejected_by_code == base.stats.rejected_by_code, name
             assert (
                 result.stats.search_signature() == base.stats.search_signature()
             ), name
 
-    def test_worker_count_does_not_change_results(
-        self, one_process_pool, process_pool
-    ):
-        one = _search(one_process_pool)
-        two = _search(process_pool)
-        assert one.best_cycles == two.best_cycles
-        assert structural_hash(one.best_func) == structural_hash(two.best_func)
-        assert one.stats.search_signature() == two.stats.search_signature()
+    def test_worker_count_does_not_change_results(self, widths):
+        (_, one, _, _), (_, two, _, _) = widths[1], widths[2]
+        assert one.totals["tasks_searched"] == 3
+        assert [asdict(t) for t in one.tasks] == [asdict(t) for t in two.tasks]
+        assert one.totals == two.totals
+        assert one.invalid_by_code and one.invalid_by_code == two.invalid_by_code
 
-    def test_slots_scale_with_workers_but_signature_excludes_them(
-        self, one_process_pool, process_pool
-    ):
-        one = _search(one_process_pool)
-        two = _search(process_pool)
-        assert two.stats.eval_batch_slots == 2 * one.stats.eval_batch_slots
-        assert "eval_batch_slots" not in one.stats.search_signature()
-        assert one.stats.eval_batches > 0
+    def test_clear_all_reaches_process_workers(self):
+        """Workers fork from this process's caches: after a warm
+        in-process run they serve ``search.candidates`` hits, and after
+        ``clear_all()`` none."""
 
-    def test_clear_all_reaches_process_workers(self, process_pool):
-        """A pass after ``clear_all()`` is cold in the workers too: the
-        shared pool's workers serve no hit from an earlier pass."""
-        for _ in range(2):
-            before = repro_cache.worker_counts().get("search.candidates", (0, 0, 0))
-            _search(process_pool)
-            after = repro_cache.worker_counts()["search.candidates"]
-            assert after[0] == before[0]
-            assert after[1] > before[1]
+        def worker_candidates():
+            return repro_cache.worker_counts().get("search.candidates", (0, 0, 0))
+
+        _session_run(1)
+        before = worker_candidates()
+        _session_run(2)
+        warm = worker_candidates()
+        assert warm[0] > before[0]
+        repro_cache.clear_all()
+        _session_run(2)
+        cold = worker_candidates()
+        assert cold[0] == warm[0]
+        assert cold[1] > warm[1]
+
+
+class TestSearchPool:
+    def test_worker_rows_replay_in_the_parent(self, widths):
+        """A forked worker keeps this process's hash seed, so the
+        structural hash a worker recorded verifies under ``replay_trial``
+        here."""
+        _, report, recorder, funcs = widths[2]
+        threads = {s["task"]: s["thread"] for s in report.telemetry["spans"]
+                   if s["stage"] == "task"}
+        replayable = [t for t in recorder.trials if t.trace is not None]
+        assert {t.task for t in replayable} == {"gemm", "gemm-wide", "gemm-fp32"}
+        for row in replayable:
+            assert threads[row.task].startswith("search-worker-")
+            rebuilt = replay_trial(row, funcs[row.task])
+            assert structural_hash(rebuilt) == row.structural_hash
+
+    def test_worker_spans_nest_under_the_session(self, widths):
+        """Concurrent searches get a lane per worker, and every task span
+        descends from the session span."""
+        spans = widths[2][1].telemetry["spans"]
+        by_id = {s["span_id"]: s for s in spans}
+        assert len(by_id) == len(spans)
+        lanes = {s["thread"] for s in spans if s["thread"].startswith("search-worker-")}
+        assert len(lanes) == 2
+        (session,) = [s for s in spans if s["stage"] == "session"]
+        tasks = [s for s in spans if s["stage"] == "task"]
+        assert len(tasks) == 3
+        for span in tasks:
+            while span["parent_id"] is not None:
+                span = by_id[span["parent_id"]]
+            assert span is session
+
+    def test_report_counts_worker_cache_misses(self, widths):
+        """The parent builds no candidate at width 2; its report still
+        counts the workers' ``search.candidates`` misses."""
+        one, two = widths[1][1].cache_stats, widths[2][1].cache_stats
+        assert two["search.candidates"]["misses"] > 0
+        assert two["search.candidates"]["misses"] == one["search.candidates"]["misses"]
 
 
 class TestPickleBoundary:
-    def test_candidate_spec_round_trip(self):
-        spec = CandidateSpec(seed=17, forced=(4, (2, 8), "vectorize"), parent_trial=3)
-        clone = pickle.loads(pickle.dumps(spec))
-        assert clone == spec
-        assert clone.forced_list() == [4, (2, 8), "vectorize"]
-
     def test_tune_config_round_trip(self):
-        config = TuneConfig(trials=9, seed=5, search_workers=3)
+        config = TuneConfig(trials=9, seed=5, population=6)
         clone = pickle.loads(pickle.dumps(config))
         assert clone == config
-        assert clone.search_workers == 3
-
-    def test_unpicklable_context_falls_back_to_serial(self, process_pool):
-        # A distinct workload size: context blobs are cached by content
-        # key, and a cached blob would mask the pickling failure.
-        func = build_matmul(32, 32, 32, dtype="float16")
-        sketch = TensorCoreSketch()
-        sketch._poison = lambda: None  # lambdas cannot cross the pickle boundary
-        ctx = EvalContext(func, sketch, SimGPU())
-        specs = [CandidateSpec(seed=s) for s in (1, 2, 3)]
-        before = process_pool.counters()["fallbacks"]
-        outcomes = process_pool.evaluate(ctx, specs)
-        assert process_pool.counters()["fallbacks"] == before + 1
-        # The fallback is the serial build: submission order, one
-        # outcome per spec, exactly one of (func, rejection) set.
-        serial = SerialEvaluator().evaluate(ctx, specs)
-        assert [o.spec for o in outcomes] == specs
-        for outcome, expected in zip(outcomes, serial):
-            assert isinstance(outcome, EvalOutcome)
-            assert (outcome.func is None) != (outcome.rejection is None)
-            assert outcome.rejection == expected.rejection
-            assert outcome.decisions == expected.decisions
+        assert clone.population == 6
 
 
 class TestProtocolSurface:
-    def test_resolve_auto_serial_for_one_worker(self):
-        ev = resolve_evaluator(TuneConfig(search_workers=1))
-        assert isinstance(ev, SerialEvaluator)
-
-    def test_resolve_processes_for_many_workers(self):
-        ev = resolve_evaluator(TuneConfig(search_workers=3))
-        assert isinstance(ev, ProcessEvaluator)
-        assert ev.workers == 3
-
-    def test_shared_registry_reuses_instances(self, process_pool):
-        assert get_evaluator(2) is process_pool
-        assert get_evaluator(1) is get_evaluator(1)
-
-    def test_occupancy_counters_accumulate(self):
-        ev = SerialEvaluator()
-        _search(ev)
-        assert ev.counters()["busy_seconds"] > 0
-
     def test_search_folds_counters_into_telemetry(self):
         """Batches and candidates are counted once, in the search's
-        ``SearchStats``: the backend keeps only its own busy time and
-        Telemetry only spans."""
+        ``SearchStats``; Telemetry keeps only spans."""
         telemetry = Telemetry()
-        evaluator = SerialEvaluator()
         func = build_matmul(64, 64, 64, dtype="float16")
         repro_cache.clear_all()
         result = evolutionary_search(
@@ -174,60 +179,36 @@ class TestProtocolSurface:
             SimGPU(),
             TuneConfig(trials=4, population=4, seed=0),
             telemetry=telemetry,
-            evaluator=evaluator,
         )
         stats = result.stats
         assert 0 < stats.eval_batches <= stats.eval_batch_candidates
         assert stats.eval_batch_candidates == stats.candidates_generated
-        assert set(evaluator.counters()) == {"busy_seconds"}
         assert set(telemetry.report()) == {"spans", "stage_seconds"}
 
-    def test_recording_is_identical_across_backends(self, process_pool):
-        """Batch and candidate counts are a function of the search stream,
-        not the backend; only worker slots scale with the pool.  The
-        recorded rows, timestamps aside, are identical across backends."""
-        config = TuneConfig(trials=4, population=4, seed=2)
-        func = build_matmul(64, 64, 64, dtype="float16")
-
-        def run(workers):
-            recorder = Recorder()
-            repro_cache.clear_all()
-            result = evolutionary_search(
-                func, GpuScalarSketch(), SimGPU(),
-                config.with_(search_workers=workers), recorder=recorder,
-            )
-            doc = recorder.recording()
-            rows = [
-                [{k: v for k, v in row.items() if k != "ts"} for row in doc[kind]]
-                for kind in ("trials", "rejections")
-            ]
-            return result.stats, rows
-
-        (serial, serial_rows), (processes, process_rows) = run(1), run(2)
-        assert serial.eval_batch_candidates > 0
-        assert (serial.eval_batches, serial.eval_batch_candidates) == (
-            processes.eval_batches, processes.eval_batch_candidates
-        )
-        assert processes.eval_batch_slots == 2 * serial.eval_batch_slots
-        assert serial_rows[0] and serial_rows[1]
-        assert serial_rows == process_rows
+    def test_recording_is_identical_across_backends(self, widths):
+        """The recorded rows, timestamps aside, are identical at every
+        width: a worker's rows are renumbered onto the session's trial
+        sequence in task order."""
+        one, two = _rows(widths[1][2]), _rows(widths[2][2])
+        assert one[0] and one[1]
+        assert one == two
+        trial_ids = [row["trial_id"] for row in two[0]]
+        assert trial_ids == list(range(1, len(trial_ids) + 1))
+        assert {row["parent"] for row in two[0]} - {None} <= set(trial_ids)
 
 
 class TestRenamedWorkload:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_warm_tune_of_renamed_copy_matches_its_cold_tune(
-        self, workers, process_pool
-    ):
+    def test_warm_tune_of_renamed_copy_matches_its_cold_tune(self):
         """``structural_hash`` ignores names, so caches keyed on it alone
-        served a renamed copy the original's program, and a process
-        worker served one the other's context.  Every tune must print
-        its own names, and a warm tune of the copy what it prints cold."""
+        served a renamed copy the original's program.  Every tune must
+        print its own names, and a warm tune of the copy what it prints
+        cold."""
         original = ops.matmul(64, 64, 64)
         renamed = parse_script(
             re.sub(r"\b[ABC]\b", lambda m: "XYZ"["ABC".index(m[0])], script(original))
         )
         assert structural_hash(renamed) == structural_hash(original)
-        config = TuneConfig(trials=8, seed=1, search_workers=workers)
+        config = TuneConfig(trials=8, seed=1)
 
         def best(func):
             return script(tune(func, SimGPU(), config).best_func)
@@ -238,50 +219,3 @@ class TestRenamedWorkload:
         repro_cache.clear_all()
         assert "A: Buffer" in best(original)
         assert best(renamed) == cold
-
-
-class TestIpcBatching:
-    """Specs ship to process workers in chunks — one IPC round-trip per
-    worker per batch — and chunking must be invisible to the search."""
-
-    def test_chunking_is_contiguous_and_order_preserving(self):
-        specs = [CandidateSpec(seed=s) for s in range(7)]
-        chunks = ProcessEvaluator._chunk(specs, 3)
-        assert len(chunks) == 3
-        assert [len(c) for c in chunks] == [3, 2, 2]
-        assert [s for chunk in chunks for s in chunk] == specs
-
-    def test_chunk_count_never_exceeds_specs(self):
-        specs = [CandidateSpec(seed=s) for s in range(2)]
-        chunks = ProcessEvaluator._chunk(specs, 8)
-        assert len(chunks) == 2
-        assert all(len(c) == 1 for c in chunks)
-        assert ProcessEvaluator._chunk(specs, 1) == [specs]
-
-    def test_batched_evaluate_matches_serial(self, process_pool):
-        func = build_matmul(64, 64, 64, dtype="float16")
-        ctx = EvalContext(func, TensorCoreSketch(), SimGPU())
-        specs = [CandidateSpec(seed=s) for s in range(9)]
-        repro_cache.clear_all()
-        serial = SerialEvaluator().evaluate(ctx, specs)
-        batched = process_pool.evaluate(ctx, specs)
-        assert [o.spec for o in batched] == specs
-        for a, b in zip(serial, batched):
-            assert a.rejection == b.rejection
-            assert a.decisions == b.decisions
-            if a.func is not None:
-                assert structural_hash(a.func) == structural_hash(b.func)
-
-    def test_ipc_batches_counter_counts_chunks_not_specs(self, process_pool):
-        func = build_matmul(48, 48, 48, dtype="float16")
-        ctx = EvalContext(func, TensorCoreSketch(), SimGPU())
-        specs = [CandidateSpec(seed=s) for s in range(10)]
-        before = process_pool.counters()["ipc_batches"]
-        process_pool.evaluate(ctx, specs)
-        grown = process_pool.counters()["ipc_batches"] - before
-        assert 0 < grown <= process_pool.workers
-
-    def test_empty_batch_is_a_noop(self, process_pool):
-        func = build_matmul(32, 32, 32, dtype="float16")
-        ctx = EvalContext(func, TensorCoreSketch(), SimGPU())
-        assert process_pool.evaluate(ctx, []) == []

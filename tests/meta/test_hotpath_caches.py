@@ -22,17 +22,13 @@ from repro import tir
 from repro.frontend import BucketSpec, canonicalize, ops
 from repro.meta import TuneConfig, TuningSession, evolutionary_search, tune
 from repro.meta import search as search_mod
-from repro.meta.database import _workload_key_impl, workload_key
+from repro.meta.database import _workload_key_impl, names_fingerprint, workload_key
 from repro.meta.feature import _extract_features_impl, extract_features
 from repro.meta.search import SearchStats, _build_candidate, _build_candidate_cached
 from repro.meta.sketch import Sketch, _generate_sketches_impl, generate_sketches
 from repro.schedule import Schedule, verify
 from repro.schedule.state import _Uniquifier
-from repro.schedule.validation import (
-    _names_fingerprint,
-    _shared_footprint_impl,
-    shared_footprint_bytes,
-)
+from repro.schedule.validation import _shared_footprint_impl, shared_footprint_bytes
 from repro.sim import SimGPU, Target, estimate
 from repro.sim.cost import _estimate_impl
 
@@ -86,9 +82,9 @@ class TestRejectionAccounting:
 
 
 class TestCachingTransparency:
-    def _tune(self, workers: int = 1):
+    def _tune(self):
         repro_cache.clear_all()
-        config = TuneConfig(trials=6, seed=11, search_workers=workers)
+        config = TuneConfig(trials=6, seed=11)
         return tune(ops.matmul(128, 128, 128), SimGPU(), config)
 
     def test_cached_equals_uncached(self):
@@ -116,13 +112,12 @@ class TestCachingTransparency:
         assert delta["search.candidates"]["misses"] == 0
 
     def test_batched_workers_deterministic(self):
-        first = self._tune(workers=2)
-        second = self._tune(workers=2)
+        first = self._tune()
+        second = self._tune()
         assert first.best_cycles == second.best_cycles
         assert tir.structural_equal(first.best_func, second.best_func)
         assert first.stats.eval_batches == second.stats.eval_batches > 0
         assert first.stats.eval_batch_candidates > 0
-        assert first.stats.eval_batch_slots > 0
 
     def test_features_identical_enabled_vs_disabled(self):
         """The memo front (cache enabled) and the function behind it
@@ -136,7 +131,7 @@ class TestCachingTransparency:
     def test_cold_and_warm_tunes_hit_their_caches(self):
         """The cache-hit contract of a small tune, cold then warm."""
         func, target = ops.matmul(64, 64, 64), SimGPU()
-        config = TuneConfig(trials=4, seed=0, search_workers=1)
+        config = TuneConfig(trials=4, seed=0)
         repro_cache.clear_all()
         before = repro_cache.snapshot_counts()
         result = tune(func, target, config)
@@ -151,13 +146,6 @@ class TestCachingTransparency:
         assert again.best_cycles == result.best_cycles
         assert tir.structural_equal(again.best_func, result.best_func)
         assert estimate(result.best_func, target).cycles == result.best_cycles
-        # A 2-worker process search lands on the same program and
-        # rejects the same candidates for the same reasons.
-        repro_cache.clear_all()
-        procs = tune(func, target, config.with_(search_workers=2))
-        assert procs.best_cycles == result.best_cycles
-        assert tir.structural_equal(procs.best_func, result.best_func)
-        assert procs.stats.rejected_by_code == result.stats.rejected_by_code
 
 
 def _report(report):
@@ -188,7 +176,7 @@ class TestMemoOracle:
         for _ in range(2):  # the miss, then the hit
             for args, (cand, rejection, _) in built:
                 got, got_rejection, _ = _build_candidate_cached(
-                    *args, _names_fingerprint(args[0])
+                    *args, names_fingerprint(args[0])
                 )
                 assert got_rejection == rejection
                 if cand is not None:

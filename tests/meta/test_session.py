@@ -2,7 +2,10 @@
 determinism, budget allocation and the JSON telemetry report."""
 
 import json
+import os
+import signal
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -13,6 +16,8 @@ from repro.meta import estimated_cost
 from repro.meta.database import DatabaseEntry, workload_key
 from repro.sim import SimGPU
 from repro.tir import script
+
+from ..common import search_width
 
 
 def _gemm_layer(name, n, m, k, count=1):
@@ -182,10 +187,27 @@ class TestDedupAndReplay:
         assert report.tuning_seconds == 0.0
 
 
+@contextmanager
+def _deadline(seconds):
+    """Raise ``TimeoutError`` in this thread if the body runs longer."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestTaskIsolation:
-    def test_failing_search_fails_only_its_task(self, monkeypatch):
-        """A search that raises marks its own task ``failed``; the tasks
-        after it in the loop still run and commit."""
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_failing_search_fails_only_its_task(self, monkeypatch, width):
+        """A search that raises marks its own task ``failed``, in this
+        process or in a worker; the other tasks still run and commit."""
         from repro.meta import session as session_mod
 
         real_tune = session_mod.tune
@@ -199,10 +221,50 @@ class TestTaskIsolation:
         session = TuningSession(SimGPU(), TuneConfig(trials=4, seed=0))
         for name, n in (("a", 32), ("b", 48), ("c", 64)):
             session.add(ops.matmul(n, n, n), name=name)
-        report = session.run()
+        with search_width(width):
+            report = session.run()
         failed = report.task("b")
         assert failed.status == "failed"
-        assert "search exploded" in failed.error
+        assert failed.error == "search exploded"
+        assert report.task("a").status == report.task("c").status == "searched"
+        assert set(session.database.keys()) == {
+            report.task("a").key, report.task("c").key
+        }
+
+    def test_dead_worker_fails_only_unreturned_searches(self, monkeypatch, tmp_path):
+        """A worker that dies mid-search fails every search not yet
+        returned — its own and one still running in the other worker —
+        with an error naming the death; the searches already returned
+        are committed, and ``run()`` returns."""
+        from repro.meta import session as session_mod
+
+        real_tune = session_mod.tune
+        started = tmp_path / "hang-started"
+
+        def tune_or_die(func, target, config, **kwargs):
+            task = kwargs["task"]
+            if task == "hang":
+                started.touch()
+                time.sleep(120)
+            if task == "victim":
+                # "hang" runs after "a" and "c" on the other worker, which
+                # has sent both their results by the time it starts.
+                deadline = time.monotonic() + 60
+                while not started.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_tune(func, target, config, **kwargs)
+
+        monkeypatch.setattr(session_mod, "tune", tune_or_die)
+        session = TuningSession(SimGPU(), TuneConfig(trials=4, seed=0))
+        for name, n in (("a", 32), ("victim", 48), ("c", 64), ("hang", 16)):
+            session.add(ops.matmul(n, n, n), name=name)
+        with search_width(2), _deadline(90):
+            report = session.run()
+        for name in ("victim", "hang"):
+            task = report.task(name)
+            assert task.status == "failed", name
+            assert "terminated abruptly" in task.error, name
         assert report.task("a").status == report.task("c").status == "searched"
         assert set(session.database.keys()) == {
             report.task("a").key, report.task("c").key
@@ -211,14 +273,13 @@ class TestTaskIsolation:
 
 class TestDeterminism:
     def test_parallel_equals_serial(self):
-        def run_with(workers):
-            session = TuningSession(
-                SimGPU(), TuneConfig(trials=5, seed=3, search_workers=workers)
-            )
+        def run_with(width):
+            session = TuningSession(SimGPU(), TuneConfig(trials=5, seed=3))
             session.add(ops.matmul(128, 128, 128), name="a")
             session.add(ops.matmul(64, 64, 256), name="b")
             session.add(ops.matmul(256, 64, 64), name="c")
-            report = session.run()
+            with search_width(width):
+                report = session.run()
             return {
                 (t.name, t.cycles, t.sketch, t.status) for t in report.tasks
             }, {n: r.best_decisions for n, r in session.results.items()}

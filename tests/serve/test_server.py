@@ -275,7 +275,16 @@ class TestCoalescing:
         assert all(r.trials == 0 for r in responses if r.source != "miss")
         assert stats.coalesce_factor >= 2.0
 
-    def test_distinct_workloads_share_one_session(self):
+    def test_distinct_workloads_share_one_session(self, monkeypatch):
+        """Two distinct misses share one session, searched in-process: a
+        server has threads, and a forked child would inherit their locks."""
+        forks = []
+
+        def refuse_fork():
+            forks.append(threading.current_thread().name)
+            raise OSError("a server session forked")
+
+        monkeypatch.setattr(os, "fork", refuse_fork)
         cfg = CFG.with_(batch_window_seconds=0.3)
         with ScheduleServer(SimGPU(), cfg) as server:
             futures = [
@@ -284,6 +293,7 @@ class TestCoalescing:
             ]
             responses = [f.result(timeout=120) for f in futures]
             stats = server.stats()
+        assert forks == []
         assert {r.source for r in responses} == {"miss"}
         assert stats.tune_runs == 1
         assert stats.tuned_workloads == 2
