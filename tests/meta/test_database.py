@@ -4,6 +4,7 @@ The database surface is one typed protocol — ``get`` / ``put`` /
 ``evict`` / ``keys``; this module covers it on the in-memory backend.
 """
 
+import re
 from collections import Counter
 
 import pytest
@@ -14,9 +15,12 @@ from repro.meta.database import (
     Database,
     DatabaseEntry,
     TuningDatabase,
+    _workload_key_impl,
+    names_fingerprint,
     workload_key,
 )
 from repro.sim import SimCPU, SimGPU, estimate
+from repro.tir import parse_script, script, structural_hash
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +45,19 @@ class TestDatabase:
         assert workload_key(ops.matmul(64, 64, 64), t) != workload_key(
             ops.matmul(64, 64, 64), SimCPU()
         )
+
+    def test_names_fingerprint_tells_renamed_copies_apart(self):
+        """The fingerprint covers the names ``structural_hash`` ignores,
+        so a renamed copy gets a workload key of its own."""
+        original = ops.matmul(64, 64, 64)
+        renamed = parse_script(
+            re.sub(r"\b[ABC]\b", lambda m: "XYZ"["ABC".index(m[0])], script(original))
+        )
+        assert structural_hash(renamed) == structural_hash(original)
+        assert names_fingerprint(ops.matmul(64, 64, 64)) == names_fingerprint(original)
+        assert names_fingerprint(renamed) != names_fingerprint(original)
+        assert workload_key(renamed, SimGPU()) == _workload_key_impl(renamed, SimGPU())
+        assert workload_key(renamed, SimGPU()) != workload_key(original, SimGPU())
 
     def test_record_and_replay_exact(self, tuned):
         func, result = tuned

@@ -158,12 +158,52 @@ class TestSearchPool:
         assert two["search.candidates"]["misses"] == one["search.candidates"]["misses"]
 
 
+    def test_worker_stages_reach_the_report(self, widths):
+        """The stage view of the report sums the workers' leaf spans as
+        it sums this process's: the same stages at every width, each
+        search's measuring on its worker's lane."""
+        one, two = widths[1][1].telemetry, widths[2][1].telemetry
+        assert set(one["stage_seconds"]) == set(two["stage_seconds"])
+        assert two["stage_seconds"]["measure"] > 0
+        measured = {
+            s["task"] for s in two["spans"]
+            if s["stage"] == "measure" and s["thread"].startswith("search-worker-")
+        }
+        assert measured == {"gemm", "gemm-wide", "gemm-fp32"}
+
+
 class TestPickleBoundary:
     def test_tune_config_round_trip(self):
         config = TuneConfig(trials=9, seed=5, population=6)
         clone = pickle.loads(pickle.dumps(config))
         assert clone == config
         assert clone.population == 6
+
+
+    def test_search_outcome_round_trip(self):
+        """What a worker sends back — one search's result, spans, rows and
+        cache window — survives pickling whole."""
+        from repro.meta import session as session_mod
+
+        func = build_matmul(64, 64, 64)
+        outcome = session_mod._search(
+            func, SimGPU(), TuneConfig(trials=4, seed=0), "gemm", True
+        )
+        clone = pickle.loads(pickle.dumps(outcome))
+        assert clone.error is None and outcome.result.best_func is not None
+        assert script(clone.result.best_func) == script(outcome.result.best_func)
+        assert clone.result.best_decisions == outcome.result.best_decisions
+        assert (
+            clone.result.stats.search_signature() == outcome.result.stats.search_signature()
+        )
+        assert clone.trials == outcome.trials and clone.trials
+        assert clone.rejections == outcome.rejections
+        assert clone.spans == outcome.spans
+        assert clone.cache_delta == outcome.cache_delta
+        measured = [t for t in clone.trials if t.trace is not None]
+        assert measured
+        for row in measured:
+            assert structural_hash(replay_trial(row, func)) == row.structural_hash
 
 
 class TestProtocolSurface:

@@ -281,3 +281,21 @@ class TestSessionObservability:
         # the telemetry part holds spans only.
         assert set(report.telemetry) == {"spans", "stage_seconds"}
         assert "cache_stats" in report.to_json()
+
+    def test_absorbed_worker_window_joins_the_snapshot(self, monkeypatch):
+        """A worker's ``delta_since`` window, absorbed here, shows in the
+        next window exactly, for a cache this process also has and for
+        one only the worker touched; absorbing again accumulates."""
+        monkeypatch.setattr(repro_cache, "_WORKER_COUNTS", {})
+        worker = {
+            "search.candidates": {"hits": 2, "misses": 3, "evictions": 1, "hit_rate": 0.4},
+            "worker.only": {"hits": 0, "misses": 5, "evictions": 0, "hit_rate": 0.0},
+        }
+        before = repro_cache.snapshot_counts()
+        repro_cache.absorb_worker_counts(worker)
+        assert repro_cache.delta_since(before) == worker
+        repro_cache.absorb_worker_counts(worker)
+        assert repro_cache.worker_counts() == {
+            "search.candidates": (4, 6, 2), "worker.only": (0, 10, 0),
+        }
+        assert repro_cache.delta_since(before)["worker.only"]["misses"] == 10

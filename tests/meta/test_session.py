@@ -2,8 +2,10 @@
 determinism, budget allocation and the JSON telemetry report."""
 
 import json
+import multiprocessing
 import os
 import signal
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import replace
@@ -288,6 +290,75 @@ class TestDeterminism:
         parallel_rows, parallel_dec = run_with(2)
         assert serial_rows == parallel_rows
         assert serial_dec == parallel_dec
+
+
+def _two_task_session():
+    session = TuningSession(SimGPU(), TuneConfig(trials=4, seed=0))
+    session.add(ops.matmul(32, 32, 32), name="a")
+    session.add(ops.matmul(48, 48, 48), name="b")
+    return session
+
+
+def _worker_lanes(report):
+    return {
+        s["thread"] for s in report.telemetry["spans"]
+        if s["thread"].startswith("search-worker-")
+    }
+
+
+class TestSearchWidth:
+    def test_one_search_at_a_time_while_another_thread_is_alive(self):
+        from repro.meta import session as session_mod
+
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert session_mod._search_width(4) == 1
+        finally:
+            release.set()
+            other.join()
+
+    def test_width_is_capped_by_cpus_and_pending_searches(self, monkeypatch):
+        from repro.meta import session as session_mod
+
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        assert [session_mod._search_width(n) for n in (0, 1, 2, 3, 8)] == [0, 1, 2, 3, 3]
+
+    def test_live_thread_keeps_searches_in_process(self, monkeypatch):
+        """With the width rule in force, a session run beside a live
+        thread forks nothing and its spans stay on the calling lane."""
+        forks = []
+
+        def refuse_fork():
+            forks.append(threading.current_thread().name)
+            raise OSError("a session forked beside a live thread")
+
+        session = _two_task_session()
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        monkeypatch.setattr(os, "fork", refuse_fork)
+        try:
+            report = session.run()
+        finally:
+            release.set()
+            other.join()
+        assert forks == []
+        assert report.task("a").status == report.task("b").status == "searched"
+        assert _worker_lanes(report) == set()
+
+    def test_no_worker_outlives_run(self):
+        session = _two_task_session()
+        with search_width(2):
+            report = session.run()
+        lanes = _worker_lanes(report)
+        assert len(lanes) == 2
+        assert multiprocessing.active_children() == []
+        for lane in lanes:
+            with pytest.raises(ProcessLookupError):
+                os.kill(int(lane.rsplit("-", 1)[1]), 0)
 
 
 class TestTelemetryReport:

@@ -176,3 +176,57 @@ class TestOneRowPerCandidate:
         # Atomic write leaves no temp files behind.
         leftovers = [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
         assert leftovers == []
+
+
+def _search_recorder(task, parents):
+    """A recorder as one search leaves it: a trial per entry of
+    ``parents`` (the index of its mutation parent, or ``None``) and one
+    rejection."""
+    rec = Recorder()
+    rows = []
+    for generation, parent in enumerate(parents):
+        rows.append(rec.trial(
+            task=task, workload=f"key-{task}", sketch="gpu-scalar",
+            generation=generation,
+            parent=None if parent is None else rows[parent].trial_id,
+            decisions=[generation], cycles=100.0 - generation,
+        ))
+    rec.rejection(task, "gpu-scalar", 0, "invalid", "TIR401")
+    return rec
+
+
+class TestAdopt:
+    """A session's recorder takes each search's rows in task order, from
+    a recorder of the search's own — in a worker process at width 2."""
+
+    def test_adopted_trials_continue_the_id_sequence(self):
+        session = Recorder()
+        session.trial(task="own", workload="k", sketch="s", generation=0,
+                      parent=None, decisions=[])
+        first = _search_recorder("a", [None, 0, 1])
+        second = _search_recorder("b", [None, 0, 0])
+        session.adopt(first.trials, first.rejections)
+        session.adopt(second.trials, second.rejections)
+        assert [t.trial_id for t in session.trials] == list(range(1, 8))
+        assert [(t.task, t.parent) for t in session.trials[1:]] == [
+            ("a", None), ("a", 2), ("a", 3), ("b", None), ("b", 5), ("b", 5),
+        ]
+        # The search's own recorder is left as it was.
+        assert [t.trial_id for t in second.trials] == [1, 2, 3]
+        # A trial recorded after adopting takes the next id.
+        after = session.trial(task="own", workload="k", sketch="s", generation=1,
+                              parent=None, decisions=[])
+        assert after.trial_id == 8
+
+    def test_adopted_rows_keep_their_content(self):
+        search = _search_recorder("a", [None, 0])
+        session = Recorder()
+        session.adopt(search.trials, search.rejections)
+        skip = {"trial_id", "parent"}
+        assert [
+            {k: v for k, v in t.to_json().items() if k not in skip} for t in session.trials
+        ] == [
+            {k: v for k, v in t.to_json().items() if k not in skip} for t in search.trials
+        ]
+        assert session.rejections == search.rejections
+        assert _rejection_mix(session.recording()) == {"TIR401": 1}
