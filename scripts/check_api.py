@@ -497,8 +497,6 @@ def main() -> int:
         "apply_failed",
         "measured",
         "profiling_seconds",
-        "eval_batches",
-        "eval_batch_candidates",
         "rejected_by_code",
     ):
         check(field in stats_fields, f"SearchStats.{field} missing")

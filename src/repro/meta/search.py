@@ -59,11 +59,6 @@ class SearchStats:
     apply_failed: int = 0
     measured: int = 0
     profiling_seconds: float = 0.0
-    #: pool-fill accounting: ``eval_batches`` rounds of candidate
-    #: builds, holding ``eval_batch_candidates`` candidates — both a
-    #: pure function of the search stream.
-    eval_batches: int = 0
-    eval_batch_candidates: int = 0
     #: rejected candidates per diagnostic error code: validation
     #: failures count their primary (first) code, primitive-precondition
     #: failures the ScheduleError's code, and candidates the analytical
@@ -306,30 +301,23 @@ def evolutionary_search(
             recorder.rejection(task, sk_token, generation, kind, code)
 
     def _fill_pool() -> List[_Candidate]:
-        # Each round draws exactly the pool's current deficit (never
-        # more), so the RNG stream — and with it every downstream
-        # result — is that of the historical one-at-a-time path.
+        # Draw until the pool is full or six draws per slot are spent.
         pool: List[_Candidate] = []
         attempts = 0
-        cap = population * 6
-        while len(pool) < population and attempts < cap:
-            want = min(cap - attempts, population - len(pool))
-            attempts += want
-            stats.candidates_generated += want
-            stats.eval_batches += 1
-            stats.eval_batch_candidates += want
-            for _ in range(want):
-                seed, forced, parent_trial = _draw()
-                cand, rejection, validate_seconds = _build_candidate_cached(
-                    func, sketch, seed, forced, target, config.validate, names
-                )
-                timings["validate"] += validate_seconds
-                if rejection is not None:
-                    _count_rejection(stats, rejection)
-                    _emit_rejection(rejection)
-                elif cand is not None:
-                    cand.parent_trial = parent_trial
-                    pool.append(cand)
+        while len(pool) < population and attempts < population * 6:
+            attempts += 1
+            stats.candidates_generated += 1
+            seed, forced, parent_trial = _draw()
+            cand, rejection, validate_seconds = _build_candidate_cached(
+                func, sketch, seed, forced, target, config.validate, names
+            )
+            timings["validate"] += validate_seconds
+            if rejection is not None:
+                _count_rejection(stats, rejection)
+                _emit_rejection(rejection)
+            elif cand is not None:
+                cand.parent_trial = parent_trial
+                pool.append(cand)
         return pool
 
     while stats.measured < measured_budget and generation < max_generations:

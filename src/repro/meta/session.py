@@ -24,11 +24,12 @@ planning, database writes, replays and the task reports stay in the
 calling process.  Results are identical at every pool width: every
 search depends only on (workload, config), never on shared mutable
 state, and the session folds each search's result, spans, recorder rows
-and cache counts in task order.  A forked worker starts from this
-process's caches and keeps its hash seed, so the structural hashes it
-records verify here.  Fork is safe only in a single-threaded process,
-so while another thread is alive — a schedule server's — the session
-searches in-process, one search after another.
+and cache counts in task order, committing each search as it returns.
+A forked worker starts from this process's caches and keeps its hash
+seed, so the structural hashes it records verify here.  Fork is safe
+only in a single-threaded process, so while another thread is alive —
+a schedule server's — the session searches in-process, one search
+after another.
 
 The session gathers every search's spans into one
 :class:`~repro.meta.telemetry.Telemetry`, and :meth:`TuningSession.run` returns a
@@ -42,6 +43,7 @@ from the :class:`~repro.meta.search.SearchStats` every search returns,
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
@@ -49,8 +51,9 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from .. import cache as _cache
 from ..diagnostics import DiagnosticContext
@@ -156,6 +159,17 @@ def _search(
         result, error, telemetry.spans, trials, rejections,
         _cache.delta_since(before), os.getpid(),
     )
+
+
+#: the pending searches' arguments while a worker pool runs them: the
+#: workers inherit this list through the fork, so a job — a config
+#: holding a sketch class defined in a function, say — is never pickled.
+_JOBS: List[tuple] = []
+
+
+def _search_job(index: int) -> _Searched:
+    """A worker's entry point: search the ``index``-th pending job."""
+    return _search(*_JOBS[index])
 
 
 def _search_width(searches: int) -> int:
@@ -454,52 +468,53 @@ class TuningSession:
         bucket: Counter = Counter()
         # Each distinct exact workload's replayed program in this run.
         replayed: Dict[str, TuneResult] = {}
-        for task, outcome in zip(to_search, self._search_all(to_search, budgets)):
-            trials = budgets[task.key]
-            self._fold(outcome, session_span)
-            result = outcome.result
-            if result is None:
-                reports[task.name] = TaskReport(
-                    task.name, task.key, "failed", task.weight,
-                    trials_allocated=trials, error=outcome.error,
+        with closing(self._search_all(to_search, budgets)) as outcomes:
+            for task, outcome in zip(to_search, outcomes):
+                trials = budgets[task.key]
+                self._fold(outcome, session_span)
+                result = outcome.result
+                if result is None:
+                    reports[task.name] = TaskReport(
+                        task.name, task.key, "failed", task.weight,
+                        trials_allocated=trials, error=outcome.error,
+                    )
+                    continue
+                rejected.update(result.stats.rejected_by_code)
+                self.results[task.name] = result
+                if result.best_sketch is None or result.best_decisions is None:
+                    reports[task.name] = TaskReport(
+                        task.name, task.key, "failed", task.weight,
+                        trials_allocated=trials,
+                        measured=result.stats.measured,
+                        tuning_seconds=result.tuning_seconds,
+                        error="search found no valid program",
+                    )
+                    continue
+                # A persistent backend makes each commit durable the moment
+                # it lands — tuned entries are written incrementally as
+                # tasks finish, never batched until the session ends.
+                entry = self.database.record(
+                    task.search_func, self.target, result.best_sketch,
+                    result.best_decisions, result.best_cycles,
+                    provenance=self.provenance,
                 )
-                continue
-            rejected.update(result.stats.rejected_by_code)
-            self.results[task.name] = result
-            if result.best_sketch is None or result.best_decisions is None:
+                if task.bucketed is not None and task.bucketed.bucketed:
+                    # The search ran at the bucket representative; the task's
+                    # own program comes from the stored record at its
+                    # concrete shape, and the search's cost stays with it.
+                    reports[task.name] = self._from_record(
+                        task, entry, trials, replayed, rejected, bucket, searched=result
+                    )
+                    continue
                 reports[task.name] = TaskReport(
-                    task.name, task.key, "failed", task.weight,
+                    task.name, task.key, "searched", task.weight,
+                    sketch=result.best_sketch,
+                    cycles=result.best_cycles,
+                    seconds=result.best_report.seconds,
                     trials_allocated=trials,
                     measured=result.stats.measured,
                     tuning_seconds=result.tuning_seconds,
-                    error="search found no valid program",
                 )
-                continue
-            # A persistent backend makes each commit durable the moment
-            # it lands — tuned entries are written incrementally as
-            # tasks finish, never batched until the session ends.
-            entry = self.database.record(
-                task.search_func, self.target, result.best_sketch,
-                result.best_decisions, result.best_cycles,
-                provenance=self.provenance,
-            )
-            if task.bucketed is not None and task.bucketed.bucketed:
-                # The search ran at the bucket representative; the task's
-                # own program comes from the stored record at its
-                # concrete shape, and the search's cost stays with it.
-                reports[task.name] = self._from_record(
-                    task, entry, trials, replayed, rejected, bucket, searched=result
-                )
-                continue
-            reports[task.name] = TaskReport(
-                task.name, task.key, "searched", task.weight,
-                sketch=result.best_sketch,
-                cycles=result.best_cycles,
-                seconds=result.best_report.seconds,
-                trials_allocated=trials,
-                measured=result.stats.measured,
-                tuning_seconds=result.tuning_seconds,
-            )
 
         # Everything not searched above replays from the database: the
         # duplicates, plus uniques already tuned in a previous run.
@@ -523,15 +538,19 @@ class TuningSession:
 
     def _search_all(
         self, to_search: List[_Task], budgets: Dict[str, int]
-    ) -> List[_Searched]:
-        """Every pending search's outcome, in task order.
+    ) -> Iterator[_Searched]:
+        """Each pending search's outcome, in task order, as it arrives —
+        so the caller commits a search before waiting on the next.
 
         With two or more workers (:func:`_search_width`) each search runs
-        in a worker of a fork pool made for this call and closed before
-        it returns; otherwise the searches run here, one after another.
-        A worker that dies breaks the pool: every search not yet
-        returned fails with an error naming the death.
+        in a worker of a fork pool made for this call and shut down when
+        the generator ends or is closed; otherwise the searches run here,
+        one after another.  The workers take their jobs from the fork,
+        so only outcomes are pickled.  A worker that dies breaks the
+        pool: every search not yet returned fails with an error naming
+        the death.
         """
+        global _JOBS
         jobs = [
             (task.search_func, self.target, self.config.with_(trials=budgets[task.key]),
              task.name, self.recorder is not None)
@@ -539,21 +558,31 @@ class TuningSession:
         ]
         width = _search_width(len(jobs))
         if width < 2:
-            return [_search(*job) for job in jobs]
-        out = []
+            for job in jobs:
+                yield _search(*job)
+            return
+        _JOBS = jobs
         pool = ProcessPoolExecutor(width, mp_context=multiprocessing.get_context("fork"))
         try:
-            futures = [pool.submit(_search, *job) for job in jobs]
+            # The first submit forks every worker.  Frozen objects are
+            # never scanned by a collection, so the workers' collections
+            # leave this process's pages shared rather than copying them.
+            gc.freeze()
+            try:
+                futures = [pool.submit(_search_job, i) for i in range(len(jobs))]
+            finally:
+                gc.unfreeze()
             for future in futures:
                 try:
-                    out.append(future.result())
+                    outcome = future.result()
                 except Exception as err:  # noqa: BLE001 — a dead worker fails its searches
                     error = f"search worker failed: {type(err).__name__}: {err}"
-                    out.append(_Searched(None, error, [], [], [], {}, os.getpid()))
+                    outcome = _Searched(None, error, [], [], [], {}, os.getpid())
+                yield outcome
         finally:
+            _JOBS = []
             # An interrupt leaves searches queued; start none of them.
             pool.shutdown(cancel_futures=True)
-        return out
 
     def _fold(self, outcome: _Searched, session_span: int) -> None:
         """Take one search's spans, recorder rows and, when it ran in a

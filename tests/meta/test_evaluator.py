@@ -208,8 +208,8 @@ class TestPickleBoundary:
 
 class TestProtocolSurface:
     def test_search_folds_counters_into_telemetry(self):
-        """Batches and candidates are counted once, in the search's
-        ``SearchStats``; Telemetry keeps only spans."""
+        """Candidates are counted in the search's ``SearchStats``;
+        Telemetry keeps only spans."""
         telemetry = Telemetry()
         func = build_matmul(64, 64, 64, dtype="float16")
         repro_cache.clear_all()
@@ -220,9 +220,7 @@ class TestProtocolSurface:
             TuneConfig(trials=4, population=4, seed=0),
             telemetry=telemetry,
         )
-        stats = result.stats
-        assert 0 < stats.eval_batches <= stats.eval_batch_candidates
-        assert stats.eval_batch_candidates == stats.candidates_generated
+        assert result.stats.candidates_generated > 0
         assert set(telemetry.report()) == {"spans", "stage_seconds"}
 
     def test_recording_is_identical_across_backends(self, widths):

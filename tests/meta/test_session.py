@@ -1,9 +1,11 @@
 """Tests for the TuningSession orchestrator: dedup, replay, parallel
 determinism, budget allocation and the JSON telemetry report."""
 
+import gc
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import time
@@ -15,7 +17,8 @@ import pytest
 from repro import Telemetry, TuneConfig, TuningDatabase, TuningSession, tune
 from repro.frontend import LayerSpec, NetworkSpec, network_latency, ops
 from repro.meta import estimated_cost
-from repro.meta.database import DatabaseEntry, workload_key
+from repro.meta.database import DatabaseEntry, PersistentDatabase, workload_key
+from repro.meta.sketch import GpuScalarSketch
 from repro.sim import SimGPU
 from repro.tir import script
 
@@ -273,6 +276,54 @@ class TestTaskIsolation:
         }
 
 
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_interrupt_keeps_searches_already_returned(self, monkeypatch, tmp_path, width):
+        """Each search is committed as it returns: an interrupt during a
+        later search leaves the earlier one durable on disk."""
+        from repro.meta import session as session_mod
+
+        real_tune = session_mod.tune
+
+        def interrupted_tune(func, target, config, **kwargs):
+            if kwargs["task"] == "b":
+                raise KeyboardInterrupt
+            return real_tune(func, target, config, **kwargs)
+
+        monkeypatch.setattr(session_mod, "tune", interrupted_tune)
+        root = str(tmp_path / "db")
+        session = TuningSession(
+            SimGPU(), TuneConfig(trials=4, seed=0), database=PersistentDatabase(root)
+        )
+        first = ops.matmul(32, 32, 32)
+        session.add(first, name="a")
+        session.add(ops.matmul(48, 48, 48), name="b")
+        with search_width(width), pytest.raises(KeyboardInterrupt):
+            session.run()
+        assert PersistentDatabase(root).keys() == [workload_key(first, SimGPU())]
+        assert multiprocessing.active_children() == []
+
+
+    def test_commit_that_raises_stops_every_worker(self):
+        """An error while committing one search ends the run with the
+        pool shut down, its other searches included — also while the
+        caller still holds the error and with it the run's frames."""
+
+        class FullDatabase(TuningDatabase):
+            def record(self, *args, **kwargs):
+                raise OSError("no space left on device")
+
+        session = TuningSession(
+            SimGPU(), TuneConfig(trials=4, seed=0), database=FullDatabase()
+        )
+        for name, n in (("a", 32), ("b", 48), ("c", 64)):
+            session.add(ops.matmul(n, n, n), name=name)
+        with search_width(2), pytest.raises(OSError, match="no space left") as raised:
+            session.run()
+        # ``raised`` holds the traceback, and with it the run's frames.
+        assert multiprocessing.active_children() == []
+        assert isinstance(raised.value, OSError)
+
+
 class TestDeterminism:
     def test_parallel_equals_serial(self):
         def run_with(width):
@@ -290,6 +341,33 @@ class TestDeterminism:
         parallel_rows, parallel_dec = run_with(2)
         assert serial_rows == parallel_rows
         assert serial_dec == parallel_dec
+
+
+    def test_unpicklable_config_searches_at_every_width(self):
+        """A config holding a sketch class defined in a function cannot
+        be pickled; the workers take their jobs from the fork, so both
+        widths search it and find the same programs."""
+
+        class LocalScalar(GpuScalarSketch):
+            pass
+
+        config = TuneConfig(trials=4, seed=0, sketches=[LocalScalar()])
+        with pytest.raises((AttributeError, pickle.PicklingError)):
+            pickle.dumps(config)
+
+        def run_with(width):
+            session = TuningSession(SimGPU(), config)
+            session.add(ops.matmul(32, 32, 32), name="a")
+            session.add(ops.matmul(48, 48, 48), name="b")
+            with search_width(width):
+                report = session.run()
+            return report, [(t.name, t.status, t.sketch, t.cycles) for t in report.tasks]
+
+        _, serial = run_with(1)
+        report, parallel = run_with(2)
+        assert len(_worker_lanes(report)) == 2
+        assert [row[1] for row in parallel] == ["searched", "searched"]
+        assert parallel == serial
 
 
 def _two_task_session():
@@ -348,6 +426,24 @@ class TestSearchWidth:
         assert forks == []
         assert report.task("a").status == report.task("b").status == "searched"
         assert _worker_lanes(report) == set()
+
+    def test_workers_fork_frozen_and_this_process_thaws(self, monkeypatch, tmp_path):
+        """The workers start with this process's objects frozen, so
+        their collections leave the shared pages alone; this process is
+        unfrozen again once they are forked."""
+        from repro.meta import session as session_mod
+
+        real_tune = session_mod.tune
+
+        def tune_noting_freeze(func, target, config, **kwargs):
+            (tmp_path / kwargs["task"]).write_text(str(gc.get_freeze_count()))
+            return real_tune(func, target, config, **kwargs)
+
+        monkeypatch.setattr(session_mod, "tune", tune_noting_freeze)
+        with search_width(2):
+            _two_task_session().run()
+        assert all(int((tmp_path / name).read_text()) > 0 for name in ("a", "b"))
+        assert gc.get_freeze_count() == 0
 
     def test_no_worker_outlives_run(self):
         session = _two_task_session()
