@@ -243,24 +243,28 @@ def main() -> int:
     # --- the serving surface (repro.serve) ----------------------------
     from repro import serve
 
-    for name in (
-        "ScheduleServer",
-        "Client",
-        "ServeConfig",
-        "CompileRequest",
-        "CompileResponse",
-        "ServerStats",
-        "compile",
-        "default_client",
-        "shutdown_default_servers",
-    ):
+    # Exact shape: applications call the server itself, or
+    # ``repro.compile``, which routes through a default server.
+    serve_names = sorted(serve.__all__)
+    check(
+        serve_names
+        == ["CompileRequest", "CompileResponse", "ScheduleServer", "ServeConfig",
+            "ServerStats", "compile", "default_server",
+            "shutdown_default_servers"],
+        f"repro.serve exports {serve_names}",
+    )
+    for name in serve_names:
         check(hasattr(serve, name), f"repro.serve.{name} missing")
-    for name in ("compile", "ScheduleServer", "Client", "ServeConfig",
-                 "CompileResponse"):
+    for name in ("compile", "ScheduleServer", "ServeConfig", "CompileResponse"):
         check(hasattr(repro, name), f"repro.{name} missing")
-    compile_params = inspect.signature(repro.compile).parameters
-    for param in ("func", "target", "config", "client", "timeout"):
-        check(param in compile_params, f"repro.compile(...{param}...) missing")
+    for name in ("Client", "default_client"):
+        check(not hasattr(serve, name), f"repro.serve.{name} must not exist")
+        check(not hasattr(repro, name), f"repro.{name} must not exist")
+    compile_params = list(inspect.signature(repro.compile).parameters)
+    check(
+        compile_params == ["func", "target", "config", "server", "timeout"],
+        f"repro.compile takes {compile_params}",
+    )
     server_params = inspect.signature(serve.ScheduleServer.__init__).parameters
     # Exact shape: responses are counted by the latency histograms, so
     # a server takes no recorder to copy them into.
@@ -268,7 +272,7 @@ def main() -> int:
         list(server_params) == ["self", "target", "config", "database", "telemetry"],
         f"ScheduleServer takes {list(server_params)[1:]}",
     )
-    for method in ("submit", "compile", "stats", "close"):
+    for method in ("submit", "compile", "stats", "health", "close"):
         check(
             callable(getattr(serve.ScheduleServer, method, None)),
             f"ScheduleServer.{method} missing",
@@ -294,18 +298,9 @@ def main() -> int:
         "ServerStats accounting surface incomplete",
     )
 
-    # --- serving observability (request ids + health) ------------------
-    # Every response carries a request-scoped trace id; the health
-    # endpoint and metrics passthrough are part of the client contract.
+    # --- serving observability (request ids) --------------------------
+    # Every response carries a request-scoped trace id.
     check("request_id" in response_fields, "CompileResponse.request_id missing")
-    check(
-        callable(getattr(serve.ScheduleServer, "health", None)),
-        "ScheduleServer.health missing",
-    )
-    check(
-        callable(getattr(serve.Client, "health", None)),
-        "Client.health missing",
-    )
 
     # --- shape-generic tuning (repro.frontend.shapes) ------------------
     from repro.frontend import shapes
@@ -432,40 +427,54 @@ def main() -> int:
         check(field in trial_fields, f"TrialRecord.{field} missing")
 
     # --- the metrics layer (repro.obs.metrics) -------------------------
+    # Exact shape: latency histograms with fixed buckets and window, and
+    # their read views; every other serving count is kept where it
+    # happens (stats(), health(), repro.cache, database diagnostics).
     from repro.obs import metrics as obs_metrics
 
-    for name in (
-        "MetricsRegistry",
-        "Counter",
-        "Gauge",
-        "Histogram",
-        "MetricFamily",
-        "render_prometheus",
-        "quantile",
-        "DEFAULT_LATENCY_BUCKETS",
-    ):
+    metrics_names = sorted(obs_metrics.__all__)
+    check(
+        metrics_names
+        == ["DEFAULT_LATENCY_BUCKETS", "DEFAULT_WINDOW", "Histogram",
+            "MetricFamily", "MetricsRegistry", "quantile", "render_prometheus"],
+        f"repro.obs.metrics exports {metrics_names}",
+    )
+    for name in metrics_names:
         check(hasattr(obs_metrics, name), f"repro.obs.metrics.{name} missing")
     for name in ("MetricsRegistry", "render_prometheus", "serve_report"):
         check(hasattr(obs, name), f"repro.obs.{name} missing")
-    for method in (
-        "counter", "gauge", "gauge_fn", "histogram", "snapshot",
-        "delta_since", "prometheus_text", "save",
-    ):
-        check(
-            callable(getattr(obs_metrics.MetricsRegistry, method, None)),
-            f"MetricsRegistry.{method} missing",
+    registry_methods = {
+        name for name, _ in inspect.getmembers(
+            obs_metrics.MetricsRegistry, inspect.isfunction
         )
-    hist_params = inspect.signature(
-        obs_metrics.MetricsRegistry.histogram
-    ).parameters
-    for param in ("buckets", "window", "labels"):
-        check(param in hist_params, f"MetricsRegistry.histogram(...{param}...) missing")
-    for method in ("observe", "cumulative", "window_values", "window_quantile",
-                   "to_json"):
+        if not name.startswith("_")
+    }
+    check(
+        registry_methods == {"histogram", "snapshot", "prometheus_text", "save"},
+        f"MetricsRegistry's public methods are {sorted(registry_methods)}",
+    )
+    registry_params = list(
+        inspect.signature(obs_metrics.MetricsRegistry.__init__).parameters
+    )
+    check(registry_params == ["self"], f"MetricsRegistry takes {registry_params[1:]}")
+    hist_params = list(
+        inspect.signature(obs_metrics.MetricsRegistry.histogram).parameters
+    )
+    check(
+        hist_params == ["self", "name", "help_text", "labels"],
+        f"MetricsRegistry.histogram takes {hist_params[1:]}",
+    )
+    for method in ("observe", "window_values", "to_json"):
         check(
             callable(getattr(obs_metrics.Histogram, method, None)),
             f"Histogram.{method} missing",
         )
+    # The storage layer keeps no metrics: its recoveries are counted by
+    # ``diagnostics`` alone.
+    check(
+        not hasattr(repro.PersistentDatabase, "bind_metrics"),
+        "PersistentDatabase.bind_metrics must not exist",
+    )
     for method in ("to_json", "from_json"):
         check(
             callable(getattr(schedule.Trace, method, None)),

@@ -57,7 +57,6 @@ from .frontend.shapes import (  # noqa: F401  — shape-generic tuning
 )
 from .schedule import verify  # noqa: F401  — the §3.3 validation battery
 from .serve import (  # noqa: F401  — the serving surface
-    Client,
     CompileResponse,
     ScheduleServer,
     ServeConfig,
@@ -79,7 +78,6 @@ __all__ = [
     "workload_key",
     "compile",
     "ScheduleServer",
-    "Client",
     "ServeConfig",
     "CompileResponse",
     "ShapeBucket",

@@ -27,7 +27,6 @@ import json
 import math
 import os
 import threading
-import time
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterator, List, Optional
 
@@ -335,52 +334,12 @@ class PersistentDatabase(Database):
     def __init__(self, root: str):
         self.root = root
         self._lock = threading.Lock()
-        #: human-readable notes about skipped/corrupt records, in scan order.
+        #: human-readable notes about skipped/corrupt records, in scan
+        #: order — one per recovered record, the one count of them.
         self.diagnostics: List[str] = []
-        #: corrupt/skipped records recovered by the scan — mirrors into
-        #: the bound metrics counter.
-        self._recovered = 0
-        # metrics instruments (duck-typed — see :meth:`bind_metrics`).
-        self._m_get = None
-        self._m_put = None
-        self._m_evictions = None
         self._cache: Dict[str, DatabaseEntry] = {}
         os.makedirs(self._entries_dir, exist_ok=True)
         self._scan()
-
-    # -- metrics binding -------------------------------------------------
-    def bind_metrics(self, registry) -> None:
-        """Bind serving metrics (duck-typed against
-        :class:`repro.obs.metrics.MetricsRegistry` so the storage layer
-        carries no obs dependency): get/put latency histograms,
-        corrupt-line recoveries, evictions and a live entry-count
-        gauge.  Recoveries already seen (the construction-time scan)
-        are backfilled into the counter."""
-        if self._m_get is not None:
-            return
-        # ``.labels()`` on an unlabeled family resolves its single child
-        # instrument — bound once here so the per-get observe skips the
-        # family proxy on the warm-hit path.
-        self._m_get = registry.histogram(
-            "db_get_seconds", "persistent database get latency"
-        ).labels()
-        self._m_put = registry.histogram(
-            "db_put_seconds", "persistent database put latency (incl. fsync path)"
-        ).labels()
-        corrupt = registry.counter(
-            "db_corrupt_lines_total", "corrupt/skipped records recovered"
-        )
-        self._m_evictions = registry.counter("db_evictions_total", "entries evicted")
-        registry.gauge(
-            "db_entries", "entries in the persistent database",
-            fn=lambda: len(self._cache),
-        )
-        if self._recovered:
-            corrupt.inc(self._recovered)
-
-    def _note_recovery(self, message: str) -> None:
-        self.diagnostics.append(message)
-        self._recovered += 1
 
     # -- layout ---------------------------------------------------------
     @property
@@ -399,24 +358,24 @@ class PersistentDatabase(Database):
         try:
             data = json.loads(line)
         except json.JSONDecodeError:
-            self._note_recovery(f"{where}: truncated/corrupt JSONL line skipped")
+            self.diagnostics.append(f"{where}: truncated/corrupt JSONL line skipped")
             return None
         if not isinstance(data, dict):
-            self._note_recovery(f"{where}: line is not a JSON object, skipped")
+            self.diagnostics.append(f"{where}: line is not a JSON object, skipped")
             return None
         schema = data.get("schema")
         if schema is not None and str(schema).split("/")[0] != DB_SCHEMA.split("/")[0]:
-            self._note_recovery(f"{where}: unknown schema {schema!r} skipped")
+            self.diagnostics.append(f"{where}: unknown schema {schema!r} skipped")
             return None
         fields = {k: v for k, v in data.items() if k in DatabaseEntry.__dataclass_fields__}
         fields.setdefault("provenance", "disk")
         try:
             entry = DatabaseEntry(**fields)
         except TypeError:
-            self._note_recovery(f"{where}: record missing required fields, skipped")
+            self.diagnostics.append(f"{where}: record missing required fields, skipped")
             return None
         if not _well_typed(entry):
-            self._note_recovery(f"{where}: record fields have the wrong types, skipped")
+            self.diagnostics.append(f"{where}: record fields have the wrong types, skipped")
             return None
         return entry
 
@@ -430,7 +389,7 @@ class PersistentDatabase(Database):
                     if entry is not None:
                         best = entry
         except OSError as err:
-            self._note_recovery(f"{os.path.basename(path)}: unreadable ({err})")
+            self.diagnostics.append(f"{os.path.basename(path)}: unreadable ({err})")
         return best
 
     def _scan(self) -> None:
@@ -442,7 +401,7 @@ class PersistentDatabase(Database):
                 continue
             key = name[: -len(".jsonl")]
             if entry.key != key:
-                self._note_recovery(
+                self.diagnostics.append(
                     f"{name}: record key {entry.key!r} does not match "
                     "filename, skipped"
                 )
@@ -451,29 +410,20 @@ class PersistentDatabase(Database):
 
     # -- the protocol ---------------------------------------------------
     def get(self, key: str) -> Optional[DatabaseEntry]:
-        t0 = time.perf_counter()
         with self._lock:
-            entry = self._cache.get(key)
-        if self._m_get is not None:
-            self._m_get.observe(time.perf_counter() - t0)
-        return entry
+            return self._cache.get(key)
 
     def put(self, entry: DatabaseEntry) -> DatabaseEntry:
-        t0 = time.perf_counter()
-        try:
-            with self._lock:
-                existing = self._cache.get(entry.key)
-                if existing is not None and existing.cycles <= entry.cycles:
-                    return existing
-                record = {"schema": DB_SCHEMA, "key": entry.key, **entry.to_record()}
-                atomic_write(
-                    self._entry_path(entry.key), json.dumps(record, sort_keys=True) + "\n"
-                )
-                self._cache[entry.key] = entry
-                return entry
-        finally:
-            if self._m_put is not None:
-                self._m_put.observe(time.perf_counter() - t0)
+        with self._lock:
+            existing = self._cache.get(entry.key)
+            if existing is not None and existing.cycles <= entry.cycles:
+                return existing
+            record = {"schema": DB_SCHEMA, "key": entry.key, **entry.to_record()}
+            atomic_write(
+                self._entry_path(entry.key), json.dumps(record, sort_keys=True) + "\n"
+            )
+            self._cache[entry.key] = entry
+            return entry
 
     def evict(self, key: str) -> bool:
         with self._lock:
@@ -482,8 +432,6 @@ class PersistentDatabase(Database):
             if os.path.exists(path):
                 os.unlink(path)
                 existed = True
-        if existed and self._m_evictions is not None:
-            self._m_evictions.inc()
         return existed
 
     def keys(self) -> List[str]:

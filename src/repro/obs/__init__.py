@@ -23,16 +23,18 @@ requires knowing where every second and every rejected candidate went):
   serving request's span tree), diffs two runs, and digests a
   serving-metrics snapshot (``serve-report``, ``--prom`` for Prometheus
   text exposition).
-* **Serving metrics** — :mod:`repro.obs.metrics`: a typed, thread-safe
-  Counter/Gauge/Histogram registry with labeled families,
-  ``snapshot()``/``delta_since()`` and zero-dep Prometheus exposition,
-  owned by the schedule server and bound by its persistent database.
+* **Serving metrics** — :mod:`repro.obs.metrics`: the schedule
+  server's two latency histograms (``serve_latency_seconds{outcome}``
+  and ``serve_queue_wait_seconds``) with bucket counts, a rolling
+  window for exact quantiles, a ``snapshot()``/``save()`` document and
+  zero-dep Prometheus exposition.
 
 Each count has one store.  Spans live in Telemetry, per-search counts
 in :class:`~repro.meta.search.SearchStats`, cache activity in
-:mod:`repro.cache`, and request counts in the server's ``stats()`` and
-latency histograms; the recorder and the registry keep no copies, and
-the exporters derive the best-cost curve from the trial rows.
+:mod:`repro.cache`, request counts in the server's ``stats()`` and
+responses in its latency histograms; the recorder and the histograms
+keep no copies, and the exporters derive the best-cost curve from the
+trial rows.
 
 Record by handing a recorder to the run; no recorder means no
 recording::
@@ -45,19 +47,11 @@ recording::
 """
 
 from .export import chrome_trace, diff_recordings, serve_report, summarize
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    render_prometheus,
-)
+from .metrics import Histogram, MetricsRegistry, render_prometheus
 from .record import Recorder, Rejection, TrialRecord, load_recording, replay_trial
 
 __all__ = [
     "MetricsRegistry",
-    "Counter",
-    "Gauge",
     "Histogram",
     "render_prometheus",
     "serve_report",

@@ -12,9 +12,9 @@ rows, plus the spans it was handed.  ``summarize`` prints the per-stage
 Chrome-trace/Perfetto timeline (``--request`` narrows it to one serving
 request's span tree); ``diff`` compares two runs (stage seconds,
 rejection mix, the best-cost curve derived from the trial rows);
-``serve-report`` digests a ``MetricsRegistry.save()`` snapshot into
-summary tables, or dumps it in Prometheus text exposition with
-``--prom``.
+``serve-report`` digests a ``MetricsRegistry.save()`` snapshot into a
+count / mean / p50 / p95 / p99 row per latency-histogram series, or
+dumps it in Prometheus text exposition with ``--prom``.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def main(argv=None) -> int:
     )
     p_srv.add_argument(
         "--prom", action="store_true",
-        help="dump Prometheus text exposition instead of summary tables",
+        help="dump Prometheus text exposition instead of the summary table",
     )
 
     args = parser.parse_args(argv)
@@ -96,6 +96,14 @@ def main(argv=None) -> int:
         elif args.command == "serve-report":
             with open(args.snapshot) as f:
                 snapshot = json.load(f)
+            # Every family a registry saves is a histogram; refuse the
+            # counters and gauges that older snapshots carried.
+            other = sorted(
+                name for name, family in snapshot.get("metrics", {}).items()
+                if family.get("kind") != "histogram"
+            )
+            if other:
+                raise ValueError(f"not histogram families: {', '.join(other)}")
             if args.prom:
                 print(render_prometheus(snapshot), end="")
             else:

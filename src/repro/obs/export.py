@@ -264,51 +264,27 @@ def _fmt_seconds(value: Optional[float]) -> str:
     return f"{value:.6f}" if value is not None else "-"
 
 
-def _fmt_num(value: float) -> str:
-    return str(int(value)) if float(value).is_integer() else f"{value:.4f}"
-
-
 def serve_report(snapshot: dict) -> str:
     """A human-readable digest of one serving-metrics snapshot
-    (:meth:`repro.obs.metrics.MetricsRegistry.snapshot`/``save``).
-
-    Histograms get count / mean / p50 / p95 / p99 rows — exact quantiles
-    of the rolling window of raw observations, by the rule
-    ``ScheduleServer.health()`` uses.  Counters and gauges each get one
-    table.
+    (:meth:`repro.obs.metrics.MetricsRegistry.snapshot`/``save``): one
+    count / mean / p50 / p95 / p99 row per histogram series — exact
+    quantiles of the rolling window of raw observations, by the rule
+    ``ScheduleServer.health()`` uses.
     """
-    metrics = snapshot.get("metrics", {})
-    counter_rows: List[List[str]] = []
-    gauge_rows: List[List[str]] = []
-    hist_rows: List[List[str]] = []
-    for name, family in sorted(metrics.items()):
-        kind = family.get("kind", "gauge")
+    rows: List[List[str]] = []
+    for name, family in sorted(snapshot.get("metrics", {}).items()):
         for key, value in sorted(family.get("series", {}).items()):
-            label = f"{name}{{{key}}}" if key else name
-            if kind == "counter":
-                counter_rows.append([label, _fmt_num(value)])
-            elif kind == "gauge":
-                gauge_rows.append([label, _fmt_num(value)])
-            else:
-                count = int(value.get("count", 0))
-                total = float(value.get("sum", 0.0))
-                mean = total / count if count else None
-                window = value.get("window", [])
-                hist_rows.append(
-                    [label, str(count), _fmt_seconds(mean)]
-                    + [_fmt_seconds(quantile(window, q)) for q in (0.50, 0.95, 0.99)]
-                )
+            count = int(value.get("count", 0))
+            mean = float(value.get("sum", 0.0)) / count if count else None
+            window = value.get("window", [])
+            rows.append(
+                [f"{name}{{{key}}}" if key else name, str(count), _fmt_seconds(mean)]
+                + [_fmt_seconds(quantile(window, q)) for q in (0.50, 0.95, 0.99)]
+            )
     out = [f"serving metrics ({snapshot.get('namespace', 'repro')})"]
-    if hist_rows:
-        out.append("")
-        out.append(_table(hist_rows, ["histogram", "count", "mean", "p50", "p95", "p99"]))
-    if counter_rows:
-        out.append("")
-        out.append(_table(counter_rows, ["counter", "total"]))
-    if gauge_rows:
-        out.append("")
-        out.append(_table(gauge_rows, ["gauge", "value"]))
-    if len(out) == 1:
+    if rows:
+        out += ["", _table(rows, ["histogram", "count", "mean", "p50", "p95", "p99"])]
+    else:
         out.append("no metrics recorded")
     return "\n".join(out)
 

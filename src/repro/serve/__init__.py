@@ -4,23 +4,23 @@ The serving layer turns the batch tuning stack into a long-lived
 service: a :class:`ScheduleServer` answers compile/tune requests for
 ``PrimFunc`` workloads — hits instantly from a persistent
 :class:`~repro.meta.database.Database`, misses via batched, coalesced
-:class:`~repro.meta.session.TuningSession` runs on a background worker
-— and an in-process :class:`Client` (or the one-liner
-``repro.compile``) is the application-facing surface.
+:class:`~repro.meta.session.TuningSession` runs on a background worker.
+Applications call the server directly, or the one-liner
+``repro.compile``, which routes through a process-wide default server
+per (target, database path).
 """
 
 from .api import CompileRequest, CompileResponse, ServeConfig, ServerStats
-from .client import Client, compile, default_client, shutdown_default_servers
+from .default import compile, default_server, shutdown_default_servers
 from .server import ScheduleServer
 
 __all__ = [
     "ScheduleServer",
-    "Client",
     "ServeConfig",
     "CompileRequest",
     "CompileResponse",
     "ServerStats",
     "compile",
-    "default_client",
+    "default_server",
     "shutdown_default_servers",
 ]

@@ -17,17 +17,20 @@ stack.  Requests name a ``PrimFunc`` workload; the server answers
 With a :class:`~repro.meta.database.PersistentDatabase` behind it every
 tuned entry is committed to disk the moment its task finishes; a server
 restarted on the same directory serves byte-identical programs without
-re-tuning.  Each count has one store: request counts in :meth:`stats`,
-responses by outcome in the ``serve_latency_seconds`` histograms of
-:attr:`ScheduleServer.metrics`, memo-cache activity in
-:mod:`repro.cache` (read live by the ``cache_hit_rate`` gauge), and
-each request leaves a span in the server's
+re-tuning.  Each count has one store: request counts (failures
+included) in :meth:`stats`, responses by outcome in the
+``serve_latency_seconds`` histograms of :attr:`ScheduleServer.metrics`
+(beside ``serve_queue_wait_seconds``, the one other measurement the
+server keeps), the pending depth in :meth:`health`, memo-cache activity
+in :mod:`repro.cache`, recovered database lines in the database's
+``diagnostics``, and each request leaves a span in the server's
 :class:`~repro.meta.telemetry.Telemetry`.  Every waiter is resolved:
 a failure while serving one waiter fails that waiter alone.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import queue
 import threading
@@ -36,7 +39,6 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .. import cache as _cache
 from ..diagnostics import DiagnosticContext
 from ..meta.database import (
     Database,
@@ -54,15 +56,6 @@ from ..tir.printer import script
 from .api import CompileRequest, CompileResponse, ServeConfig, ServerStats
 
 __all__ = ["ScheduleServer"]
-
-
-def _cache_hit_rates() -> Dict[str, float]:
-    """Per-cache hit rate from the process-wide ``repro.cache`` registry
-    — sampled at metric read time, so the gauges are always current."""
-    out: Dict[str, float] = {}
-    for name, stats in _cache.cache_stats().items():
-        out[name] = float(stats.get("hit_rate", 0.0))
-    return out
 
 
 @dataclass
@@ -103,14 +96,11 @@ class ScheduleServer:
         self._stats = ServerStats()
         self._started_unix = time.time()
         #: the serving metrics registry (``repro.obs.metrics``), one per
-        #: server.
+        #: server: the response latencies and the miss queue waits.
         self.metrics = MetricsRegistry()
         latency = self.metrics.histogram(
             "serve_latency_seconds", "response latency by outcome",
             labels=("outcome",),
-        )
-        self._m_failures = self.metrics.counter(
-            "serve_failures_total", "requests failed (tuning or replay)"
         )
         # Pre-resolved per-outcome children: the warm-hit path is
         # microsecond-class, so even the labels() dict lookup under the
@@ -122,33 +112,7 @@ class ScheduleServer:
         self._m_queue_wait = self.metrics.histogram(
             "serve_queue_wait_seconds",
             "miss time from submit to tuning-batch adoption",
-        )
-        self._m_batch_size = self.metrics.histogram(
-            "serve_batch_size", "unique workloads per miss batch",
-            buckets=(1, 2, 4, 8, 16, 32, 64),
-        )
-        self._m_batch_occupancy = self.metrics.histogram(
-            "serve_batch_window_occupancy",
-            "fraction of max_batch filled when the window closed",
-            buckets=(0.125, 0.25, 0.5, 0.75, 1.0),
-        )
-        self.metrics.gauge(
-            "serve_pending_depth", "workloads awaiting tuning",
-            fn=lambda: len(self._pending),
-        )
-        self.metrics.gauge(
-            "serve_memo_entries", "entries in the served-program memo",
-            fn=lambda: len(self._served),
-        )
-        self.metrics.gauge_fn(
-            "cache_hit_rate", "memo cache hit rate by cache", _cache_hit_rates
-        )
-        # Persistent databases accept a metrics binding (duck-typed, no
-        # obs dependency in the storage layer): get/put latency,
-        # corrupt-line recoveries, evictions.
-        bind = getattr(self.database, "bind_metrics", None)
-        if bind is not None:
-            bind(self.metrics)
+        ).labels()
         #: served-program memo: key → (entry identity, scheduled func,
         #: script text, compiled callable).  Replaying a stored decision
         #: vector is deterministic, so repeat hits skip the rebuild and
@@ -321,8 +285,6 @@ class ScheduleServer:
             }
         if not funcs:
             return
-        self._m_batch_size.observe(len(funcs))
-        self._m_batch_occupancy.observe(len(funcs) / max(1, self.config.max_batch))
         for request in owners.values():
             self._m_queue_wait.observe(t_adopt - request.submitted_at)
         # The batch span is stamped with the batch-owning request (the
@@ -411,7 +373,6 @@ class ScheduleServer:
         """Resolve one waiter with ``err`` and count the failure."""
         with self._lock:
             self._stats.failures += 1
-        self._m_failures.inc()
         if not future.done():
             future.set_exception(err)
 
@@ -487,17 +448,7 @@ class ScheduleServer:
     def stats(self) -> ServerStats:
         """A snapshot copy of the request accounting."""
         with self._lock:
-            return ServerStats(
-                requests=self._stats.requests,
-                hits=self._stats.hits,
-                misses=self._stats.misses,
-                coalesced=self._stats.coalesced,
-                tune_runs=self._stats.tune_runs,
-                tuned_workloads=self._stats.tuned_workloads,
-                failures=self._stats.failures,
-                bucket_hits=self._stats.bucket_hits,
-                replay_fallbacks=self._stats.replay_fallbacks,
-            )
+            return dataclasses.replace(self._stats)
 
     def health(self) -> dict:
         """A point-in-time health summary for dashboards and probes.
@@ -509,19 +460,16 @@ class ScheduleServer:
         together unweighted.
         """
         with self._lock:
-            requests = self._stats.requests
-            failures = self._stats.failures
-            hits = self._stats.hits
-            bucket_hits = self._stats.bucket_hits
+            stats = dataclasses.replace(self._stats)
             pending = len(self._pending)
         window = [v for child in self._m_lat_out.values() for v in child.window_values()]
         return {
             "status": "closed" if self._closed else "ok",
             "uptime_seconds": time.time() - self._started_unix,
-            "requests": requests,
-            "failures": failures,
-            "error_rate": failures / requests if requests else 0.0,
-            "hit_rate": (hits + bucket_hits) / requests if requests else 0.0,
+            "requests": stats.requests,
+            "failures": stats.failures,
+            "error_rate": stats.failures / stats.requests if stats.requests else 0.0,
+            "hit_rate": stats.hit_rate,
             "pending_workloads": pending,
             "window_size": len(window),
             "p50_seconds": quantile(window, 0.50),

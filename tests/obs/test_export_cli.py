@@ -134,3 +134,29 @@ class TestCli:
         proc = _run_cli("summarize", str(bad))
         assert proc.returncode == 2
         assert "malformed" in proc.stderr
+
+    def test_serve_report_of_a_truncated_snapshot_exits_2(self, tmp_path):
+        # What a save killed mid-write would leave: the CLI refuses it
+        # with an error instead of a traceback.
+        bad = tmp_path / "metrics.json"
+        bad.write_text('{"metrics": {"serve_latency_seconds": {"series"')
+        proc = _run_cli("serve-report", str(bad))
+        assert proc.returncode == 2
+        assert "malformed" in proc.stderr
+
+    def test_serve_report_refuses_families_that_are_not_histograms(self, tmp_path):
+        # Snapshots saved before the registry held only histograms also
+        # carry counters and gauges: refused by name, in both modes.
+        snapshot = {
+            "namespace": "repro",
+            "metrics": {
+                "serve_failures_total": {"kind": "counter", "series": {"": 2.0}},
+                "serve_pending_depth": {"kind": "gauge", "series": {"": 0.0}},
+            },
+        }
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(snapshot))
+        for extra in ([], ["--prom"]):
+            proc = _run_cli("serve-report", str(path), *extra)
+            assert proc.returncode == 2
+            assert "serve_failures_total, serve_pending_depth" in proc.stderr

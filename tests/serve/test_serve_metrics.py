@@ -6,9 +6,13 @@ produces a torn read, the ``serve_latency_seconds`` counts sum to the
 exact number of responses served, ``health()`` percentiles are exact
 quantiles of the pooled latency windows, every response carries a
 unique request-scoped trace id whose span tree survives the
-Chrome-trace export.
+Chrome-trace export, and the registry holds exactly the two families
+something reads, through to the ``serve-report`` CLI.
 """
 
+import os
+import subprocess
+import sys
 import threading
 
 from repro.frontend import ops
@@ -19,6 +23,7 @@ from repro.serve import ScheduleServer, ServeConfig
 from repro.sim import SimGPU
 
 CFG = ServeConfig(tune=TuneConfig(trials=4, seed=11))
+REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
 def _matmul(n=64):
@@ -181,3 +186,102 @@ class TestBoundedWindows:
             for doc in series.values():
                 assert len(doc["window"]) <= DEFAULT_WINDOW
             assert server.health()["window_size"] == DEFAULT_WINDOW + 1
+
+
+class TestServingMetricsEndToEnd:
+    def test_two_families_through_save_and_the_cli(self, tmp_path):
+        window = 0.3
+        with ScheduleServer(
+            SimGPU(), CFG.with_(batch_window_seconds=window)
+        ) as server:
+            func = _matmul(112)
+            futures = [server.submit(func), server.submit(func)]
+            miss, waiter = (f.result(timeout=120) for f in futures)
+            hits = [server.compile(func) for _ in range(5)]
+            snapshot = server.metrics.snapshot()
+            path = str(tmp_path / "metrics.json")
+            server.metrics.save(path)
+        assert (miss.source, waiter.source) == ("miss", "coalesced")
+        assert {r.source for r in hits} == {"hit"}
+        metrics = snapshot["metrics"]
+        assert sorted(metrics) == ["serve_latency_seconds", "serve_queue_wait_seconds"]
+        # One queue wait, the miss's: from its submit until the worker
+        # adopted the batch, after the batch window and before the
+        # response.
+        (queue_wait,) = metrics["serve_queue_wait_seconds"]["series"][""]["window"]
+        assert window <= queue_wait <= miss.wait_seconds
+        counts = {
+            key: doc["count"]
+            for key, doc in metrics["serve_latency_seconds"]["series"].items()
+        }
+        assert counts == {
+            "outcome=bucket-hit": 0, "outcome=coalesced": 1,
+            "outcome=hit": 5, "outcome=miss": 1,
+        }
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+
+        def cli(*args):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.obs", "serve-report", path, *args],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        rows = {
+            line.split()[0]: line.split()[1:]
+            for line in cli().splitlines()
+            if line.startswith("serve_")
+        }
+        assert rows["serve_latency_seconds{outcome=hit}"][0] == "5"
+        assert rows["serve_queue_wait_seconds"][0] == "1"
+        prom = cli("--prom").splitlines()
+        assert 'repro_serve_latency_seconds_count{outcome="hit"} 5' in prom
+        assert "repro_serve_queue_wait_seconds_count 1" in prom
+
+    def test_fresh_server_holds_both_families_empty(self):
+        # The benchmark reads the queue-wait window of every server it
+        # starts; the family and its series exist before any request.
+        with ScheduleServer(SimGPU(), CFG) as server:
+            metrics = server.metrics.snapshot()["metrics"]
+        queue = metrics["serve_queue_wait_seconds"]["series"]
+        assert list(queue) == [""]
+        assert (queue[""]["count"], queue[""]["window"]) == (0, [])
+        latency = metrics["serve_latency_seconds"]["series"]
+        assert sorted(latency) == [
+            "outcome=bucket-hit", "outcome=coalesced", "outcome=hit", "outcome=miss",
+        ]
+        assert all(doc["count"] == 0 for doc in latency.values())
+
+    def test_queue_wait_once_per_tuned_miss(self):
+        # Two distinct misses in one batch and a waiter coalesced onto
+        # one of them: two tuned misses, two waits.
+        with ScheduleServer(
+            SimGPU(), CFG.with_(batch_window_seconds=0.3)
+        ) as server:
+            futures = [
+                server.submit(_matmul(72)),
+                server.submit(_matmul(72)),
+                server.submit(ops.matmul(72, 72, 144)),
+            ]
+            responses = [f.result(timeout=120) for f in futures]
+            stats = server.stats()
+            queue = server.metrics.snapshot()["metrics"]["serve_queue_wait_seconds"]
+        assert [r.source for r in responses] == ["miss", "coalesced", "miss"]
+        assert (stats.tune_runs, stats.tuned_workloads) == (1, 2)
+        assert queue["series"][""]["count"] == 2
+        assert len(queue["series"][""]["window"]) == 2
+
+    def test_health_reads_the_request_counts_from_stats(self):
+        with ScheduleServer(SimGPU(), CFG) as server:
+            func = _matmul()
+            for _ in range(4):
+                server.compile(func)
+            stats = server.stats()
+            health = server.health()
+        assert (health["requests"], health["failures"]) == (4, 0)
+        assert health["hit_rate"] == stats.hit_rate == 0.75
+        assert health["error_rate"] == 0.0
+        assert health["pending_workloads"] == 0

@@ -17,12 +17,12 @@ import repro
 from repro.frontend import ops
 from repro.meta import Telemetry, TuneConfig, TuningDatabase, tune
 from repro.meta.database import DatabaseEntry, PersistentDatabase, workload_key
+from repro.obs.metrics import quantile
 from repro.serve import (
-    Client,
     CompileResponse,
     ScheduleServer,
     ServeConfig,
-    default_client,
+    default_server,
     shutdown_default_servers,
 )
 from repro.sim import SimGPU
@@ -311,8 +311,8 @@ class TestServingContract:
                 hit = server.compile(func)
                 assert (hit.source, hit.trials, hit.script) == ("hit", 0, miss.script)
             stats = server.stats()
-            latency = server.metrics.families()["serve_latency_seconds"]
-            assert latency.labels(outcome="hit").window_quantile(0.5) is not None
+            latency = server.metrics.snapshot()["metrics"]["serve_latency_seconds"]
+            assert quantile(latency["series"]["outcome=hit"]["window"], 0.5) is not None
         assert stats.hits > 0 and stats.hit_rate > 0.5
         with ScheduleServer(SimGPU(), cfg) as server:
             again = server.compile(func)
@@ -340,36 +340,48 @@ class TestServingContract:
 
 
 class TestClientSurface:
-    def test_client_wraps_server(self):
-        with Client(ScheduleServer(SimGPU(), CFG)) as client:
-            resp = client.compile(_matmul())
-            assert resp.source == "miss"
-            assert client.submit(_matmul()).result(timeout=60).source == "hit"
-            assert client.stats().requests == 2
-            assert client.target.name == SimGPU().name
-
-    def test_repro_compile_routes_through_client(self):
-        with Client(ScheduleServer(SimGPU(), CFG)) as client:
-            first = repro.compile(_matmul(), SimGPU(), client=client)
-            second = repro.compile(_matmul(), SimGPU(), client=client)
+    def test_repro_compile_routes_through_server(self):
+        with ScheduleServer(SimGPU(), CFG) as server:
+            first = repro.compile(_matmul(), SimGPU(), server=server)
+            second = repro.compile(_matmul(), SimGPU(), server=server)
+            assert server.stats().requests == 2
         assert first.source == "miss"
         assert second.source == "hit"
         assert second.script == first.script
 
-    def test_default_client_is_shared_and_recreated(self):
+    def test_default_server_is_shared_and_recreated(self):
         shutdown_default_servers()
         try:
-            c1 = default_client(SimGPU(), CFG)
-            c2 = default_client(SimGPU(), CFG)
-            assert c1.server is c2.server
-            c1.close()
-            c3 = default_client(SimGPU(), CFG)
-            assert c3.server is not c1.server
+            s1 = default_server(SimGPU(), CFG)
+            s2 = default_server(SimGPU(), CFG)
+            assert isinstance(s1, ScheduleServer)
+            assert s1 is s2
+            s1.close()
+            s3 = default_server(SimGPU(), CFG)
+            assert s3 is not s1
+            # ``repro.compile`` without a server goes to the default one.
+            resp = repro.compile(_matmul(64), SimGPU(), config=CFG)
+            assert resp.source == "miss"
+            assert s3.stats().requests == 1
         finally:
             shutdown_default_servers()
+
+    def test_default_servers_are_keyed_by_db_path(self, tmp_path):
+        shutdown_default_servers()
+        try:
+            a = default_server(SimGPU(), CFG.with_(db_path=str(tmp_path / "a")))
+            b = default_server(SimGPU(), CFG.with_(db_path=str(tmp_path / "b")))
+            assert a is not b
+            assert isinstance(a.database, PersistentDatabase)
+            assert a.database.root == str(tmp_path / "a")
+            assert default_server(SimGPU(), CFG.with_(db_path=str(tmp_path / "a"))) is a
+        finally:
+            shutdown_default_servers()
+        assert a._closed and b._closed
 
     def test_top_level_exports(self):
         assert repro.ScheduleServer is ScheduleServer
         assert repro.ServeConfig is ServeConfig
-        assert repro.Client is Client
-        assert callable(repro.compile)
+        assert repro.compile is repro.serve.compile
+        assert not hasattr(repro, "Client")
+        assert not hasattr(repro.serve, "Client")
