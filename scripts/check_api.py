@@ -224,13 +224,15 @@ def main() -> int:
     # settings beyond its directory.
     pdb_params = list(inspect.signature(repro.PersistentDatabase.__init__).parameters)
     check(pdb_params == ["self", "root"], f"PersistentDatabase takes {pdb_params[1:]}")
-    entry_fields = set(getattr(meta.DatabaseEntry, "__dataclass_fields__", {}))
+    # Exact shape: a stored record is its sketch and decisions, with no
+    # second copy of the program.
+    entry_fields = list(getattr(meta.DatabaseEntry, "__dataclass_fields__", {}))
     check(
-        entry_fields == {
+        entry_fields == [
             "key", "workload", "target", "sketch", "decisions", "cycles",
-            "provenance", "structural_hash",
-        },
-        f"DatabaseEntry fields are {sorted(entry_fields)}",
+            "provenance",
+        ],
+        f"DatabaseEntry fields are {entry_fields}",
     )
     record_params = inspect.signature(meta.Database.record).parameters
     check(
@@ -421,10 +423,40 @@ def main() -> int:
         obs_modules == {"__main__", "export", "metrics", "record"},
         f"repro.obs submodules are {sorted(obs_modules)}",
     )
-    trial_fields = set(getattr(obs.TrialRecord, "__dataclass_fields__", {}))
-    for field in ("trial_id", "ts", "task", "workload", "sketch", "generation",
-                  "parent", "decisions", "structural_hash", "trace"):
-        check(field in trial_fields, f"TrialRecord.{field} missing")
+    # Exact shape: a trial row stores its program as a database record
+    # does, as a sketch token and decisions, and ``replay_trial``
+    # rebuilds it through the one replay function.
+    trial_fields = list(getattr(obs.TrialRecord, "__dataclass_fields__", {}))
+    check(
+        trial_fields
+        == ["trial_id", "ts", "task", "workload", "sketch", "generation",
+            "parent", "decisions", "predicted", "cycles", "seconds", "bound",
+            "rejection", "structural_hash"],
+        f"TrialRecord fields are {trial_fields}",
+    )
+    trial_params = list(inspect.signature(obs.Recorder.trial).parameters)
+    check(
+        trial_params
+        == ["self", "task", "workload", "sketch", "generation", "parent",
+            "decisions", "predicted", "cycles", "seconds", "bound",
+            "rejection", "func"],
+        f"Recorder.trial takes {trial_params[1:]}",
+    )
+    from repro.meta import sketch as sketch_mod
+
+    for name in ("apply_sketch", "replay_sketch"):
+        check(
+            callable(getattr(sketch_mod, name, None)),
+            f"repro.meta.sketch.{name} missing",
+        )
+    # A search result keeps its best program, not a row per measurement.
+    result_fields = list(getattr(meta.TuneResult, "__dataclass_fields__", {}))
+    check(
+        result_fields
+        == ["workload", "best_func", "best_cycles", "best_report", "best_sketch",
+            "stats", "best_decisions", "replayed"],
+        f"TuneResult fields are {result_fields}",
+    )
 
     # --- the metrics layer (repro.obs.metrics) -------------------------
     # Exact shape: latency histograms with fixed buckets and window, and

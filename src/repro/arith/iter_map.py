@@ -27,7 +27,7 @@ example.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from ..tir.expr import (
     Add,
@@ -87,12 +87,6 @@ class IterSplitExpr:
         self.extent = extent
         self.scale = scale
 
-    def value_range(self) -> Tuple[int, int]:
-        lo, hi = 0, (self.extent - 1) * self.scale
-        if self.scale < 0:
-            lo, hi = hi, lo
-        return lo, hi
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"split({self.mark!r} //{self.lower_factor} %{self.extent} *{self.scale})"
@@ -111,15 +105,6 @@ class IterSumExpr:
     @property
     def is_constant(self) -> bool:
         return not self.args
-
-    def extent_if_fused(self) -> Optional[int]:
-        """Extent of the binding if its digits fuse cleanly, else None."""
-        fused = _try_fuse_args(self.args)
-        if fused is None:
-            return None
-        if not fused:
-            return 1
-        return fused[0].extent * abs(fused[0].scale) if len(fused) == 1 else None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"IterSumExpr({self.args!r} + {self.base})"

@@ -44,6 +44,7 @@ from ..meta import (
     tune,
 )
 from ..meta.search import TuneResult
+from ..meta.sketch import apply_sketch
 from ..schedule import Schedule, ScheduleError, verify
 from ..sim import PerfReport, SimCPU, SimGPU, Target, estimate
 from ..tir import PrimFunc
@@ -96,11 +97,8 @@ class System:
 
 def _first_valid(func, sketch, target, seeds, forced=None):
     for seed in seeds:
-        sch = Schedule(func, seed=seed, record_trace=False)
-        if forced is not None:
-            sch.forced_decisions = list(forced)
         try:
-            sketch.apply(sch)
+            sch = apply_sketch(func, sketch, seed=seed, forced=forced)
         except ScheduleError:
             continue
         if verify(sch.func, target):

@@ -160,17 +160,6 @@ class FusionPlan:
         return "\n".join(lines)
 
 
-def _single_consumer_elementwise(graph: Graph, tensor: TensorNode, claimed) -> Optional[OpNode]:
-    """The unique unclaimed elementwise consumer of ``tensor``, or None."""
-    consumers = graph.consumers(tensor)
-    if len(consumers) != 1:
-        return None
-    c = consumers[0]
-    if id(c) in claimed or c.kind != "elementwise":
-        return None
-    return c
-
-
 def fuse_graph(graph: Graph, fuse: bool = True) -> FusionPlan:
     """Partition ``graph`` into fusion groups.
 

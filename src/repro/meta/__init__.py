@@ -17,7 +17,7 @@ from .database import (
     workload_key,
 )
 from .feature import FEATURE_NAMES, extract_features
-from .search import MeasureRecord, SearchStats, TuneResult, evolutionary_search
+from .search import SearchStats, TuneResult, evolutionary_search
 from .session import SessionReport, TaskReport, TuningSession, estimated_cost
 from .sketch import (
     CpuScalarSketch,
@@ -36,7 +36,6 @@ __all__ = [
     "TuneConfig",
     "evolutionary_search",
     "TuneResult",
-    "MeasureRecord",
     "SearchStats",
     "TuningSession",
     "SessionReport",

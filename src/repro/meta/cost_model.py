@@ -36,10 +36,6 @@ class CostModel:
         self._fitted = 0
 
     @property
-    def n_samples(self) -> int:
-        return len(self._y)
-
-    @property
     def is_trained(self) -> bool:
         """Whether there are enough samples (``min_data``) to fit on."""
         return len(self._y) >= self.min_data

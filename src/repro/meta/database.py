@@ -17,7 +17,9 @@ The access surface is one typed protocol — :class:`Database` with
 :class:`TuningDatabase` (in-memory) and :class:`PersistentDatabase`
 (a JSONL-per-entry directory with atomic commits and corrupt-entry
 recovery).  :meth:`Database.replay_entry` is the one code path that
-rebuilds a stored record into a schedule.
+rebuilds a stored record into a schedule; a stored line carries no
+other copy of the program.  Lines an older writer stored with a
+``structural_hash`` field still load: the field is ignored.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from ..schedule.sref import children_of
 from ..sim import Target
 from ..tir import Block, For, PrimFunc, Stmt, structural_hash
 from ..tir.printer import script
-from .sketch import SKETCHES
+from .sketch import replay_sketch
 
 __all__ = [
     "workload_key",
@@ -128,10 +130,6 @@ class DatabaseEntry:
     #: schedule-server miss, ``"disk"`` when loaded from a persisted
     #: database file.
     provenance: str = "search"
-    #: alpha-invariant hash of the *base* workload function — a second
-    #: identity check alongside the script-text key, so a persisted
-    #: record is never replayed onto a structurally different workload.
-    structural_hash: Optional[int] = None
 
     def to_record(self) -> dict:
         record = asdict(self)
@@ -200,7 +198,6 @@ class Database:
                 decisions=list(decisions),
                 cycles=cycles,
                 provenance=provenance,
-                structural_hash=structural_hash(func),
             )
         )
 
@@ -213,7 +210,9 @@ class Database:
         ctx: Optional[DiagnosticContext] = None,
     ) -> Optional[Schedule]:
         """Apply one stored record's sketch + decision vector to ``func``
-        (no search, no measurement).
+        (no search, no measurement) through
+        :func:`~repro.meta.sketch.replay_sketch`, the rebuild the flight
+        recorder's :func:`~repro.obs.record.replay_trial` shares.
 
         ``func`` need not be the function the entry was recorded for:
         with ``decision_mode="adapt"`` this is §5.2 forced-decision
@@ -223,14 +222,10 @@ class Database:
         of the wrong type — surface as ``None`` with a ``TIR701``
         diagnostic in ``ctx``; an unknown sketch name as ``None``.
         """
-        cls = SKETCHES.get(entry.sketch)
-        if cls is None:
-            return None
-        sch = Schedule(func, seed=0, record_trace=False)
-        sch.decision_mode = decision_mode
-        sch.forced_decisions = list(entry.decisions)
         try:
-            cls().apply(sch)
+            return replay_sketch(
+                func, entry.sketch, entry.decisions, decision_mode=decision_mode
+            )
         except ScheduleError as err:
             if ctx is not None:
                 ctx.emit(
@@ -240,7 +235,6 @@ class Database:
                     func=func,
                 )
             return None
-        return sch
 
 
 class TuningDatabase(Database):
@@ -289,7 +283,7 @@ def _is_int(value: object) -> bool:
 def _well_typed(entry: DatabaseEntry) -> bool:
     """Whether a loaded record holds the types a writer stores: string
     identity fields, finite real cycles, a decision vector of ints and
-    lists of ints (what the samplers produce), an int-or-null hash."""
+    lists of ints (what the samplers produce)."""
     text = (entry.key, entry.workload, entry.target, entry.sketch, entry.provenance)
     return (
         all(isinstance(v, str) for v in text)
@@ -301,7 +295,6 @@ def _well_typed(entry: DatabaseEntry) -> bool:
             _is_int(d) or (isinstance(d, list) and all(map(_is_int, d)))
             for d in entry.decisions
         )
-        and (entry.structural_hash is None or _is_int(entry.structural_hash))
     )
 
 

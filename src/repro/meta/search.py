@@ -27,29 +27,21 @@ from typing import List, Optional, Tuple
 
 from .. import cache as _cache
 from ..obs.record import Recorder
-from ..schedule import Schedule, ScheduleError, verify
+from ..schedule import ScheduleError, verify
 from ..sim import PerfReport, Target, estimate
 from ..sim.cost import CostModelError
 from ..tir import PrimFunc, structural_hash
 from .config import TuneConfig
 from .cost_model import CostModel
 from .database import names_fingerprint, workload_key
-from .sketch import Sketch
+from .sketch import Sketch, apply_sketch
 from .telemetry import Telemetry
 
-__all__ = ["MeasureRecord", "TuneResult", "SearchStats", "evolutionary_search"]
+__all__ = ["TuneResult", "SearchStats", "evolutionary_search"]
 
 #: profiling parameters of the simulated measurement harness
 MEASURE_REPEATS = 10
 MEASURE_OVERHEAD_SECONDS = 0.08  # compile + upload + RPC per candidate
-
-@dataclass
-class MeasureRecord:
-    sketch: str
-    decisions: List[object]
-    cycles: float
-    seconds: float
-    bound: str
 
 
 @dataclass
@@ -97,7 +89,6 @@ class TuneResult:
     best_cycles: float
     best_report: Optional[PerfReport]
     best_sketch: Optional[str]
-    records: List[MeasureRecord] = field(default_factory=list)
     stats: SearchStats = field(default_factory=SearchStats)
     #: the winning candidate's decision vector — enough to rebuild the
     #: program via the tuning database (no search, §5.2).
@@ -207,10 +198,8 @@ def _build_candidate(
     Returns ``(candidate, rejection, validate_seconds)`` where
     ``rejection`` is ``("apply" | "invalid", code)`` on failure.
     """
-    sch = Schedule(func, seed=seed, record_trace=False)
-    sch.forced_decisions = forced
     try:
-        sketch.apply(sch)
+        sch = apply_sketch(func, sketch, seed=seed, forced=forced)
     except ScheduleError as err:
         code = err.diagnostics[0].code if err.diagnostics else "TIR400"
         return None, ("apply", code), 0.0
@@ -372,10 +361,6 @@ def evolutionary_search(
                     timings["measure"] += time.perf_counter() - t0
                 stats.measured += 1
                 stats.profiling_seconds += report.seconds * MEASURE_REPEATS
-                record = MeasureRecord(
-                    sketch.name, cand.decisions, report.cycles, report.seconds, report.bound
-                )
-                result.records.append(record)
                 measured_funcs.append(cand.func)
                 measured_cycles.append(report.cycles)
                 if recording:
@@ -385,7 +370,6 @@ def evolutionary_search(
                         decisions=cand.decisions, predicted=float(scores[idx]),
                         cycles=report.cycles, seconds=report.seconds,
                         bound=report.bound, func=cand.func,
-                        base_func=func, sketch_obj=sketch,
                     )
                     cand.trial_id = trial_rec.trial_id
                 if report.cycles < result.best_cycles:

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from .. import cache as _cache
 from ..autotensorize import generate_candidates, prepare_tensorize
-from ..intrin import get_intrin
+from ..intrin import get_intrin, list_intrins
 from ..schedule import BlockRV, LoopRV, Schedule, ScheduleError
 from ..sim.target import SimCPU, SimGPU, Target
-from ..tir import ForKind, const_int_value, structural_hash
+from ..tir import ForKind, PrimFunc, const_int_value
 from .autocopy import (
     own_loops,
     schedule_default_spatial_cpu,
@@ -44,6 +43,8 @@ __all__ = [
     "CpuSdotSketch",
     "CpuScalarSketch",
     "SKETCHES",
+    "apply_sketch",
+    "replay_sketch",
     "generate_sketches",
     "main_block_of",
     "inline_prologue",
@@ -559,32 +560,58 @@ SKETCHES = {
 }
 
 
-#: Applicability analysis is a pure function of (workload structure,
-#: target, allow_tensorize), and sketch objects carry no per-schedule
-#: state — the same instances can parameterise any number of searches.
-_SKETCH_CACHE = _cache.MemoCache("meta.sketches", maxsize=512)
+def apply_sketch(
+    func: PrimFunc,
+    sketch: Sketch,
+    *,
+    seed: int = 0,
+    forced: Optional[List[object]] = None,
+    decision_mode: str = "strict",
+) -> Schedule:
+    """A fresh schedule of ``func`` with ``sketch`` applied: its sampled
+    decisions come from ``forced`` first, then from the ``seed`` RNG.
+    Every candidate the search and the baselines build, and every
+    replayed record, is built here.  Raises ``ScheduleError`` when the
+    sketch does not apply."""
+    sch = Schedule(func, seed=seed, record_trace=False)
+    sch.decision_mode = decision_mode
+    sch.forced_decisions = forced
+    sketch.apply(sch)
+    return sch
+
+
+def replay_sketch(
+    func: PrimFunc,
+    token: str,
+    decisions: List[object],
+    *,
+    decision_mode: str = "strict",
+) -> Optional[Schedule]:
+    """§5.2 replay: the sketch ``token`` names, applied to ``func`` with
+    every decision forced — no search, no RNG.
+
+    ``token`` is a sketch name, as a database record stores it (the
+    sketch's default intrinsic), or ``name@intrin``, as
+    :meth:`Sketch.token` gives it to the flight recorder.  Returns
+    ``None`` when the token names no sketch, or an intrinsic that is no
+    compute intrinsic of a tensorized sketch; raises ``ScheduleError``
+    when the decisions do not fit the sketch at ``func``'s shape."""
+    name, _, intrin = token.partition("@")
+    cls = SKETCHES.get(name)
+    if cls is None:
+        return None
+    if not intrin:
+        sketch = cls()
+    elif cls in (TensorCoreSketch, CpuSdotSketch) and intrin in list_intrins("compute"):
+        sketch = cls(intrin)
+    else:
+        return None
+    return apply_sketch(func, sketch, forced=list(decisions), decision_mode=decision_mode)
 
 
 def generate_sketches(sch: Schedule, target: Target, allow_tensorize: bool = True) -> List[Sketch]:
     """The applicable sketches for a workload on a target (tensorized
     candidates first, following §4.3's candidate-centric construction)."""
-    key = (
-        structural_hash(sch.func),
-        type(target).__qualname__,
-        getattr(target, "name", None),
-        allow_tensorize,
-    )
-    hit = _SKETCH_CACHE.lookup(key)
-    if hit is not _cache.MISS:
-        return list(hit)
-    out = _generate_sketches_impl(sch, target, allow_tensorize)
-    _SKETCH_CACHE.put(key, tuple(out))
-    return out
-
-
-def _generate_sketches_impl(
-    sch: Schedule, target: Target, allow_tensorize: bool
-) -> List[Sketch]:
     out: List[Sketch] = []
     if isinstance(target, SimGPU):
         if allow_tensorize:

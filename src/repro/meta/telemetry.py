@@ -11,9 +11,9 @@ maintained per-thread via a context-manager stack so nesting needs no
 plumbing.  A session's searches record into collectors of their own —
 in a worker process when it runs them in parallel — and the session
 takes their spans in under its own span (:meth:`Telemetry.adopt`).  The flat
-``stage_seconds()`` / ``task_seconds()`` views aggregate **leaf** spans
-only, so their sums still track wall time — hierarchy is additive,
-container spans are never double-counted.
+``stage_seconds()`` view aggregates **leaf** spans only, so its sums
+still track wall time — hierarchy is additive, container spans are
+never double-counted.
 
 Spans are all it keeps.  Every count has its own store: per-search
 counts in :class:`~repro.meta.search.SearchStats`, tasks searched or
@@ -227,15 +227,6 @@ class Telemetry:
         out: Dict[str, float] = {}
         for s in self._leaf_spans():
             out[s.stage] = out.get(s.stage, 0.0) + s.duration
-        return dict(sorted(out.items()))
-
-    def task_seconds(self, stage: Optional[str] = None) -> Dict[str, float]:
-        """Total leaf-span seconds per task, optionally for one stage."""
-        out: Dict[str, float] = {}
-        for s in self._leaf_spans():
-            if s.task is None or (stage is not None and s.stage != stage):
-                continue
-            out[s.task] = out.get(s.task, 0.0) + s.duration
         return dict(sorted(out.items()))
 
     # -- windows -------------------------------------------------------

@@ -117,7 +117,6 @@ def tune(
         model = CostModel(target)
         best: Optional[TuneResult] = None
         combined_stats = SearchStats()
-        records = []
         has_tensor = any(s.name in ("tensor-core", "cpu-sdot") for s in sketches)
         for i, sketch in enumerate(sketches):
             if has_tensor and len(sketches) > 1:
@@ -135,7 +134,6 @@ def tune(
                 task=task,
                 recorder=recorder,
             )
-            records.extend(result.records)
             combined_stats.merge(result.stats)
             if best is None or result.best_cycles < best.best_cycles:
                 best = result
@@ -146,7 +144,6 @@ def tune(
             best.best_cycles,
             best.best_report,
             best.best_sketch,
-            records=records,
             stats=combined_stats,
             best_decisions=best.best_decisions,
         )

@@ -12,10 +12,11 @@ requires knowing where every second and every rejected candidate went):
   counts leaf spans only.
 * **One row per candidate** — a :class:`~repro.obs.record.Recorder`
   keeps a :class:`~repro.obs.record.TrialRecord` for every candidate
-  that reached the measurer (workload key, sketch, generation, mutation
-  lineage, decision vector, serialized schedule trace, structural hash
-  — or the measurer's rejection code), so any recorded program can be
-  re-derived by :func:`replay_trial`, and a
+  that reached the measurer (workload key, sketch token, generation,
+  mutation lineage, decision vector, structural hash — or the
+  measurer's rejection code), so any recorded program can be rebuilt
+  from its sketch and decisions by :func:`replay_trial`, as a database
+  record is replayed, and a
   :class:`~repro.obs.record.Rejection` for every candidate rejected
   before that point.
 * **Exporters + CLI** — ``python -m repro.obs`` summarizes a recording,

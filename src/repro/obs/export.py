@@ -147,7 +147,7 @@ def chrome_trace(recording: dict, request: Optional[str] = None) -> dict:
                 "ts": round((row["ts"] - base) * 1e6, 3),
                 "pid": 1,
                 "tid": tid_of("rows"),
-                "args": {k: v for k, v in row.items() if k not in ("ts", "trace")},
+                "args": {k: v for k, v in row.items() if k != "ts"},
             }
         )
     return {
@@ -201,8 +201,7 @@ def summarize(recording: dict) -> str:
     trials = recording.get("trials", [])
     measured = [t for t in trials if t.get("cycles") is not None]
     out.append(
-        f"trials: {len(trials)} recorded, {len(measured)} measured, "
-        f"{sum(1 for t in measured if t.get('trace'))} with replayable traces; "
+        f"trials: {len(trials)} recorded, {len(measured)} measured; "
         f"rejections before measuring: {len(recording.get('rejections', []))}"
     )
 

@@ -4,10 +4,8 @@ A :class:`Recorder` handed to ``tune`` / ``evolutionary_search`` /
 ``fallback_tune`` / ``TuningSession`` keeps two lists:
 
 * ``trials`` — one :class:`TrialRecord` per candidate that reached the
-  measurer, carrying everything needed to re-derive the program:
-  workload key, sketch, generation index, mutation lineage (parent
-  trial id), the decision vector, the serialized schedule
-  :class:`~repro.schedule.trace.Trace` and the program's
+  measurer: workload key, sketch token, generation index, mutation
+  lineage (parent trial id), the decision vector and the program's
   ``structural_hash`` — or, when the measurer refused it, its code
   (``TIR501``);
 * ``rejections`` — one :class:`Rejection` per candidate rejected before
@@ -24,9 +22,11 @@ ones it is handed), per-search counts in
 :mod:`repro.cache`; the best-cost curve is derived from the trial rows
 (:mod:`repro.obs.export`).  All methods are thread-safe.
 
-:func:`replay_trial` is the other half of the contract: given a record
-and the base workload function, it replays the stored trace and asserts
-the rebuilt program hashes to the recorded value.
+:func:`replay_trial` is the other half of the contract: a trial row is
+stored as a database record is, as a sketch and its decisions, and
+:func:`replay_trial` rebuilds it the way
+:meth:`~repro.meta.database.Database.replay_entry` does (§5.2) and
+checks that the program hashes to the recorded value.
 """
 
 from __future__ import annotations
@@ -39,21 +39,12 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .. import cache as _cache
 from ..fileio import atomic_write
 
 __all__ = ["Recorder", "TrialRecord", "Rejection", "replay_trial", "load_recording"]
 
 #: artifact schema identifier (bump on breaking changes to the layout).
-SCHEMA = "repro.obs/2"
-
-#: Serialized-trace memo: re-deriving a measured candidate's trace is a
-#: full (deterministic) candidate build, keyed exactly like the
-#: candidate cache — so re-tuning a recorded workload, or measuring the
-#: same decision vector twice, serializes its provenance once.  Cached
-#: values are the JSON dicts stored verbatim in the artifact; callers
-#: must not mutate them.
-_TRACE_CACHE = _cache.MemoCache("obs.traces", maxsize=1024)
+SCHEMA = "repro.obs/3"
 
 
 @dataclass
@@ -64,10 +55,10 @@ class TrialRecord:
     clock).  ``rejection`` is the diagnostic code when the measurer
     itself killed the candidate (``TIR501`` — the analytical model could
     not cost it); otherwise ``predicted``/``cycles``/``seconds`` hold the
-    scored and measured cost.  ``trace`` is the serialized schedule
-    trace (:meth:`~repro.schedule.trace.Trace.to_json`); replaying it
-    onto a fresh schedule of the workload re-derives a program whose
-    ``structural_hash`` equals the recorded one.
+    scored and measured cost.  ``sketch`` (a :meth:`Sketch.token
+    <repro.meta.sketch.Sketch.token>`) and ``decisions`` are the
+    program: :func:`replay_trial` rebuilds it from them at the base
+    workload, and its ``structural_hash`` equals the recorded one.
     """
 
     trial_id: int
@@ -84,7 +75,6 @@ class TrialRecord:
     bound: Optional[str] = None
     rejection: Optional[str] = None
     structural_hash: Optional[int] = None
-    trace: Optional[dict] = None
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -134,23 +124,13 @@ class Recorder:
         bound: Optional[str] = None,
         rejection: Optional[str] = None,
         func=None,
-        base_func=None,
-        sketch_obj=None,
     ) -> TrialRecord:
-        """Ledger one measured (or measurer-rejected) candidate.
-
-        ``func`` is the scheduled program (hashed); ``base_func`` +
-        ``sketch_obj`` let the recorder serialize the replayable trace by
-        re-deriving the candidate from its decision vector — the hot
-        path builds candidates without trace recording, so provenance is
-        reconstructed only for the few candidates that get measured.
-        """
+        """Ledger one measured (or measurer-rejected) candidate;
+        ``func`` is its scheduled program, kept only as its
+        ``structural_hash``."""
         from ..tir import structural_hash
 
         shash = None if func is None else structural_hash(func)
-        trace = None
-        if cycles is not None and base_func is not None and sketch_obj is not None:
-            trace = self._serialize_trace(base_func, sketch_obj, decisions)
         with self._lock:
             record = TrialRecord(
                 trial_id=next(self._ids),
@@ -167,40 +147,9 @@ class Recorder:
                 bound=bound,
                 rejection=rejection,
                 structural_hash=shash,
-                trace=trace,
             )
             self.trials.append(record)
         return record
-
-    def _serialize_trace(self, base_func, sketch_obj, decisions) -> Optional[dict]:
-        """Re-derive the candidate with trace recording on and serialize.
-
-        Replaying the sketch with the full forced-decision vector is the
-        §5.2 database-replay mechanism; it is deterministic, consumes no
-        search RNG, and costs one candidate build — memoized through
-        :data:`_TRACE_CACHE` since the rebuild is a pure function of the
-        (workload, sketch, decisions) key.
-        """
-        from ..tir import structural_hash
-
-        def rebuild() -> Optional[dict]:
-            from ..schedule import Schedule, ScheduleError
-
-            sch = Schedule(base_func, seed=0, record_trace=True)
-            sch.forced_decisions = list(decisions)
-            try:
-                sketch_obj.apply(sch)
-            except ScheduleError:  # pragma: no cover — build succeeded once
-                return None
-            return sch.trace.to_json() if sch.trace is not None else None
-
-        key = (
-            structural_hash(base_func),
-            type(sketch_obj).__qualname__,
-            sketch_obj.token(),
-            _cache.freeze(decisions),
-        )
-        return _TRACE_CACHE.get_or_compute(key, rebuild)
 
     def rejection(
         self, task: str, sketch: str, generation: int, stage: str, code: str
@@ -255,32 +204,35 @@ def load_recording(path: str) -> dict:
 
 
 def replay_trial(record, base_func):
-    """Re-derive a trial's program from its serialized trace.
+    """Rebuild a trial's program from its sketch token and decisions.
 
-    ``record`` is a :class:`TrialRecord` or its JSON dict.  Returns the
-    rebuilt :class:`~repro.tir.function.PrimFunc`; raises ``ValueError``
-    if no trace was recorded or the rebuilt program's
-    ``structural_hash`` does not match the recorded one.
+    ``record`` is a :class:`TrialRecord` or its JSON dict.  The rebuild
+    is :func:`~repro.meta.sketch.replay_sketch`, the one
+    :meth:`~repro.meta.database.Database.replay_entry` makes.  Returns
+    the rebuilt :class:`~repro.tir.function.PrimFunc`; raises
+    ``ValueError`` when the token names no sketch, the decisions no
+    longer fit it, or the rebuilt program's ``structural_hash`` does not
+    match the recorded one.  The hash is stable across processes that
+    share ``PYTHONHASHSEED``.
     """
-    from ..schedule import Schedule
-    from ..schedule.trace import Trace
+    from ..meta.sketch import replay_sketch
+    from ..schedule import ScheduleError
     from ..tir import structural_hash
 
     if isinstance(record, TrialRecord):
         record = record.to_json()
-    trace_json = record.get("trace")
-    if trace_json is None:
-        raise ValueError(
-            f"trial {record.get('trial_id')} has no serialized trace "
-            "(never measured)"
-        )
-    sch = Schedule(base_func, seed=0, record_trace=False)
-    Trace.from_json(trace_json).apply_to(sch)
+    where = f"trial {record.get('trial_id')}"
+    token = record["sketch"]
+    try:
+        sch = replay_sketch(base_func, token, record["decisions"])
+    except ScheduleError as err:
+        raise ValueError(f"{where}: decisions do not fit sketch {token}: {err}") from err
+    if sch is None:
+        raise ValueError(f"{where}: unknown sketch token {token!r}")
     rebuilt_hash = structural_hash(sch.func)
     expected = record.get("structural_hash")
     if expected is not None and rebuilt_hash != expected:
         raise ValueError(
-            f"trial {record.get('trial_id')}: replayed program hash "
-            f"{rebuilt_hash} != recorded {expected}"
+            f"{where}: replayed program hash {rebuilt_hash} != recorded {expected}"
         )
     return sch.func

@@ -144,11 +144,6 @@ class VerificationError(DiagnosticError):
     text.
     """
 
-    @property
-    def problems(self) -> List[str]:
-        """The legacy ``List[str]`` view of the diagnostics."""
-        return [str(d) for d in self.diagnostics]
-
 
 def verify(
     func: PrimFunc, target=None, *, ctx: Optional[DiagnosticContext] = None

@@ -314,9 +314,14 @@ def assert_structural_equal(a, b, map_free_vars: bool = False) -> None:
 # ``structural_equal`` requires free atoms to be identical objects, or by
 # a coarse (dtype, ndim, scope) signature under ``map_free_vars``, where
 # any consistent renaming must collide (the contract is one-directional:
-# equal programs must agree; unequal programs may).  Hash values are
-# therefore stable only within one process — use
-# :func:`repro.meta.database.workload_key` for anything persisted.
+# equal programs must agree; unequal programs may).  Everything else a
+# digest folds in is a string, number or tuple of them — a missing
+# attribute or a ``None`` value enters as the ``_NONE`` constant — so the
+# hash of a ``PrimFunc`` (whose every atom is bound) is the same in every
+# process that shares ``PYTHONHASHSEED``; what hashes free atoms by
+# identity is stable only within one process.  Use
+# :func:`repro.meta.database.workload_key`, a digest of the script text,
+# for anything persisted across seeds.
 
 from .. import cache as _cache
 
@@ -333,6 +338,11 @@ _cache.register_stats_source(
 #: the hash at its binding site, not at every use).
 _BUFFER_USE_DIGEST = hash("tir.buffer_use")
 
+#: what the hash folds in where a node has no attribute, or an attribute
+#: is ``None``: ``hash(None)`` follows the object's address on Python
+#: 3.11, which would make every hash differ between processes.
+_NONE = ("none",)
+
 
 def _canon(value):
     """A hashable, order-canonical image of an annotation value."""
@@ -340,7 +350,9 @@ def _canon(value):
         return ("d",) + tuple((k, _canon(value[k])) for k in sorted(value))
     if isinstance(value, (list, tuple)):
         return ("l",) + tuple(_canon(v) for v in value)
-    if isinstance(value, (str, int, float, bool, type(None))):
+    if value is None:
+        return _NONE
+    if isinstance(value, (str, int, float, bool)):
         return value
     return repr(value)
 
@@ -403,14 +415,14 @@ def _buffer_decl(buf: Buffer):
 
 
 def _hash_range(rng: Range):
-    return _combine("Range", None, (_hash_expr(rng.min), _hash_expr(rng.extent)))
+    return _combine("Range", _NONE, (_hash_expr(rng.min), _hash_expr(rng.extent)))
 
 
 def _hash_region(region: BufferRegion):
     parts = [_buffer_use(region.buffer)]
     for rng in region.region:
         parts.append(_hash_range(rng))
-    return _combine("Region", None, parts)
+    return _combine("Region", _NONE, parts)
 
 
 def _hash_expr(expr: PrimExpr):
@@ -504,11 +516,11 @@ def _hash_stmt(stmt: Stmt):
     if isinstance(stmt, BufferStore):
         parts = [_buffer_use(stmt.buffer), _hash_expr(stmt.value)]
         parts.extend(_hash_expr(i) for i in stmt.indices)
-        summary = _combine("BufferStore", None, parts)
+        summary = _combine("BufferStore", _NONE, parts)
     elif isinstance(stmt, Evaluate):
-        summary = _combine("Evaluate", None, (_hash_expr(stmt.value),))
+        summary = _combine("Evaluate", _NONE, (_hash_expr(stmt.value),))
     elif isinstance(stmt, SeqStmt):
-        summary = _combine("SeqStmt", None, [_hash_stmt(s) for s in stmt.stmts])
+        summary = _combine("SeqStmt", _NONE, [_hash_stmt(s) for s in stmt.stmts])
     elif isinstance(stmt, IfThenElse):
         parts = [_hash_expr(stmt.condition), _hash_stmt(stmt.then_case)]
         if stmt.else_case is not None:
@@ -520,7 +532,7 @@ def _hash_stmt(stmt: Stmt):
             _var_decl(stmt.var),
             _hash_stmt(stmt.body),
         )
-        summary = _combine("LetStmt", None, parts, (stmt.var,))
+        summary = _combine("LetStmt", _NONE, parts, (stmt.var,))
     elif isinstance(stmt, For):
         parts = (
             _hash_expr(stmt.min),
@@ -528,7 +540,7 @@ def _hash_stmt(stmt: Stmt):
             _var_decl(stmt.loop_var),
             _hash_stmt(stmt.body),
         )
-        attrs = (stmt.kind, stmt.thread_tag, _canon(stmt.annotations))
+        attrs = (stmt.kind, _canon(stmt.thread_tag), _canon(stmt.annotations))
         summary = _combine("For", attrs, parts, (stmt.loop_var,))
     elif isinstance(stmt, BlockRealize):
         parts = [_hash_expr(v) for v in stmt.iter_values]
@@ -540,7 +552,7 @@ def _hash_stmt(stmt: Stmt):
     elif isinstance(stmt, AllocateConst):
         # ``data`` intentionally excluded: the matcher ignores it.
         parts = (_buffer_decl(stmt.buffer), _hash_stmt(stmt.body))
-        summary = _combine("AllocateConst", None, parts, (stmt.buffer,))
+        summary = _combine("AllocateConst", _NONE, parts, (stmt.buffer,))
     else:
         raise TypeError(f"unhandled stmt node: {type(stmt).__name__}")
     stmt._memo_hash = summary
@@ -578,7 +590,10 @@ def structural_hash(node, map_free_vars: bool = False) -> int:
     """Alpha-invariant hash consistent with :func:`structural_equal`:
     equal programs always agree (collisions the other way are possible
     but vanishingly rare).  Summaries are cached per node, so re-hashing
-    shared subtrees is O(1).  Values are stable only within one process.
+    shared subtrees is O(1).  A ``PrimFunc``'s hash is stable across
+    processes that share ``PYTHONHASHSEED``; a fragment with free atoms
+    hashes them by identity in the default mode, so its hash is stable
+    only within one process.
     """
     if isinstance(node, PrimFunc):
         digest, free = _hash_func(node)

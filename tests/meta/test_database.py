@@ -80,7 +80,6 @@ class TestDatabase:
         assert entry.sketch == result.best_sketch
         assert entry.decisions == result.best_decisions
         assert entry.provenance == "search"
-        assert entry.structural_hash is not None
 
     def test_protocol_primitives(self, tuned):
         func, result = tuned

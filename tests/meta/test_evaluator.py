@@ -26,7 +26,7 @@ from repro.meta import (
     tune,
 )
 from repro.obs import Recorder, replay_trial
-from repro.sim import SimGPU
+from repro.sim import SimCPU, SimGPU
 from repro.tir import parse_script, script, structural_hash
 
 from ..common import build_matmul, search_width
@@ -121,18 +121,45 @@ class TestBackendDeterminism:
 
 class TestSearchPool:
     def test_worker_rows_replay_in_the_parent(self, widths):
-        """A forked worker keeps this process's hash seed, so the
-        structural hash a worker recorded verifies under ``replay_trial``
-        here."""
+        """A forked worker keeps this process's hash seed, so every
+        measured trial a worker recorded rebuilds here, from its sketch
+        token and decisions, to the structural hash it recorded."""
         _, report, recorder, funcs = widths[2]
         threads = {s["task"]: s["thread"] for s in report.telemetry["spans"]
                    if s["stage"] == "task"}
-        replayable = [t for t in recorder.trials if t.trace is not None]
-        assert {t.task for t in replayable} == {"gemm", "gemm-wide", "gemm-fp32"}
-        for row in replayable:
+        measured = [t for t in recorder.trials if t.cycles is not None]
+        assert {t.task for t in measured} == {"gemm", "gemm-wide", "gemm-fp32"}
+        for row in measured:
             assert threads[row.task].startswith("search-worker-")
             rebuilt = replay_trial(row, funcs[row.task])
             assert structural_hash(rebuilt) == row.structural_hash
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_rows_of_every_sketch_kind_replay(self, width):
+        """At either width, every measured trial of all four sketch kinds
+        rebuilds from its row to the structural hash it recorded."""
+        measured = []
+        for target, workloads in (
+            (SimGPU(), [ops.matmul(32, 32, 32), ops.matmul(32, 32, 32, "float32")]),
+            (SimCPU(), [ops.matmul(32, 32, k, "int8", "int32") for k in (32, 64)]),
+        ):
+            recorder = Recorder()
+            session = TuningSession(
+                target, TuneConfig(trials=4, population=4, seed=5), recorder=recorder
+            )
+            funcs = {session.add(f, name=f"gemm-{i}"): f for i, f in enumerate(workloads)}
+            with search_width(width):
+                report = session.run()
+            lanes = {s["thread"] for s in report.telemetry["spans"] if s["stage"] == "task"}
+            assert len(lanes) == width
+            for row in recorder.trials:
+                if row.cycles is not None:
+                    measured.append(row)
+                    rebuilt = replay_trial(row, funcs[row.task])
+                    assert structural_hash(rebuilt) == row.structural_hash
+        assert {t.sketch.split("@")[0] for t in measured} == {
+            "tensor-core", "gpu-scalar", "cpu-sdot", "cpu-scalar",
+        }
 
     def test_worker_spans_nest_under_the_session(self, widths):
         """Concurrent searches get a lane per worker, and every task span
@@ -200,7 +227,7 @@ class TestPickleBoundary:
         assert clone.rejections == outcome.rejections
         assert clone.spans == outcome.spans
         assert clone.cache_delta == outcome.cache_delta
-        measured = [t for t in clone.trials if t.trace is not None]
+        measured = [t for t in clone.trials if t.cycles is not None]
         assert measured
         for row in measured:
             assert structural_hash(replay_trial(row, func)) == row.structural_hash

@@ -75,8 +75,33 @@ class TestRoundTrip:
         assert entry.sketch == result.best_sketch
         assert entry.decisions == result.best_decisions
         assert entry.cycles == result.best_cycles
-        assert entry.structural_hash is not None
         sch = db2.replay_entry(func, entry)
+        assert sch is not None
+        assert estimate(sch.func, SimGPU()).cycles == pytest.approx(result.best_cycles)
+
+    def test_line_with_an_old_structural_hash_field_loads_and_replays(
+        self, tmp_path, tuned
+    ):
+        # Older writers stored the workload's structural hash beside the
+        # decisions; the loader ignores the field and the record replays.
+        func, result = tuned
+        root = str(tmp_path / "db")
+        PersistentDatabase(root).record(
+            func, SimGPU(), result.best_sketch, result.best_decisions,
+            result.best_cycles,
+        )
+        key = workload_key(func, SimGPU())
+        path = os.path.join(root, "entries", f"{key}.jsonl")
+        with open(path) as f:
+            (line,) = [json.loads(text) for text in f if text.strip()]
+        assert "structural_hash" not in line
+        with open(path, "w") as f:
+            f.write(json.dumps(dict(line, structural_hash=-6924791430291011904)) + "\n")
+        db = PersistentDatabase(root)
+        assert db.diagnostics == []
+        entry = db.get(key)
+        assert entry is not None and entry.decisions == result.best_decisions
+        sch = db.replay_entry(func, entry)
         assert sch is not None
         assert estimate(sch.func, SimGPU()).cycles == pytest.approx(result.best_cycles)
 
@@ -194,7 +219,6 @@ class TestCorruptionRecovery:
             pytest.param(_record_line(decisions=[1, "2"]), id="string-decision"),
             pytest.param(_record_line(decisions=[[1, [2]]]), id="nested-decision"),
             pytest.param(_record_line(decisions=[1.5]), id="float-decision"),
-            pytest.param(_record_line(structural_hash="abc"), id="string-hash"),
         ],
     )
     def test_malformed_line_skipped_with_one_diagnostic(self, tmp_path, line):

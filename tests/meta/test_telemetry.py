@@ -21,7 +21,6 @@ class TestSpans:
         t = Telemetry()
         t.add("validate", 0.25, task="conv")
         assert t.stage_seconds()["validate"] == pytest.approx(0.25)
-        assert t.task_seconds()["conv"] == pytest.approx(0.25)
 
     def test_stage_seconds_aggregates(self):
         t = Telemetry()
@@ -29,7 +28,6 @@ class TestSpans:
         t.add("evolve", 2.0, "b")
         t.add("measure", 0.5, "a")
         assert t.stage_seconds() == {"evolve": pytest.approx(3.0), "measure": pytest.approx(0.5)}
-        assert t.task_seconds("evolve") == {"a": pytest.approx(1.0), "b": pytest.approx(2.0)}
 
 
 class TestReport:

@@ -10,9 +10,11 @@ import pytest
 
 from repro.frontend import ops
 from repro.meta import TuneConfig, tune
+from repro.meta.sketch import replay_sketch
 from repro.runtime import random_args, run
 from repro.schedule import verify
 from repro.sim import SimCPU, SimGPU
+from repro.tir import structural_hash
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +52,13 @@ class TestGpuPipeline:
         assert "wmma_16x16x16_f16" in blocks
 
     def test_records_carry_decisions(self, gpu_result):
+        """The best sketch and decisions are the program: replaying them
+        rebuilds it with no search (§5.2)."""
         assert gpu_result.best_decisions is not None
-        assert all(r.cycles > 0 for r in gpu_result.records)
+        sch = replay_sketch(
+            ops.matmul(512, 512, 512), gpu_result.best_sketch, gpu_result.best_decisions
+        )
+        assert structural_hash(sch.func) == structural_hash(gpu_result.best_func)
 
 
 class TestCpuPipeline:

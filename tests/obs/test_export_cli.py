@@ -74,10 +74,10 @@ class TestChromeTrace:
 class TestSummarize:
     def test_mentions_stages_tasks_and_trials(self, recording):
         text = summarize(recording)
-        assert "flight recording (repro.obs/2)" in text
+        assert "flight recording (repro.obs/3)" in text
         assert "gemm64" in text
         assert "evolve" in text and "measure" in text
-        assert "replayable traces" in text
+        assert " measured; rejections before measuring: " in text
 
     def test_task_seconds_track_wall_clock(self, recording):
         """The per-task table counts leaf spans only — summed seconds

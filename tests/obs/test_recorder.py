@@ -1,19 +1,31 @@
 """Tests for the flight recorder: one row per candidate (the trial
-ledger and the rejection rows), lineage, replay, the derived best-cost
-curve, and that recording never changes what a search finds.
+ledger and the rejection rows), lineage, replay from sketch and
+decisions, the derived best-cost curve, and that recording never
+changes what a search finds or how many candidates it builds.
 """
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
+from repro import cache as repro_cache
 from repro.frontend import ops
 from repro.meta import Recorder, TuneConfig, evolutionary_search, tune
-from repro.meta.sketch import TensorCoreSketch
+from repro.meta.sketch import (
+    SKETCHES,
+    CpuScalarSketch,
+    CpuSdotSketch,
+    GpuScalarSketch,
+    TensorCoreSketch,
+)
 from repro.obs import diff_recordings, load_recording, replay_trial
 from repro.obs.export import _best_curve, _rejection_mix
-from repro.sim import SimGPU, Target
+from repro.sim import SimCPU, SimGPU, Target
+from repro.tir import structural_hash
 
 from ..common import build_matmul
 from ..meta.test_hotpath_caches import IdentitySketch
@@ -35,6 +47,34 @@ class TestRecordingIsPassive:
         assert recorded.best_decisions == plain.best_decisions
         assert recorded.stats.measured == plain.stats.measured
 
+    def test_recorded_tune_builds_each_candidate_once(self, monkeypatch):
+        """A trial row keeps the sketch and decisions the search built
+        from, so recording rebuilds nothing: a recorded ``tune()`` makes
+        exactly the ``Sketch.apply`` calls of an unrecorded one."""
+        calls = []
+        for cls in SKETCHES.values():
+            def counted(self, sch, _apply=cls.apply):
+                calls.append(type(self).__name__)
+                return _apply(self, sch)
+            monkeypatch.setattr(cls, "apply", counted)
+
+        def applies(recorder):
+            repro_cache.clear_all()
+            calls.clear()
+            result = tune(
+                ops.matmul(64, 64, 64), SimGPU(), TuneConfig(trials=6, seed=4),
+                recorder=recorder,
+            )
+            return len(calls), result
+
+        plain, plain_result = applies(None)
+        rec = Recorder()
+        recorded, recorded_result = applies(rec)
+        assert plain_result.stats.measured > 0
+        assert sum(t.cycles is not None for t in rec.trials) == plain_result.stats.measured
+        assert recorded == plain
+        assert recorded_result.best_decisions == plain_result.best_decisions
+
 
 @pytest.fixture(scope="module")
 def recorded_search():
@@ -54,11 +94,9 @@ class TestProvenanceLedger:
         measured = [t for t in rec.trials if t.cycles is not None]
         assert len(measured) == result.stats.measured
         for record in measured:
-            assert record.trace is not None
             assert record.structural_hash is not None
             rebuilt = replay_trial(record, func)
             # replay_trial itself asserts the hash; double-check anyway.
-            from repro.tir import structural_hash
             assert structural_hash(rebuilt) == record.structural_hash
 
     def test_ledger_matches_best_result(self, recorded_search):
@@ -67,7 +105,6 @@ class TestProvenanceLedger:
         best = min(measured, key=lambda t: t.cycles)
         assert best.cycles == result.best_cycles
         rebuilt = replay_trial(best, func)
-        from repro.tir import structural_hash
         assert structural_hash(rebuilt) == structural_hash(result.best_func)
 
     def test_lineage_references_existing_trials(self, recorded_search):
@@ -92,18 +129,107 @@ class TestProvenanceLedger:
 
     def test_hash_mismatch_rejected(self, recorded_search):
         func, rec, _ = recorded_search
-        record = next(t for t in rec.trials if t.trace is not None)
+        record = next(t for t in rec.trials if t.cycles is not None)
         doc = record.to_json()
         doc["structural_hash"] = 12345
         with pytest.raises(ValueError, match="hash"):
             replay_trial(doc, func)
 
-    def test_trial_without_trace_rejected(self, recorded_search):
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "warp-specialized",
+            "tensor-core@no_such_intrin",
+            "tensor-core@wmma_fill_16x16_f16",
+            "gpu-scalar@wmma_16x16x16_f16",
+        ],
+    )
+    def test_unknown_sketch_token_rejected(self, recorded_search, token):
         func, rec, _ = recorded_search
-        doc = rec.trials[0].to_json()
-        doc["trace"] = None
-        with pytest.raises(ValueError, match="no serialized trace"):
+        doc = next(t for t in rec.trials if t.cycles is not None).to_json()
+        doc["sketch"] = token
+        with pytest.raises(ValueError, match="unknown sketch token"):
             replay_trial(doc, func)
+
+    def test_decisions_that_no_longer_fit_rejected(self, recorded_search):
+        func, rec, _ = recorded_search
+        doc = next(t for t in rec.trials if t.cycles is not None).to_json()
+        doc["decisions"][0] = 99  # no sketch choice has 99 candidates
+        with pytest.raises(ValueError, match="do not fit"):
+            replay_trial(doc, func)
+
+
+#: one search per sketch kind: (sketch, workload, target)
+_KINDS = {
+    "tensor-core": (TensorCoreSketch, lambda: build_matmul(64, 64, 64, "float16"), SimGPU),
+    "gpu-scalar": (GpuScalarSketch, lambda: build_matmul(64, 64, 64), SimGPU),
+    "cpu-sdot": (
+        CpuSdotSketch, lambda: ops.matmul(64, 64, 64, "int8", "int32"), SimCPU,
+    ),
+    "cpu-scalar": (
+        CpuScalarSketch, lambda: ops.matmul(64, 64, 64, "int8", "int32"), SimCPU,
+    ),
+}
+
+
+class TestReplayEverySketch:
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_every_measured_trial_verifies(self, kind):
+        """Each sketch's trial rows rebuild, from token and decisions,
+        to the program the search measured."""
+        sketch_cls, build, target_cls = _KINDS[kind]
+        func = build()
+        rec = Recorder()
+        result = evolutionary_search(
+            func, sketch_cls(), target_cls(),
+            TuneConfig(trials=4, population=4, seed=1), recorder=rec,
+        )
+        measured = [t for t in rec.trials if t.cycles is not None]
+        assert len(measured) == result.stats.measured > 0
+        assert {t.sketch for t in measured} == {sketch_cls().token()}
+        for row in measured:
+            rebuilt = replay_trial(row, func)
+            assert structural_hash(rebuilt) == row.structural_hash
+
+
+_SAVE = """
+import sys
+from repro.frontend import ops
+from repro.meta import Recorder, TuneConfig, tune
+from repro.sim import SimGPU
+rec = Recorder()
+tune(ops.matmul(32, 32, 32), SimGPU(), TuneConfig(trials=4, seed=0), recorder=rec)
+rec.save(sys.argv[1])
+"""
+
+_VERIFY = """
+import sys
+from repro.frontend import ops
+from repro.obs import load_recording, replay_trial
+rows = [t for t in load_recording(sys.argv[1])["trials"] if t["cycles"] is not None]
+for row in rows:
+    replay_trial(row, ops.matmul(32, 32, 32))
+print(len(rows))
+"""
+
+
+class TestCrossProcessReplay:
+    def test_recording_verifies_in_another_process_with_the_same_hash_seed(
+        self, tmp_path
+    ):
+        """``structural_hash`` folds in nothing that follows an object's
+        address, so a recording saved by one process verifies in another
+        that shares its ``PYTHONHASHSEED``."""
+        path = str(tmp_path / "run.json")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
+        for script in (_SAVE, _VERIFY):
+            done = subprocess.run(
+                [sys.executable, "-c", script, path], env=env,
+                capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+        assert int(done.stdout) > 0
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +272,7 @@ class TestOneRowPerCandidate:
         refused = result.stats.rejected_by_code["TIR501"]
         assert refused > 0 and result.stats.measured == 0
         assert [t.rejection for t in rec.trials] == ["TIR501"] * refused
-        assert all(t.cycles is None and t.trace is None for t in rec.trials)
+        assert all(t.cycles is None for t in rec.trials)
         assert rec.rejections == []
         assert _rejection_mix(rec.recording()) == {"TIR501": refused}
 
@@ -167,7 +293,7 @@ class TestOneRowPerCandidate:
         path = str(tmp_path / "run.json")
         doc = rec.save(path)
         loaded = load_recording(path)
-        assert loaded["schema"] == "repro.obs/2"
+        assert loaded["schema"] == "repro.obs/3"
         assert loaded["trials"] == json.loads(json.dumps(doc["trials"]))
         assert loaded["rejections"] == json.loads(json.dumps(doc["rejections"]))
         assert len(loaded["trials"]) == len(rec.trials)
