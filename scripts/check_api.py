@@ -186,14 +186,15 @@ def main() -> int:
         check(param in tune_params, f"tune(...{param}...) missing")
 
     session_params = inspect.signature(repro.TuningSession.__init__).parameters
-    for param in ("target", "config", "database", "telemetry", "provenance"):
+    for param in ("target", "config", "database", "telemetry"):
         check(param in session_params, f"TuningSession(...{param}...) missing")
     # Exact shape: counts are read where they are kept, so a session
-    # takes no registry to copy them into.
+    # takes no registry to copy them into, and stamps no origin tag on
+    # the records it commits.
     check(
         list(session_params)
         == ["self", "target", "config", "database", "telemetry", "recorder",
-            "provenance", "buckets"],
+            "buckets"],
         f"TuningSession takes {list(session_params)[1:]}",
     )
 
@@ -225,21 +226,31 @@ def main() -> int:
     pdb_params = list(inspect.signature(repro.PersistentDatabase.__init__).parameters)
     check(pdb_params == ["self", "root"], f"PersistentDatabase takes {pdb_params[1:]}")
     # Exact shape: a stored record is its sketch and decisions, with no
-    # second copy of the program.
+    # second copy of the program and no origin tag nothing reads.
     entry_fields = list(getattr(meta.DatabaseEntry, "__dataclass_fields__", {}))
     check(
-        entry_fields == [
-            "key", "workload", "target", "sketch", "decisions", "cycles",
-            "provenance",
-        ],
+        entry_fields == ["key", "workload", "target", "sketch", "decisions", "cycles"],
         f"DatabaseEntry fields are {entry_fields}",
     )
     record_params = inspect.signature(meta.Database.record).parameters
     check(
         list(record_params)
-        == ["self", "func", "target", "sketch_name", "decisions", "cycles",
-            "provenance"],
+        == ["self", "func", "target", "sketch_name", "decisions", "cycles"],
         f"Database.record takes {list(record_params)[1:]}",
+    )
+    # Exact shape: a stored record picks its own replay mode (strict at
+    # its own key, adaptive elsewhere), so no caller passes one.
+    replay_params = list(inspect.signature(meta.Database.replay_entry).parameters)
+    check(
+        replay_params == ["self", "func", "entry", "ctx"],
+        f"Database.replay_entry takes {replay_params[1:]}",
+    )
+    from repro.meta.tune import replay_result
+
+    replay_result_params = list(inspect.signature(replay_result).parameters)
+    check(
+        replay_result_params == ["func", "target", "database", "entry", "ctx"],
+        f"replay_result takes {replay_result_params}",
     )
 
     # --- the serving surface (repro.serve) ----------------------------
@@ -279,14 +290,14 @@ def main() -> int:
             callable(getattr(serve.ScheduleServer, method, None)),
             f"ScheduleServer.{method} missing",
         )
-    serve_fields = set(getattr(serve.ServeConfig, "__dataclass_fields__", {}))
+    # Exact shape: the batch cap is a constant of the server.
+    serve_field_names = list(getattr(serve.ServeConfig, "__dataclass_fields__", {}))
     check(
-        serve_fields == {
-            "db_path", "tune", "batch_window_seconds", "max_batch",
-            "compile_programs", "buckets",
-        },
-        f"ServeConfig fields are {sorted(serve_fields)}",
+        serve_field_names
+        == ["db_path", "tune", "batch_window_seconds", "compile_programs", "buckets"],
+        f"ServeConfig fields are {serve_field_names}",
     )
+    serve_fields = set(serve_field_names)
     response_fields = set(
         getattr(serve.CompileResponse, "__dataclass_fields__", {})
     )
@@ -344,11 +355,6 @@ def main() -> int:
     stats_fields_serve = set(getattr(serve.ServerStats, "__dataclass_fields__", {}))
     for field in ("bucket_hits", "replay_fallbacks"):
         check(field in stats_fields_serve, f"ServerStats.{field} missing")
-    replay_params = inspect.signature(meta.Database.replay_entry).parameters
-    check(
-        "decision_mode" in replay_params,
-        "Database.replay_entry(...decision_mode...) missing",
-    )
     from repro.diagnostics import code_info as _code_info
 
     for code in ("TIR701", "TIR702", "TIR703"):
@@ -507,15 +513,21 @@ def main() -> int:
         not hasattr(repro.PersistentDatabase, "bind_metrics"),
         "PersistentDatabase.bind_metrics must not exist",
     )
-    for method in ("to_json", "from_json"):
-        check(
-            callable(getattr(schedule.Trace, method, None)),
-            f"Trace.{method} missing",
-        )
-        check(
-            callable(getattr(schedule.Instruction, method, None)),
-            f"Instruction.{method} missing",
-        )
+    # Exact shape: a trace records, copies and replays through the
+    # Schedule's own methods; it has no serialized form.
+    trace_names = {name for name in vars(schedule.Trace) if not name.startswith("_")}
+    check(
+        trace_names == {"append", "copy", "apply_to"},
+        f"Trace's public names are {sorted(trace_names)}",
+    )
+    inst_names = {
+        name for name in vars(schedule.Instruction) if not name.startswith("_")
+    }
+    check(
+        inst_names
+        == {"name", "inputs", "attrs", "outputs", "decision", "is_sampling"},
+        f"Instruction's public names are {sorted(inst_names)}",
+    )
     add_params = inspect.signature(repro.Telemetry.add).parameters
     check("start" in add_params, "Telemetry.add(...start...) missing")
     span_fields = set(getattr(meta.Span, "__dataclass_fields__", {}))

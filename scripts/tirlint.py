@@ -15,6 +15,7 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.diagnostics.__main__ import main  # noqa: E402
+from repro.fileio import run_cli  # noqa: E402
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_cli(main))

@@ -4,7 +4,8 @@ Runs the §3.3 validation battery (tirlint) over every PrimFunc
 discoverable in the given Python files and renders each failure with
 its stable error code and underlined source span.
 
-Exit status: 0 all clean, 1 diagnostics found, 2 a file failed to load.
+Exit status: 0 all clean, 1 diagnostics found (or stdout closed early),
+2 a file failed to load.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import sys
 from typing import List, Optional
 
+from ..fileio import run_cli
 from .lint import lint_path, resolve_target
 
 
@@ -76,4 +78,4 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_cli(main))

@@ -19,11 +19,12 @@ an input-shape *family* onto one representative workload:
 
 Replay across shapes is the §5.2 forced-decision mechanism: a database
 hit on the representative re-applies the stored decision vector to the
-concrete shape with ``decision_mode="adapt"``
-(:meth:`~repro.meta.database.Database.replay_entry`), coercing each
-stored decision to the nearest feasible choice at the new extents and
-falling back to a fresh tune only when a sketch constraint makes the
-trace infeasible (diagnostic ``TIR701``/``TIR702``).
+concrete shape.  :meth:`~repro.meta.database.Database.replay_entry`
+replays a record adaptively whenever the function's key is not the
+record's (``Schedule.decision_mode == "adapt"``), coercing each stored
+decision to the nearest feasible choice at the new extents; the caller
+falls back to a fresh tune only when a sketch constraint makes the
+decisions infeasible (diagnostic ``TIR701``/``TIR702``).
 
 The registry deliberately sits *below* :mod:`repro.frontend.ops` in the
 import graph: builders register themselves via the decorator, and the

@@ -17,9 +17,12 @@ The access surface is one typed protocol — :class:`Database` with
 :class:`TuningDatabase` (in-memory) and :class:`PersistentDatabase`
 (a JSONL-per-entry directory with atomic commits and corrupt-entry
 recovery).  :meth:`Database.replay_entry` is the one code path that
-rebuilds a stored record into a schedule; a stored line carries no
-other copy of the program.  Lines an older writer stored with a
-``structural_hash`` field still load: the field is ignored.
+rebuilds a stored record into a schedule, and the record picks how:
+strictly at the workload it was recorded for, adaptively at any other
+(an in-bucket shape), so no caller chooses a replay mode.  A stored
+line carries no other copy of the program.  Lines an older writer
+stored with a ``structural_hash`` or ``provenance`` field still load:
+the field is ignored.
 """
 
 from __future__ import annotations
@@ -99,19 +102,25 @@ def workload_key(func: PrimFunc, target: Target) -> str:
     script adds over structure), so repeat lookups on the serve path
     skip the full-function print.
     """
-    cache_key = (structural_hash(func), names_fingerprint(func), target.name)
+    return _named_workload_key(func, target.name)
+
+
+def _named_workload_key(func: PrimFunc, target_name: str) -> str:
+    """:func:`workload_key` for a target given by name, as a stored
+    record holds it."""
+    cache_key = (structural_hash(func), names_fingerprint(func), target_name)
     hit = _KEY_CACHE.lookup(cache_key)
     if hit is not _cache.MISS:
         return hit
-    value = _workload_key_impl(func, target)
+    value = _workload_key_impl(func, target_name)
     _KEY_CACHE.put(cache_key, value)
     return value
 
 
-def _workload_key_impl(func: PrimFunc, target: Target) -> str:
+def _workload_key_impl(func: PrimFunc, target_name: str) -> str:
     digest = hashlib.sha256()
     digest.update(script(func).encode())
-    digest.update(target.name.encode())
+    digest.update(target_name.encode())
     return digest.hexdigest()[:24]
 
 
@@ -125,11 +134,6 @@ class DatabaseEntry:
     sketch: str
     decisions: List[object]
     cycles: float
-    #: where the record came from: ``"search"`` for a fresh tuning run,
-    #: ``"session"`` for a session-recorded result, ``"serve"`` for a
-    #: schedule-server miss, ``"disk"`` when loaded from a persisted
-    #: database file.
-    provenance: str = "search"
 
     def to_record(self) -> dict:
         record = asdict(self)
@@ -185,7 +189,6 @@ class Database:
         sketch_name: str,
         decisions: List[object],
         cycles: float,
-        provenance: str = "search",
     ) -> DatabaseEntry:
         """Store a result if it beats the stored one for this workload;
         returns the entry now held for the workload."""
@@ -197,7 +200,6 @@ class Database:
                 sketch=sketch_name,
                 decisions=list(decisions),
                 cycles=cycles,
-                provenance=provenance,
             )
         )
 
@@ -206,7 +208,6 @@ class Database:
         func: PrimFunc,
         entry: DatabaseEntry,
         *,
-        decision_mode: str = "strict",
         ctx: Optional[DiagnosticContext] = None,
     ) -> Optional[Schedule]:
         """Apply one stored record's sketch + decision vector to ``func``
@@ -214,17 +215,21 @@ class Database:
         :func:`~repro.meta.sketch.replay_sketch`, the rebuild the flight
         recorder's :func:`~repro.obs.record.replay_trial` shares.
 
-        ``func`` need not be the function the entry was recorded for:
-        with ``decision_mode="adapt"`` this is §5.2 forced-decision
-        replay across a shape bucket — each stored decision is coerced
-        to the nearest feasible choice at ``func``'s extents.  Decisions
+        The record picks the replay mode.  At the workload it was
+        recorded for (``func``'s key for ``entry.target`` is
+        ``entry.key``) every decision must hold as stored.  At any other
+        workload — an in-bucket shape replaying its representative's
+        record — each stored decision is coerced to the nearest feasible
+        choice at ``func``'s extents (§5.2 adaptive replay).  Decisions
         that do not fit the sketch at ``func``'s shape — infeasible, or
         of the wrong type — surface as ``None`` with a ``TIR701``
         diagnostic in ``ctx``; an unknown sketch name as ``None``.
         """
+        exact = _named_workload_key(func, entry.target) == entry.key
         try:
             return replay_sketch(
-                func, entry.sketch, entry.decisions, decision_mode=decision_mode
+                func, entry.sketch, entry.decisions,
+                decision_mode="strict" if exact else "adapt",
             )
         except ScheduleError as err:
             if ctx is not None:
@@ -284,7 +289,7 @@ def _well_typed(entry: DatabaseEntry) -> bool:
     """Whether a loaded record holds the types a writer stores: string
     identity fields, finite real cycles, a decision vector of ints and
     lists of ints (what the samplers produce)."""
-    text = (entry.key, entry.workload, entry.target, entry.sketch, entry.provenance)
+    text = (entry.key, entry.workload, entry.target, entry.sketch)
     return (
         all(isinstance(v, str) for v in text)
         and isinstance(entry.cycles, (int, float))
@@ -361,7 +366,6 @@ class PersistentDatabase(Database):
             self.diagnostics.append(f"{where}: unknown schema {schema!r} skipped")
             return None
         fields = {k: v for k, v in data.items() if k in DatabaseEntry.__dataclass_fields__}
-        fields.setdefault("provenance", "disk")
         try:
             entry = DatabaseEntry(**fields)
         except TypeError:

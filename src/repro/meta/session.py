@@ -298,16 +298,11 @@ class TuningSession:
         database: Optional[Database] = None,
         telemetry: Optional[Telemetry] = None,
         recorder: Optional[Recorder] = None,
-        provenance: str = "session",
         buckets: Optional["BucketSpec"] = None,
     ):
         self.target = target
         self.config = config or TuneConfig()
         self.database = database if database is not None else TuningDatabase()
-        #: the provenance tag stamped on every entry this session commits
-        #: (``"serve"`` when the schedule server runs a session as its
-        #: cache-miss handler).
-        self.provenance = provenance
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         #: the flight recorder every search of this session records
         #: into; ``None`` records nothing.
@@ -315,7 +310,7 @@ class TuningSession:
         #: shape-bucket spec (``repro.frontend.shapes.BucketSpec``): when
         #: set, tasks are canonicalized to bucket representatives before
         #: dedup, so every in-bucket shape shares one search and replays
-        #: the stored trace adaptively at its concrete extents (§5.2).
+        #: the stored record adaptively at its concrete extents (§5.2).
         self.buckets = buckets
         #: typed TIR7xx diagnostics from bucket canonicalization and
         #: cross-shape replay (TIR701 infeasible, TIR702 fallback).
@@ -496,7 +491,6 @@ class TuningSession:
                 entry = self.database.record(
                     task.search_func, self.target, result.best_sketch,
                     result.best_decisions, result.best_cycles,
-                    provenance=self.provenance,
                 )
                 if task.bucketed is not None and task.bucketed.bucketed:
                     # The search ran at the bucket representative; the task's
@@ -613,7 +607,9 @@ class TuningSession:
 
         Each distinct exact workload replays once per run (``replayed``)
         and later tasks with that exact key share the program; an
-        in-bucket shape replays adaptively (§5.2), counts in the
+        in-bucket shape, whose key is not the record's, replays
+        adaptively (§5.2, :meth:`~repro.meta.database.Database.replay_entry`
+        picks the mode), counts in the
         ``bucket`` tally, and falls back to :func:`fallback_tune` at its
         concrete shape when the stored decisions are infeasible there.
         Rejections of that fallback search go into ``rejected``.
@@ -628,9 +624,7 @@ class TuningSession:
             )
         else:
             result = replay_result(
-                task.func, self.target, self.database, entry,
-                decision_mode="adapt" if in_bucket else "strict",
-                ctx=self.diagnostics,
+                task.func, self.target, self.database, entry, ctx=self.diagnostics
             )
             if result is not None:
                 replayed[exact] = result

@@ -41,13 +41,13 @@ def replay_result(
     database: Database,
     entry: DatabaseEntry,
     *,
-    decision_mode: str = "strict",
     ctx: Optional[DiagnosticContext] = None,
 ) -> Optional[TuneResult]:
     """``entry`` rebuilt at ``func`` with zero search (§5.2) and costed,
     as a ``replayed`` result; ``None`` when it does not replay there
-    (see :meth:`~repro.meta.database.Database.replay_entry`)."""
-    sch = database.replay_entry(func, entry, decision_mode=decision_mode, ctx=ctx)
+    (see :meth:`~repro.meta.database.Database.replay_entry`, which
+    picks the replay mode)."""
+    sch = database.replay_entry(func, entry, ctx=ctx)
     if sch is None:
         return None
     report = estimate(sch.func, target)

@@ -24,7 +24,7 @@ import json
 import os
 import sys
 
-from ..fileio import atomic_write
+from ..fileio import atomic_write, run_cli
 from .export import chrome_trace, diff_recordings, serve_report, summarize
 from .metrics import render_prometheus
 from .record import load_recording
@@ -118,4 +118,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_cli(main))

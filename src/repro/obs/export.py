@@ -16,8 +16,10 @@ All three consume the plain-dict artifact written by
 does not store from its two row lists: the rejection mix from the
 rejection rows plus the trial rows that carry a code, the best-cost
 curve as the running minimum of trial cycles per task in trial-id
-order.  Nothing here imports the compiler stack, so post-mortem
-analysis works in any Python.
+order.  The exporters read plain dicts with the standard library alone,
+but importing this module imports the ``repro`` package, and with it
+the compiler stack and numpy: post-mortem analysis needs the package,
+not a tuning run.
 """
 
 from __future__ import annotations

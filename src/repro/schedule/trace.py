@@ -1,17 +1,18 @@
 """Replayable schedule traces.
 
 A :class:`Trace` records every primitive applied to a schedule together
-with the random decisions taken at sampling instructions.  Traces can be
-replayed onto a fresh schedule of the same workload, and their decisions
-can be overridden — the mechanism behind the evolutionary search's
-mutation step (§4.4).
+with the random decisions taken at sampling instructions.  A trace
+replays onto a fresh schedule of the same workload by calling, for each
+instruction, the :class:`~repro.schedule.Schedule` method it names, so
+a replayed program is built by the same code as the recorded one;
+tirlint lints ``TRACE_<func>`` traces that way
+(:func:`~repro.diagnostics.lint_trace`).
 
-Traces round-trip through JSON (:meth:`Trace.to_json` /
-:meth:`Trace.from_json`): block/loop random variables are tagged
-(``{"$block": name}`` / ``{"$loop": name}``) so a deserialized trace
-resolves against a fresh schedule of the same workload — the foundation
-of the flight recorder's per-trial provenance (``repro.obs``), where a
-recorded best program is re-derived by replaying its stored trace.
+A trace is neither the search's mutation mechanism nor a stored
+program.  The evolutionary search mutates by re-applying a sketch with
+a forced decision prefix, and a database record or flight-recorder row
+keeps a sketch token and its decisions, which
+:func:`~repro.meta.sketch.replay_sketch` rebuilds.
 """
 
 from __future__ import annotations
@@ -22,36 +23,15 @@ from .sref import ScheduleError
 
 __all__ = ["Instruction", "Trace"]
 
-
-def _pack(value):
-    """Schedule-trace value → JSON-ready value (RVs become tagged dicts)."""
-    from .state import BlockRV, LoopRV
-
-    if isinstance(value, BlockRV):
-        return {"$block": value.name}
-    if isinstance(value, LoopRV):
-        return {"$loop": value.name}
-    if isinstance(value, (list, tuple)):
-        return [_pack(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _pack(v) for k, v in value.items()}
-    return value
-
-
-def _unpack(value):
-    """Inverse of :func:`_pack` (tuples come back as lists, which every
-    primitive accepts — they take ``Sequence``s)."""
-    from .state import BlockRV, LoopRV
-
-    if isinstance(value, dict):
-        if set(value) == {"$block"}:
-            return BlockRV(value["$block"])
-        if set(value) == {"$loop"}:
-            return LoopRV(value["$loop"])
-        return {k: _unpack(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_unpack(v) for v in value]
-    return value
+#: every instruction ``Schedule`` records — the names a trace replays.
+INSTRUCTIONS = frozenset({
+    "split", "fuse", "reorder", "parallel", "vectorize", "unroll", "bind",
+    "annotate", "compute_at", "reverse_compute_at", "compute_inline",
+    "reverse_compute_inline", "cache_read", "cache_write",
+    "decompose_reduction", "merge_reduction", "blockize", "tensorize",
+    "reindex", "fuse_buffer_dims", "fuse_block_iters", "pad_einsum",
+    "set_scope", "sample_perfect_tile", "sample_categorical",
+})
 
 
 class Instruction:
@@ -77,26 +57,6 @@ class Instruction:
     def is_sampling(self) -> bool:
         return self.name.startswith("sample_")
 
-    def to_json(self) -> dict:
-        """JSON-ready form; see :meth:`Trace.to_json`."""
-        return {
-            "name": self.name,
-            "inputs": _pack(self.inputs),
-            "attrs": _pack(self.attrs),
-            "outputs": _pack(self.outputs),
-            "decision": _pack(self.decision),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Instruction":
-        return cls(
-            data["name"],
-            _unpack(data.get("inputs", [])),
-            _unpack(data.get("attrs", {})),
-            _unpack(data.get("outputs", [])),
-            _unpack(data.get("decision")),
-        )
-
     def __repr__(self) -> str:  # pragma: no cover
         parts = [repr(i) for i in self.inputs]
         parts += [f"{k}={v!r}" for k, v in self.attrs.items()]
@@ -121,110 +81,22 @@ class Trace:
             for i in self.instructions
         )
 
-    @property
-    def sampling_indices(self) -> List[int]:
-        return [idx for idx, inst in enumerate(self.instructions) if inst.is_sampling]
-
-    def to_json(self) -> dict:
-        """Serialize so that ``Trace.from_json(t.to_json())`` replays to a
-        structurally identical program (asserted in
-        ``tests/obs/test_trace_roundtrip.py`` for every default sketch)."""
-        return {"insts": [inst.to_json() for inst in self.instructions]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Trace":
-        return cls(Instruction.from_json(d) for d in data.get("insts", []))
-
-    def with_decision(self, index: int, decision: object) -> "Trace":
-        """A copy with the decision of instruction ``index`` replaced."""
-        out = self.copy()
-        inst = out.instructions[index]
-        if not inst.is_sampling:
-            raise ScheduleError(f"instruction {index} ({inst.name}) has no decision")
-        inst.decision = decision
-        return out
-
     def apply_to(self, sch) -> None:
         """Replay this trace onto ``sch`` (a fresh Schedule of the same
-        workload).  Output naming is deterministic, so the recorded RV
-        names resolve identically."""
-        from .state import BlockRV, LoopRV
-
-        recording = sch.trace
-        sch.trace = None  # avoid double-recording during replay
-        try:
-            for inst in self.instructions:
-                args = list(inst.inputs)
-                if inst.name == "split":
-                    sch.split(args[0], inst.attrs["factors"])
-                elif inst.name == "fuse":
-                    sch.fuse(*args)
-                elif inst.name == "reorder":
-                    sch.reorder(*args)
-                elif inst.name in ("parallel", "vectorize", "unroll"):
-                    getattr(sch, inst.name)(args[0])
-                elif inst.name == "bind":
-                    sch.bind(args[0], inst.attrs["thread"])
-                elif inst.name == "annotate":
-                    sch.annotate(args[0], inst.attrs["key"], inst.attrs["value"])
-                elif inst.name in (
-                    "compute_at",
-                    "reverse_compute_at",
-                ):
-                    getattr(sch, inst.name)(args[0], args[1])
-                elif inst.name in ("compute_inline", "reverse_compute_inline"):
-                    getattr(sch, inst.name)(args[0])
-                elif inst.name == "cache_read":
-                    sch.cache_read(args[0], inst.attrs["read_index"], inst.attrs["scope"])
-                elif inst.name == "cache_write":
-                    sch.cache_write(args[0], inst.attrs["write_index"], inst.attrs["scope"])
-                elif inst.name == "decompose_reduction":
-                    sch.decompose_reduction(args[0], args[1])
-                elif inst.name == "merge_reduction":
-                    sch.merge_reduction(args[0], args[1])
-                elif inst.name == "blockize":
-                    sch.blockize(args[0])
-                elif inst.name == "tensorize":
-                    sch.tensorize(args[0], inst.attrs["intrin"])
-                elif inst.name == "reindex":
-                    sch.reindex(
-                        args[0],
-                        inst.attrs["buffer_role"],
-                        inst.attrs["buffer_index"],
-                        inst.attrs.get("iter_order"),
-                    )
-                elif inst.name == "fuse_block_iters":
-                    sch.fuse_block_iters(args[0], inst.attrs["groups"])
-                elif inst.name == "fuse_buffer_dims":
-                    sch.fuse_buffer_dims(
-                        args[0], inst.attrs["buffer_name"], inst.attrs["dim_groups"]
-                    )
-                elif inst.name == "pad_einsum":
-                    sch.pad_einsum(args[0], inst.attrs["paddings"])
-                elif inst.name == "set_scope":
-                    sch.set_scope(args[0], inst.attrs["write_index"], inst.attrs["scope"])
-                elif inst.name == "sample_perfect_tile":
-                    sch.sample_perfect_tile(
-                        args[0],
-                        inst.attrs["n"],
-                        inst.attrs["max_innermost_factor"],
-                        decision=inst.decision,
-                    )
-                elif inst.name == "sample_categorical":
-                    sch.sample_categorical(
-                        inst.attrs["candidates"],
-                        inst.attrs["probs"],
-                        decision=inst.decision,
-                    )
-                else:
-                    raise ScheduleError(f"cannot replay instruction {inst.name!r}")
-        finally:
-            sch.trace = recording
-        if sch.trace is not None:
-            sch.trace.instructions = [
-                Instruction(i.name, i.inputs, i.attrs, i.outputs, i.decision)
-                for i in self.instructions
-            ]
+        workload).  Each instruction calls the ``Schedule`` method it
+        names: the recorded inputs are its positional arguments, the
+        recorded attrs its keywords, and a sampling instruction also
+        passes its recorded ``decision=``.  Output naming is
+        deterministic, so the recorded RV names resolve identically.
+        The replayed calls record themselves, so when a step raises,
+        ``sch.trace`` holds exactly the steps applied before it."""
+        for inst in self.instructions:
+            if inst.name not in INSTRUCTIONS:
+                raise ScheduleError(f"cannot replay instruction {inst.name!r}")
+            kwargs = dict(inst.attrs)
+            if inst.is_sampling:
+                kwargs["decision"] = inst.decision
+            getattr(sch, inst.name)(*inst.inputs, **kwargs)
 
     def __len__(self) -> int:
         return len(self.instructions)

@@ -34,8 +34,8 @@ class ServeConfig:
       tuning session runs with.
     * ``batch_window_seconds`` — how long the miss worker waits after
       the first queued miss for more misses to share the session (the
-      amortize-across-tenants knob).
-    * ``max_batch`` — cap on unique workloads tuned per session run.
+      amortize-across-tenants knob; a batch holds at most
+      ``repro.serve.server.MAX_BATCH`` distinct workloads).
     * ``compile_programs`` — attach a runtime-compiled callable to every
       response (off for pure schedule-serving).
     * ``buckets`` — a :class:`~repro.frontend.shapes.BucketSpec` enabling
@@ -49,7 +49,6 @@ class ServeConfig:
     db_path: Optional[str] = None
     tune: TuneConfig = field(default_factory=lambda: TuneConfig(trials=16))
     batch_window_seconds: float = 0.02
-    max_batch: int = 8
     compile_programs: bool = True
     buckets: Optional[BucketSpec] = None
 

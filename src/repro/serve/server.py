@@ -57,6 +57,9 @@ from .api import CompileRequest, CompileResponse, ServeConfig, ServerStats
 
 __all__ = ["ScheduleServer"]
 
+#: the most distinct workloads one miss batch tunes in one session.
+MAX_BATCH = 8
+
 
 @dataclass
 class _Pending:
@@ -252,7 +255,7 @@ class ScheduleServer:
             batch = [key]
             deadline = time.perf_counter() + self.config.batch_window_seconds
             stop = False
-            while len(batch) < self.config.max_batch:
+            while len(batch) < MAX_BATCH:
                 remaining = deadline - time.perf_counter()
                 if remaining <= 0:
                     break
@@ -308,7 +311,6 @@ class ScheduleServer:
                 self.config.tune,
                 database=self.database,
                 telemetry=self.telemetry,
-                provenance="serve",
             )
             for key, func in funcs.items():
                 session.add(func, name=key)
@@ -399,13 +401,9 @@ class ScheduleServer:
         if cached is not None and cached[0] == identity:
             _, best_func, text, compiled = cached
         else:
-            # An entry recorded under a different key is the bucket
-            # representative's: replay it adaptively at this request's
-            # concrete shape (§5.2 forced-decision replay).
-            mode = "adapt" if entry.key != request.key else "strict"
-            sch = self.database.replay_entry(
-                request.func, entry, decision_mode=mode, ctx=self.diagnostics
-            )
+            # ``entry`` may be the bucket representative's, which
+            # ``replay_entry`` adapts to this request's concrete shape.
+            sch = self.database.replay_entry(request.func, entry, ctx=self.diagnostics)
             if sch is None:
                 return None
             best_func = sch.func

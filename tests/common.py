@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from contextlib import contextmanager
 
 import pytest
@@ -17,6 +20,24 @@ def search_width(width: int):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(session_mod, "_search_width", lambda searches: min(width, searches))
         yield
+
+
+def run_into_closing_reader(*args: str):
+    """Run ``python *args`` with stdout piped to a reader that closes it
+    after one line, as ``| head -1`` does; returns the line read, the
+    exit status and everything written to stderr."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    return first, proc.wait(timeout=120), stderr
 
 
 def build_matmul(n: int = 64, m: int = 64, k: int = 64, dtype: str = "float32") -> PrimFunc:

@@ -12,7 +12,7 @@ from repro.diagnostics import lint_path, lint_trace
 from repro.diagnostics.__main__ import main as tirlint_main
 from repro.schedule import Schedule
 
-from ..common import build_matmul
+from ..common import build_matmul, run_into_closing_reader
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 EXAMPLES = sorted(glob.glob(os.path.join(REPO_ROOT, "examples", "*.py")))
@@ -116,6 +116,22 @@ class TestCli:
         assert tirlint_main([str(unimportable)]) == 2
         out = capsys.readouterr().out
         assert "OK" in out and "FAILED" in out
+
+    def test_closed_stdout_exits_1_without_a_traceback(self, tmp_path):
+        # Thousands of failing builders make a report far larger than a
+        # pipe buffer, so the reader closes stdout mid-write.
+        many = tmp_path / "many.py"
+        many.write_text(
+            "for _i in range(3000):\n"
+            "    def _boom(_i=_i):\n"
+            "        raise RuntimeError(f'builder {_i} failed')\n"
+            "    globals()[f'build_f{_i:04d}'] = _boom\n"
+        )
+        first, status, stderr = run_into_closing_reader(
+            "-m", "repro.diagnostics", str(many)
+        )
+        assert first.startswith("error: build_f0000: builder raised RuntimeError")
+        assert (status, stderr) == (1, "")
 
     def test_json_format(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"

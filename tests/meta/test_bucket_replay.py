@@ -1,11 +1,12 @@
 """Cross-shape (§5.2 forced-decision) replay through the database.
 
 A record tuned at a bucket representative must replay at any other
-shape in the bucket: ``decision_mode="adapt"`` coerces each stored
-decision to the nearest feasible choice at the new extents, and a
-sketch constraint that cannot hold at the concrete shape surfaces as
-``None`` plus a ``TIR701`` diagnostic — never as a crash or a silently
-wrong program.
+shape in the bucket.  The record picks the replay mode: at a shape
+whose key is not its own, each stored decision is coerced to the
+nearest feasible choice at the new extents; at its own key every
+decision must hold as stored.  A sketch constraint that cannot hold at
+the concrete shape surfaces as ``None`` plus a ``TIR701`` diagnostic —
+never as a crash or a silently wrong program.
 """
 
 from collections import Counter
@@ -50,10 +51,10 @@ def _oracle_matches(func, sch, *, fp16):
 
 def _replay_at_concrete_shape(db, bucketed, target, ctx=None):
     """The bucket representative's stored record replayed at the concrete
-    shape — adaptively unless the bucket is degenerate."""
+    shape — adaptively, as the record picks, unless the bucket is
+    degenerate."""
     entry = db.get(workload_key(bucketed.representative, target))
-    mode = "adapt" if bucketed.bucketed else "strict"
-    return db.replay_entry(bucketed.concrete, entry, decision_mode=mode, ctx=ctx)
+    return db.replay_entry(bucketed.concrete, entry, ctx=ctx)
 
 
 class TestCoercion:
@@ -134,18 +135,24 @@ class TestAdaptiveReplay:
         bucketed = canonicalize(_conv(5), BucketSpec.pow2("n"))
         assert db.get(workload_key(bucketed.representative, SimGPU())) is None
 
-    def test_strict_replay_across_shapes_emits_tir701(self):
-        # Without adapt mode, rep-8 tile decisions do not divide n=5:
-        # the ScheduleError is captured as a typed diagnostic, not
-        # raised.
+    def test_same_key_record_replays_strictly(self):
+        # An out-of-range categorical decision: at the record's own key
+        # it is replayed as stored and rejected (TIR701), never clamped;
+        # the same record at an in-bucket shape is coerced.
         target = SimGPU()
         db = TuningDatabase()
-        tune(_conv(8), target, CONFIG, database=db)
-        entry = db.get(workload_key(_conv(8), target))
+        tune(ops.matmul(64, 32, 32), target, CONFIG, database=db)
+        entry = db.get(workload_key(ops.matmul(64, 32, 32), target))
+        assert entry.sketch == "tensor-core" and entry.decisions[0] == 1
+        broken = replace(entry, decisions=[7] + list(entry.decisions[1:]))
         ctx = DiagnosticContext()
-        sch = db.replay_entry(_conv(5), entry, decision_mode="strict", ctx=ctx)
-        assert sch is None
-        assert ctx.counts_by_code().get("TIR701", 0) >= 1
+        assert db.replay_entry(ops.matmul(64, 32, 32), broken, ctx=ctx) is None
+        assert ctx.counts_by_code() == {"TIR701": 1}
+        ctx = DiagnosticContext()
+        sch = db.replay_entry(ops.matmul(56, 32, 32), broken, ctx=ctx)
+        assert sch is not None and sch.adapted_decisions >= 1
+        assert ctx.counts_by_code() == {}
+        assert _oracle_matches(ops.matmul(56, 32, 32), sch, fp16=True)
 
     def test_unreadable_stored_decision_is_rejected_not_redrawn(self):
         # A stored decision the coercer cannot interpret is rejected in
@@ -157,11 +164,11 @@ class TestAdaptiveReplay:
         entry = db.get(workload_key(ops.matmul(64, 32, 32), target))
         assert entry.sketch == "tensor-core" and entry.decisions[0] == 1
         broken = replace(entry, decisions=[[1, 2]] + list(entry.decisions[1:]))
-        for n, mode in ((64, "strict"), (56, "adapt")):
+        for n in (64, 56):  # the record's own key (strict), an in-bucket shape
             ctx = DiagnosticContext()
             func = ops.matmul(n, 32, 32)
-            assert db.replay_entry(func, broken, decision_mode=mode, ctx=ctx) is None
-            assert ctx.counts_by_code() == {"TIR701": 1}, mode
+            assert db.replay_entry(func, broken, ctx=ctx) is None
+            assert ctx.counts_by_code() == {"TIR701": 1}, n
 
     def test_infeasible_adapt_replay_emits_tir701(self):
         # n=3 from the rep-4 conv record is infeasible even under adapt
@@ -207,9 +214,7 @@ class TestAdaptiveReplayProperty:
         else:
             func, rep = _conv(n), _conv(8)
         ctx = DiagnosticContext()
-        sch = db.replay_entry(
-            func, db.get(workload_key(rep, target)), decision_mode="adapt", ctx=ctx
-        )
+        sch = db.replay_entry(func, db.get(workload_key(rep, target)), ctx=ctx)
         if sch is None:
             assert ctx.counts_by_code() == {"TIR701": 1}
         else:

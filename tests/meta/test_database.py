@@ -56,7 +56,7 @@ class TestDatabase:
         assert structural_hash(renamed) == structural_hash(original)
         assert names_fingerprint(ops.matmul(64, 64, 64)) == names_fingerprint(original)
         assert names_fingerprint(renamed) != names_fingerprint(original)
-        assert workload_key(renamed, SimGPU()) == _workload_key_impl(renamed, SimGPU())
+        assert workload_key(renamed, SimGPU()) == _workload_key_impl(renamed, SimGPU().name)
         assert workload_key(renamed, SimGPU()) != workload_key(original, SimGPU())
 
     def test_record_and_replay_exact(self, tuned):
@@ -79,7 +79,6 @@ class TestDatabase:
         assert entry.workload == func.name
         assert entry.sketch == result.best_sketch
         assert entry.decisions == result.best_decisions
-        assert entry.provenance == "search"
 
     def test_protocol_primitives(self, tuned):
         func, result = tuned

@@ -43,7 +43,6 @@ def _entry(key: str, cycles: float = 100.0, **overrides) -> DatabaseEntry:
         sketch="tensor-core",
         decisions=[1, 2, 3],
         cycles=cycles,
-        provenance="search",
     )
     fields.update(overrides)
     return DatabaseEntry(**fields)
@@ -79,13 +78,12 @@ class TestRoundTrip:
         assert sch is not None
         assert estimate(sch.func, SimGPU()).cycles == pytest.approx(result.best_cycles)
 
-    def test_line_with_an_old_structural_hash_field_loads_and_replays(
-        self, tmp_path, tuned
-    ):
-        # Older writers stored the workload's structural hash beside the
-        # decisions; the loader ignores the field and the record replays.
+    @staticmethod
+    def _reload_with_old_field(root, tuned, **old_fields):
+        """Commit ``tuned``'s record, rewrite its line with
+        ``old_fields`` added as an older writer stored it, reopen the
+        store and replay the record."""
         func, result = tuned
-        root = str(tmp_path / "db")
         PersistentDatabase(root).record(
             func, SimGPU(), result.best_sketch, result.best_decisions,
             result.best_cycles,
@@ -94,9 +92,9 @@ class TestRoundTrip:
         path = os.path.join(root, "entries", f"{key}.jsonl")
         with open(path) as f:
             (line,) = [json.loads(text) for text in f if text.strip()]
-        assert "structural_hash" not in line
+        assert not set(old_fields) & set(line)
         with open(path, "w") as f:
-            f.write(json.dumps(dict(line, structural_hash=-6924791430291011904)) + "\n")
+            f.write(json.dumps(dict(line, **old_fields)) + "\n")
         db = PersistentDatabase(root)
         assert db.diagnostics == []
         entry = db.get(key)
@@ -104,6 +102,21 @@ class TestRoundTrip:
         sch = db.replay_entry(func, entry)
         assert sch is not None
         assert estimate(sch.func, SimGPU()).cycles == pytest.approx(result.best_cycles)
+
+    def test_line_with_an_old_structural_hash_field_loads_and_replays(
+        self, tmp_path, tuned
+    ):
+        # Older writers stored the workload's structural hash beside the
+        # decisions; the loader ignores the field and the record replays.
+        self._reload_with_old_field(
+            str(tmp_path / "db"), tuned, structural_hash=-6924791430291011904
+        )
+
+    def test_line_with_an_old_provenance_field_loads_and_replays(self, tmp_path, tuned):
+        # Older writers tagged each record with where it came from; the
+        # loader ignores the tag, also one of the wrong type.
+        self._reload_with_old_field(str(tmp_path / "db"), tuned, provenance="serve")
+        self._reload_with_old_field(str(tmp_path / "db2"), tuned, provenance=1)
 
     def test_record_lines_are_versioned(self, tmp_path):
         db = PersistentDatabase(str(tmp_path / "db"))
@@ -211,7 +224,6 @@ class TestCorruptionRecovery:
             pytest.param(_record_line(key=7), id="int-key"),
             pytest.param(_record_line(workload=None), id="null-workload"),
             pytest.param(_record_line(sketch=["tensor-core"]), id="list-sketch"),
-            pytest.param(_record_line(provenance=1), id="int-provenance"),
             pytest.param(_record_line(cycles="fast"), id="string-cycles"),
             pytest.param(_record_line(cycles=float("nan")), id="nan-cycles"),
             pytest.param(_record_line(cycles=True), id="bool-cycles"),

@@ -176,7 +176,6 @@ class TestDedupAndReplay:
     def test_database_holds_unique_workloads(self, session_report):
         session, _ = session_report
         assert len(session.database) == 3
-        assert all(e.provenance == "session" for e in session.database.entries())
 
     def test_prepopulated_database_skips_search(self, session_report, four_layer_net):
         session, _ = session_report

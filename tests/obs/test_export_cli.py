@@ -11,10 +11,12 @@ import sys
 
 import pytest
 
-from repro import Recorder, TuneConfig, TuningSession
+from repro import Recorder, Telemetry, TuneConfig, TuningSession
 from repro.frontend import ops
 from repro.obs import chrome_trace, diff_recordings, summarize
 from repro.sim import SimGPU
+
+from ..common import run_into_closing_reader
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
@@ -117,6 +119,20 @@ class TestCli:
             if e["ph"] != "M"  # metadata records carry no timestamp
         )
         assert [n for n in os.listdir(tmp_path) if n.endswith(".tmp")] == []
+
+    def test_closed_stdout_exits_1_without_a_traceback(self, tmp_path):
+        # A timeline far larger than a pipe buffer, so the reader closes
+        # stdout while the CLI is still writing it.
+        telemetry = Telemetry()
+        for i in range(4000):
+            telemetry.add("stage", 1e-3, f"task{i}")
+        path = str(tmp_path / "big.json")
+        Recorder().save(path, telemetry=telemetry)
+        first, status, stderr = run_into_closing_reader(
+            "-m", "repro.obs", "export", "--chrome", path
+        )
+        assert first == "{\n"
+        assert (status, stderr) == (1, "")
 
     def test_diff_command(self, recording_path):
         proc = _run_cli("diff", recording_path, recording_path)

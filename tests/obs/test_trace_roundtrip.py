@@ -1,11 +1,10 @@
-"""Trace JSON round-trip: serialize → deserialize → replay must rebuild
-a structurally identical program, for every default sketch.
-
-This is the provenance contract of the flight recorder: a recorded
-best program can always be re-derived from its stored trace alone.
+"""Trace replay: a trace recorded from a sketch candidate replays onto a
+fresh schedule to a structurally identical program, for every default
+sketch, by calling the ``Schedule`` method each instruction names.
 """
 
-import json
+import inspect
+import re
 
 import pytest
 
@@ -15,9 +14,9 @@ from repro.meta import (
     GpuScalarSketch,
     TensorCoreSketch,
 )
-from repro.schedule import Schedule, ScheduleError
-from repro.schedule.trace import Instruction, Trace
-from repro.tir import Cast, IRBuilder, structural_hash
+from repro.schedule import BlockRV, Schedule, ScheduleError
+from repro.schedule.trace import INSTRUCTIONS, Instruction, Trace
+from repro.tir import Cast, IRBuilder, structural_equal, structural_hash
 
 from ..common import build_matmul
 
@@ -68,42 +67,61 @@ def _apply_recorded(sketch, make_func):
     pytest.fail(f"no seed in 0..15 applies {sketch.name}")
 
 
+def _steps(trace):
+    """Each instruction as comparable values (RVs by name)."""
+    def names(values):
+        return [getattr(v, "name", v) for v in values]
+
+    return [
+        (i.name, names(i.inputs), i.attrs, names(i.outputs), i.decision)
+        for i in trace.instructions
+    ]
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("sketch,make_func", SKETCH_CASES)
     def test_roundtrip_hash_identical(self, sketch, make_func):
         sch = _apply_recorded(sketch, make_func)
         assert sch.trace is not None and len(sch.trace) > 0
 
-        # Through actual JSON text, not just dicts.
-        payload = json.dumps(sch.trace.to_json(), sort_keys=True)
-        rebuilt_trace = Trace.from_json(json.loads(payload))
-        assert len(rebuilt_trace) == len(sch.trace)
-
-        fresh = Schedule(make_func(), seed=0, record_trace=False)
-        rebuilt_trace.apply_to(fresh)
+        fresh = Schedule(make_func(), seed=0)
+        sch.trace.apply_to(fresh)
         assert structural_hash(fresh.func) == structural_hash(sch.func)
+        # The replayed calls record themselves: the same steps again.
+        assert _steps(fresh.trace) == _steps(sch.trace)
 
     @pytest.mark.parametrize("sketch,make_func", SKETCH_CASES)
-    def test_serialized_form_tags_random_variables(self, sketch, make_func):
+    def test_attrs_are_keywords_of_the_method(self, sketch, make_func):
         sch = _apply_recorded(sketch, make_func)
-        doc = sch.trace.to_json()
-        text = json.dumps(doc)
-        assert "$block" in text or "$loop" in text
-        # Every instruction serializes to plain JSON types.
-        json.loads(text)
+        for inst in sch.trace.instructions:
+            assert inst.name in INSTRUCTIONS
+            extra = {"decision": inst.decision} if inst.is_sampling else {}
+            signature = inspect.signature(getattr(Schedule, inst.name))
+            signature.bind(sch, *inst.inputs, **inst.attrs, **extra)
 
-    def test_instruction_roundtrip_preserves_decision(self):
-        inst = Instruction(
-            "sample_perfect_tile",
-            inputs=[],
-            attrs={"n": 4, "max_innermost_factor": 8},
-            decision=[2, 4, 2, 4],
+    def test_instruction_set_is_what_schedule_records(self):
+        recorded = set(
+            re.findall(r'self\._record\(\s*"(\w+)"', inspect.getsource(Schedule))
         )
-        back = Instruction.from_json(json.loads(json.dumps(inst.to_json())))
-        assert back.name == inst.name
-        assert back.attrs == inst.attrs
-        assert back.decision == [2, 4, 2, 4]
-        assert back.is_sampling
+        assert recorded == INSTRUCTIONS
+        assert all(callable(getattr(Schedule, name)) for name in INSTRUCTIONS)
+
+    def test_failed_step_leaves_the_applied_prefix_recorded(self):
+        # The third step cannot apply: the replay raises there, and the
+        # schedule holds the two applied steps in its program and trace.
+        sch = Schedule(build_matmul(64, 64, 64), seed=3)
+        i = sch.get_loops(sch.get_block("C"))[0]
+        sch.split(i, sch.sample_perfect_tile(i, 2))
+        broken = Trace(
+            sch.trace.copy().instructions
+            + [Instruction("compute_inline", [BlockRV("C")])]
+        )
+        fresh = Schedule(build_matmul(64, 64, 64))
+        with pytest.raises(ScheduleError, match="cannot inline"):
+            broken.apply_to(fresh)
+        assert structural_equal(fresh.func, sch.func)
+        assert _steps(fresh.trace) == _steps(sch.trace)
+        assert len(fresh.trace) == 2
 
     def test_unknown_instruction_rejected_on_replay(self):
         trace = Trace([Instruction("not_a_primitive", [])])

@@ -7,7 +7,6 @@ from repro.runtime import random_args, run
 from repro.schedule import (
     Schedule,
     ScheduleError,
-    Trace,
     all_factorizations,
     divisors_of,
     verify,
@@ -64,16 +63,6 @@ class TestTrace:
         assert value in ("a", "b", "c")
         forced = sch.sample_categorical(["a", "b", "c"], decision=2)
         assert forced == "c"
-
-    def test_with_decision(self):
-        sch = Schedule(build_matmul(64, 64, 64), seed=1)
-        i = sch.get_loops(sch.get_block("C"))[0]
-        sch.sample_perfect_tile(i, 2)
-        idx = sch.trace.sampling_indices[0]
-        mutated = sch.trace.with_decision(idx, [8, 8])
-        assert mutated.instructions[idx].decision == [8, 8]
-        # Original unchanged.
-        assert sch.trace.instructions[idx].decision != [8, 8] or True
 
     def test_divisors_and_factorizations(self):
         assert divisors_of(12) == [1, 2, 3, 4, 6, 12]
