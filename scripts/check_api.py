@@ -455,6 +455,29 @@ def main() -> int:
             callable(getattr(sketch_mod, name, None)),
             f"repro.meta.sketch.{name} missing",
         )
+    # Exact shape: a sketch runs as a decision-free prefix and the
+    # sampled rest given the prefix's state; ``apply_sketch`` builds a
+    # candidate either from scratch or as a fork of a given prefix, and
+    # ``Schedule.copy`` is that fork.
+    for cls in (meta.Sketch, *sketch_mod.SKETCHES.values()):
+        for method, params in (("prefix", ["self", "sch"]), ("apply", ["self", "sch", "state"])):
+            fn = getattr(cls, method, None)
+            got = list(inspect.signature(fn).parameters) if callable(fn) else None
+            check(got == params, f"{cls.__name__}.{method} takes {got}")
+    apply_params = list(inspect.signature(sketch_mod.apply_sketch).parameters)
+    check(
+        apply_params == ["func", "sketch", "seed", "forced", "decision_mode", "prefix"],
+        f"apply_sketch takes {apply_params}",
+    )
+    copy_params = list(inspect.signature(schedule.Schedule.copy).parameters)
+    check(copy_params == ["self", "seed"], f"Schedule.copy takes {copy_params[1:]}")
+    # A schedule uniquifies its base function itself: no memo fronts it.
+    from repro.schedule import state as state_mod
+
+    check(
+        not hasattr(state_mod, "_UNIQUIFY_CACHE"),
+        "repro.schedule.state._UNIQUIFY_CACHE must not exist",
+    )
     # A search result keeps its best program, not a row per measurement.
     result_fields = list(getattr(meta.TuneResult, "__dataclass_fields__", {}))
     check(

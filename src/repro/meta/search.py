@@ -23,18 +23,18 @@ import time
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 from .. import cache as _cache
 from ..obs.record import Recorder
-from ..schedule import ScheduleError, verify
+from ..schedule import Schedule, ScheduleError, verify
 from ..sim import PerfReport, Target, estimate
 from ..sim.cost import CostModelError
 from ..tir import PrimFunc, structural_hash
 from .config import TuneConfig
 from .cost_model import CostModel
 from .database import names_fingerprint, workload_key
-from .sketch import Sketch, apply_sketch
+from .sketch import Sketch, apply_sketch, sketch_prefix
 from .telemetry import Telemetry
 
 __all__ = ["TuneResult", "SearchStats", "evolutionary_search"]
@@ -124,16 +124,17 @@ class _Candidate:
 
 
 #: Whole-candidate memo: ``_build_candidate`` is a pure function of
-#: (base func, sketch, seed, forced prefix, target, validate), so its
-#: result — the scheduled func + consumed decisions, or the rejection —
-#: can be replayed from cache.  The base func is keyed on its structural
-#: hash *and* its name fingerprint: the hash is alpha-invariant, and a
-#: renamed copy of a workload must get programs in its own names.
-#: Within one cold search hits are rare (seeds are fresh), but re-tuning
-#: the same workload (§5.2's workflow, parameter sweeps, session
-#: restarts) replays every build for free; candidate construction
-#: dominates search time, so this is the cache that moves
-#: candidates/sec.
+#: (base func, sketch, seed, forced prefix, target, validate) — the
+#: sketch prefix it forks from is itself a function of (base func,
+#: sketch), so it is no part of the key — and its result, the scheduled
+#: func + consumed decisions or the rejection, can be replayed from
+#: cache.  The base func is keyed on its structural hash *and* its name
+#: fingerprint: the hash is alpha-invariant, and a renamed copy of a
+#: workload must get programs in its own names.  Within one cold search
+#: hits are rare (seeds are fresh), but re-tuning the same workload
+#: (§5.2's workflow, parameter sweeps, session restarts) replays every
+#: build for free, the prefix build included: a search builds its
+#: prefix on its first miss.
 _CANDIDATE_CACHE = _cache.MemoCache("search.candidates", maxsize=2048)
 
 
@@ -146,6 +147,19 @@ def _sketch_token(sketch: Sketch) -> tuple:
     )
 
 
+#: what :func:`~repro.meta.sketch.sketch_prefix` gave for a search's
+#: (func, sketch): the prefix schedule and its state, or the
+#: ``ScheduleError`` it raised.
+Prefix = Union[Tuple[Schedule, object], ScheduleError]
+
+
+def _prefix_of(func: PrimFunc, sketch: Sketch) -> Prefix:
+    try:
+        return sketch_prefix(func, sketch)
+    except ScheduleError as err:
+        return err
+
+
 def _build_candidate_cached(
     func: PrimFunc,
     sketch: Sketch,
@@ -154,10 +168,12 @@ def _build_candidate_cached(
     target: Target,
     validate: bool,
     names: int,
+    prefix: Callable[[], Prefix],
 ) -> Tuple[Optional[_Candidate], Optional[Tuple[str, str]], float]:
     """Memoizing front of :func:`_build_candidate` (see cache note above);
     ``names`` is ``func``'s :func:`~repro.meta.database.names_fingerprint`,
-    taken once per search."""
+    taken once per search, and ``prefix()`` gives the search's sketch
+    prefix, called on a miss only."""
     key = (
         structural_hash(func),
         names,
@@ -172,7 +188,9 @@ def _build_candidate_cached(
         built, decisions, rejection = hit
         cand = _Candidate(sketch, built, list(decisions)) if rejection is None else None
         return cand, rejection, 0.0
-    cand, rejection, seconds = _build_candidate(func, sketch, seed, forced, target, validate)
+    cand, rejection, seconds = _build_candidate(
+        func, sketch, seed, forced, target, validate, prefix()
+    )
     _CANDIDATE_CACHE.put(
         key,
         (
@@ -184,6 +202,10 @@ def _build_candidate_cached(
     return cand, rejection, seconds
 
 
+def _apply_rejection(err: ScheduleError) -> Tuple[str, str]:
+    return "apply", err.diagnostics[0].code if err.diagnostics else "TIR400"
+
+
 def _build_candidate(
     func: PrimFunc,
     sketch: Sketch,
@@ -191,18 +213,23 @@ def _build_candidate(
     forced: Optional[List[object]],
     target: Target,
     validate: bool,
+    prefix: Prefix,
 ) -> Tuple[Optional[_Candidate], Optional[Tuple[str, str]], float]:
-    """Instantiate one candidate without touching shared state — pure in
-    its arguments, so a cached build is what a fresh one would be.
+    """Instantiate one candidate, forked from ``prefix``, without
+    touching shared state — pure in its arguments, so a cached build is
+    what a fresh one would be.  A prefix takes no decision, so a prefix
+    that raised rejects every candidate with the code a from-scratch
+    build of it would raise.
 
     Returns ``(candidate, rejection, validate_seconds)`` where
     ``rejection`` is ``("apply" | "invalid", code)`` on failure.
     """
+    if isinstance(prefix, ScheduleError):
+        return None, _apply_rejection(prefix), 0.0
     try:
-        sch = apply_sketch(func, sketch, seed=seed, forced=forced)
+        sch = apply_sketch(func, sketch, seed=seed, forced=forced, prefix=prefix)
     except ScheduleError as err:
-        code = err.diagnostics[0].code if err.diagnostics else "TIR400"
-        return None, ("apply", code), 0.0
+        return None, _apply_rejection(err), 0.0
     if validate:
         t0 = time.perf_counter()
         problems = verify(sch.func, target)
@@ -266,6 +293,14 @@ def evolutionary_search(
     generation = 0
     max_generations = config.generations or max(2, trials // max(population // 2, 1))
     names = names_fingerprint(func)
+    built: List[Prefix] = []
+
+    def _prefix() -> Prefix:
+        """The sketch's prefix of ``func``, built on the first candidate
+        cache miss and forked by every later build."""
+        if not built:
+            built.append(_prefix_of(func, sketch))
+        return built[0]
 
     def _draw() -> Tuple[int, Optional[List[object]], Optional[int]]:
         """One candidate's (seed, forced prefix, parent trial id), drawn
@@ -298,7 +333,7 @@ def evolutionary_search(
             stats.candidates_generated += 1
             seed, forced, parent_trial = _draw()
             cand, rejection, validate_seconds = _build_candidate_cached(
-                func, sketch, seed, forced, target, config.validate, names
+                func, sketch, seed, forced, target, config.validate, names, _prefix
             )
             timings["validate"] += validate_seconds
             if rejection is not None:

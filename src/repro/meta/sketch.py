@@ -6,6 +6,17 @@ choices (tile sizes, vector widths, unrolling) as sampled decisions
 recorded on the schedule — the evolutionary search mutates those
 decisions and replays the sketch.
 
+A sketch runs in two parts.  :meth:`Sketch.prefix` takes the steps that
+depend on the workload alone — for a tensorized sketch the §4.2
+preparation (ReIndex, padding, layout fusion), the AutoCopy stages and
+the intrinsic-tile splits — and takes no decision: it samples nothing
+and reads no RNG.  :meth:`Sketch.apply` takes the rest, from the first
+sampled decision on, given the state the prefix returned (block and
+loop references and the prepared tensorization, all still valid in a
+fork).  So one search builds its prefix once and forks every candidate
+from it through :meth:`~repro.schedule.Schedule.copy`;
+:func:`apply_sketch` is the one place either happens.
+
 Sketches:
 
 * :class:`TensorCoreSketch` — the paper's headline flow (Figure 8):
@@ -21,7 +32,7 @@ Sketches:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..autotensorize import generate_candidates, prepare_tensorize
 from ..intrin import get_intrin, list_intrins
@@ -44,6 +55,7 @@ __all__ = [
     "CpuScalarSketch",
     "SKETCHES",
     "apply_sketch",
+    "sketch_prefix",
     "replay_sketch",
     "generate_sketches",
     "main_block_of",
@@ -213,15 +225,26 @@ def _sample_tile2(sch: Schedule, loop: LoopRV, cap_inner: int):
 
 
 class Sketch:
-    """Base class: ``apply`` transforms a fresh schedule, consuming
-    sampled decisions."""
+    """Base class: ``prefix`` takes a fresh schedule through the steps
+    before the first sampled decision and returns the state ``apply``
+    needs; ``apply`` takes the rest, consuming sampled decisions.
+
+    A prefix must take no decision, since every candidate of a search is
+    forked from one prefix: :func:`apply_sketch` raises ``ValueError``
+    when it does.  Its state may hold only block and loop references and
+    the :class:`~repro.autotensorize.PreparedTensorization`, which stay
+    valid in a fork.  The base prefix does nothing and returns ``None``.
+    """
 
     name = "sketch"
 
     def applicable(self, sch: Schedule) -> bool:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def apply(self, sch: Schedule) -> None:  # pragma: no cover - interface
+    def prefix(self, sch: Schedule) -> object:
+        return None
+
+    def apply(self, sch: Schedule, state: object) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
     def token(self) -> str:
@@ -247,27 +270,40 @@ class TensorCoreSketch(Sketch):
             return False
         return bool(generate_candidates(sch, main, [self.intrin_name]))
 
-    def apply(self, sch: Schedule) -> None:
-        intrin = get_intrin(self.intrin_name)
+    def prefix(self, sch: Schedule) -> tuple:
         main = main_block_of(sch)
         prep = prepare_tensorize(sch, main, self.intrin_name)
         tm, tn, tk = prep.tile_shape
 
         # --- data movement blocks (AutoCopy insertion) ------------------
-        a_shared = sch.cache_read(main, 0, "shared")
-        a_frag = sch.cache_read(main, 0, "wmma.matrix_a")
-        b_shared = sch.cache_read(main, 1, "shared")
-        b_frag = sch.cache_read(main, 1, "wmma.matrix_b")
-        acc = sch.cache_write(main, 0, "wmma.accumulator")
+        copies = (
+            sch.cache_read(main, 0, "shared"),
+            sch.cache_read(main, 0, "wmma.matrix_a"),
+            sch.cache_read(main, 1, "shared"),
+            sch.cache_read(main, 1, "wmma.matrix_b"),
+            sch.cache_write(main, 0, "wmma.accumulator"),
+        )
 
         inline_prologue(sch)
         collapse_epilogue(sch, main)
 
-        # --- multi-level tiling ------------------------------------------
+        # --- intrinsic tiles ---------------------------------------------
         x, y, k = prep.tile_loops
-        xo, xt = sch.split(x, [None, tm])
-        yo, yt = sch.split(y, [None, tn])
-        ko, kt = sch.split(k, [None, tk])
+        tiles = (
+            *sch.split(x, [None, tm]),
+            *sch.split(y, [None, tn]),
+            *sch.split(k, [None, tk]),
+        )
+        return main, prep, copies, tiles
+
+    def apply(self, sch: Schedule, state: tuple) -> None:
+        main, prep, copies, tiles = state
+        intrin = get_intrin(self.intrin_name)
+        tm, tn, tk = prep.tile_shape
+        a_shared, a_frag, b_shared, b_frag, acc = copies
+        xo, xt, yo, yt, ko, kt = tiles
+
+        # --- multi-level tiling ------------------------------------------
         x_bx, x_ty, x_i = _sample_tile3(sch, xo, cap_mid=4, cap_inner=4)
         y_bx, y_ty, y_i = _sample_tile3(sch, yo, cap_mid=4, cap_inner=4)
         k_o, k_i = _sample_tile2(sch, ko, cap_inner=4)
@@ -344,14 +380,15 @@ class TensorCoreSketch(Sketch):
 
 
 class GpuScalarSketch(Sketch):
-    """Ansor-style multi-level thread tiling on the scalar pipeline."""
+    """Ansor-style multi-level thread tiling on the scalar pipeline.  It
+    keeps the base (empty) prefix: its first step samples."""
 
     name = "gpu-scalar"
 
     def applicable(self, sch: Schedule) -> bool:
         return main_block_of(sch) is not None
 
-    def apply(self, sch: Schedule) -> None:
+    def apply(self, sch: Schedule, state: object) -> None:
         from ..schedule import divisors_of
 
         main = main_block_of(sch)
@@ -459,8 +496,7 @@ class CpuSdotSketch(Sketch):
             return False
         return bool(generate_candidates(sch, main, [self.intrin_name]))
 
-    def apply(self, sch: Schedule) -> None:
-        intrin = get_intrin(self.intrin_name)
+    def prefix(self, sch: Schedule) -> tuple:
         main = main_block_of(sch)
         prep = prepare_tensorize(sch, main, self.intrin_name)
         tm, tn, tk = prep.tile_shape
@@ -476,9 +512,18 @@ class CpuSdotSketch(Sketch):
         collapse_epilogue(sch, main)
 
         x, y, k = prep.tile_loops
-        xo, xt = sch.split(x, [None, tm])
-        yo, yt = sch.split(y, [None, tn])
-        ko, kt = sch.split(k, [None, tk])
+        tiles = (
+            *sch.split(x, [None, tm]),
+            *sch.split(y, [None, tn]),
+            *sch.split(k, [None, tk]),
+        )
+        return main, prep, writeback, tiles
+
+    def apply(self, sch: Schedule, state: tuple) -> None:
+        main, prep, writeback, tiles = state
+        intrin = get_intrin(self.intrin_name)
+        tm, tn, tk = prep.tile_shape
+        xo, xt, yo, yt, ko, kt = tiles
         x_p, x_i = [LoopRV(n.name) for n in sch.split(xo, sch.sample_perfect_tile(xo, 2, 16))]
         y_o, y_i = [LoopRV(n.name) for n in sch.split(yo, sch.sample_perfect_tile(yo, 2, 16))]
         k_o, k_i = [LoopRV(n.name) for n in sch.split(ko, sch.sample_perfect_tile(ko, 2, 16))]
@@ -514,7 +559,7 @@ class CpuScalarSketch(Sketch):
     def applicable(self, sch: Schedule) -> bool:
         return main_block_of(sch) is not None
 
-    def apply(self, sch: Schedule) -> None:
+    def prefix(self, sch: Schedule) -> tuple:
         main = main_block_of(sch)
         writeback = None
         if sch.block_of(main).is_reduction and _has_epilogue(sch, main):
@@ -533,12 +578,15 @@ class CpuScalarSketch(Sketch):
             fused = sch.fuse(*spatial)
         else:
             fused = spatial[0]
+        return main, writeback, tuple(reduce), fused
+
+    def apply(self, sch: Schedule, state: tuple) -> None:
+        main, writeback, reduce, fused = state
         tiles = sch.sample_perfect_tile(fused, 3, 16)
         par, mid, inner = [LoopRV(n.name) for n in sch.split(fused, tiles)]
         sch.parallel(par)
         if reduce:
-            order = reduce + [mid, inner]
-            sch.reorder(*order)
+            sch.reorder(*reduce, mid, inner)
         vec_ok = const_int_value(sch.loop_of(inner).extent)
         if vec_ok and vec_ok > 1:
             sch.vectorize(inner)
@@ -560,6 +608,24 @@ SKETCHES = {
 }
 
 
+def sketch_prefix(
+    func: PrimFunc, sketch: Sketch, seed: int = 0
+) -> Tuple[Schedule, object]:
+    """A fresh schedule of ``func`` taken through ``sketch``'s prefix,
+    and the state the prefix returned.  Raises ``ScheduleError`` when
+    the prefix does not apply, and ``ValueError`` when it took a
+    decision: a fork of it would then replay that decision for every
+    candidate."""
+    sch = Schedule(func, seed=seed, record_trace=False)
+    state = sketch.prefix(sch)
+    if sch.decisions:
+        raise ValueError(
+            f"sketch {sketch.token()!r} took {len(sch.decisions)} decision(s) "
+            "in its prefix"
+        )
+    return sch, state
+
+
 def apply_sketch(
     func: PrimFunc,
     sketch: Sketch,
@@ -567,16 +633,26 @@ def apply_sketch(
     seed: int = 0,
     forced: Optional[List[object]] = None,
     decision_mode: str = "strict",
+    prefix: Optional[Tuple[Schedule, object]] = None,
 ) -> Schedule:
-    """A fresh schedule of ``func`` with ``sketch`` applied: its sampled
+    """A schedule of ``func`` with ``sketch`` applied: its sampled
     decisions come from ``forced`` first, then from the ``seed`` RNG.
     Every candidate the search and the baselines build, and every
-    replayed record, is built here.  Raises ``ScheduleError`` when the
-    sketch does not apply."""
-    sch = Schedule(func, seed=seed, record_trace=False)
+    replayed record, is built here.
+
+    Given ``prefix`` — :func:`sketch_prefix` of this ``func`` and
+    ``sketch`` — the schedule is a fork of it; without one, the prefix
+    runs on a fresh schedule first.  Both build the same program with
+    the same decisions.  Raises ``ScheduleError`` when the sketch does
+    not apply."""
+    if prefix is None:
+        sch, state = sketch_prefix(func, sketch, seed)
+    else:
+        base, state = prefix
+        sch = base.copy(seed)
     sch.decision_mode = decision_mode
     sch.forced_decisions = forced
-    sketch.apply(sch)
+    sketch.apply(sch, state)
     return sch
 
 

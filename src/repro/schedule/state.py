@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .. import cache as _cache
 from ..diagnostics import DiagnosticContext
 from ..tir import (
     Block,
@@ -107,35 +106,18 @@ class _Uniquifier(StmtMutator):
         return rebuilt
 
 
-#: memoized uniquifier output per base function: evolutionary search
-#: builds a Schedule of the *same* base func for every candidate, and
-#: the rename pass is a full-tree rewrite.  Keyed on identity; the entry
-#: pins the func (and its rewritten form), so a recycled id can never
-#: alias a different function.  Mutators are functional, so sharing one
-#: rewritten tree across schedules is safe — every primitive builds new
-#: nodes — and the shared subtrees make the structural-hash node memo,
-#: feature, verify and estimate caches hit across candidates.
-_UNIQUIFY_CACHE = _cache.MemoCache("schedule.uniquify", maxsize=512)
-
-
 class Schedule:
     """A schedulable view over one PrimFunc."""
 
     def __init__(self, func: PrimFunc, seed: Optional[int] = None, record_trace: bool = True):
-        cached = _UNIQUIFY_CACHE.lookup(id(func))
-        if cached is not _cache.MISS and cached[0] is func:
-            _, self.func, block_names, var_names = cached
-        else:
-            uniq = _Uniquifier()
-            self.func = func.with_body(uniq.rewrite_stmt(func.body))
-            block_names, var_names = uniq.block_names, uniq.var_names
-            _UNIQUIFY_CACHE.put(id(func), (func, self.func, block_names, var_names))
+        uniq = _Uniquifier()
+        self.func = func.with_body(uniq.rewrite_stmt(func.body))
         self.rng = random.Random(seed)
         from .trace import Trace
 
         self.trace: Optional[Trace] = Trace() if record_trace else None
-        self._name_counts: Dict[str, int] = dict(block_names)
-        self._var_counts: Dict[str, int] = dict(var_names)
+        self._name_counts: Dict[str, int] = uniq.block_names
+        self._var_counts: Dict[str, int] = uniq.var_names
         #: Decisions taken at sampling instructions, in order.  The
         #: evolutionary search re-runs a sketch generator with
         #: ``forced_decisions`` set to a mutated copy of this vector.
@@ -516,7 +498,14 @@ class Schedule:
 
     # ------------------------------------------------------------------
     def copy(self, seed: Optional[int] = None) -> "Schedule":
-        """An independent schedule positioned at the same program.
+        """An independent schedule in the same state: a fork.
+
+        The clone shares the (immutable) function and copies everything
+        a later step reads — the block and loop-var name counters, the
+        decisions and the forced-decision position, the decision mode,
+        the diagnostics and the trace (``None`` stays ``None``) — so
+        continuing either schedule builds what continuing the other
+        would, names included.  Only the RNG differs.
 
         Determinism contract: with ``seed=None`` the clone's seed is one
         integer drawn from the parent's RNG stream — so clone streams
@@ -527,9 +516,15 @@ class Schedule:
         """
         if seed is None:
             seed = self.rng.randrange(1 << 30)
-        clone = Schedule(self.func, seed=seed)
-        if self.trace is not None:
-            clone.trace = self.trace.copy()
+        clone = object.__new__(Schedule)
+        clone.__dict__.update(self.__dict__)
+        clone.rng = random.Random(seed)
+        clone.trace = self.trace.copy() if self.trace is not None else None
+        clone._name_counts = dict(self._name_counts)
+        clone._var_counts = dict(self._var_counts)
+        clone.decisions = list(self.decisions)
+        clone.diagnostics = DiagnosticContext()
+        clone.diagnostics.extend(self.diagnostics)
         return clone
 
     def show(self) -> str:

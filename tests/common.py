@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -19,6 +20,30 @@ def search_width(width: int):
     many worker processes, or in-process for 1."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(session_mod, "_search_width", lambda searches: min(width, searches))
+        yield
+
+
+@contextmanager
+def one_search_per_worker(width: int):
+    """:func:`search_width`, with every worker of the pool holding one
+    search: a worker's first ``tune()`` waits at a barrier of ``width``
+    parties, inherited through the fork, so no worker can finish its
+    first search and take the next before every other worker has taken
+    one.  A session with at least ``width`` searches then runs on
+    exactly ``width`` worker lanes however the host schedules them.  A
+    search that waits a minute fails with ``BrokenBarrierError``;
+    searches in this process never wait."""
+    barrier = multiprocessing.get_context("fork").Barrier(width, timeout=60)
+    parent, tune, waited = os.getpid(), session_mod.tune, []
+
+    def held_tune(*args, **kwargs):
+        if os.getpid() != parent and not waited:
+            waited.append(True)  # each worker's own copy of the list
+            barrier.wait()
+        return tune(*args, **kwargs)
+
+    with search_width(width), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(session_mod, "tune", held_tune)
         yield
 
 

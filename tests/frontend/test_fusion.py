@@ -334,6 +334,6 @@ class TestFusedTensorize:
         sketch = CpuSdotSketch()
         sch = Schedule(fused, seed=0)
         assert sketch.applicable(sch)
-        sketch.apply(sch)
+        sketch.apply(sch, sketch.prefix(sch))
         assert "sdot_4x4x4_i8" in str(sch.func)
         assert verify(sch.func) == []

@@ -29,7 +29,7 @@ from repro.obs import Recorder, replay_trial
 from repro.sim import SimCPU, SimGPU
 from repro.tir import parse_script, script, structural_hash
 
-from ..common import build_matmul, search_width
+from ..common import build_matmul, one_search_per_worker
 
 #: three distinct workloads and a duplicate; the float32 matmul gets the
 #: gpu-scalar sketch alone, so rejection rows exist.
@@ -52,7 +52,7 @@ def _session_run(width, config=None):
     for name, build in _WORKLOADS.items():
         func = build()
         funcs[session.add(func, name=name)] = func
-    with search_width(width):
+    with one_search_per_worker(width):
         report = session.run()
     return session, report, recorder, funcs
 
@@ -148,7 +148,7 @@ class TestSearchPool:
                 target, TuneConfig(trials=4, population=4, seed=5), recorder=recorder
             )
             funcs = {session.add(f, name=f"gemm-{i}"): f for i, f in enumerate(workloads)}
-            with search_width(width):
+            with one_search_per_worker(width):
                 report = session.run()
             lanes = {s["thread"] for s in report.telemetry["spans"] if s["stage"] == "task"}
             assert len(lanes) == width

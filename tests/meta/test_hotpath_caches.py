@@ -27,7 +27,6 @@ from repro.meta.feature import _extract_features_impl, extract_features
 from repro.meta.search import SearchStats, _build_candidate, _build_candidate_cached
 from repro.meta.sketch import Sketch
 from repro.schedule import Schedule, verify
-from repro.schedule.state import _Uniquifier
 from repro.schedule.validation import _shared_footprint_impl, shared_footprint_bytes
 from repro.sim import SimGPU, Target, estimate
 from repro.sim.cost import _estimate_impl
@@ -41,7 +40,7 @@ class IdentitySketch(Sketch):
     def applicable(self, sch):
         return True
 
-    def apply(self, sch):
+    def apply(self, sch, state):
         pass
 
 
@@ -135,8 +134,7 @@ class TestCachingTransparency:
         before = repro_cache.snapshot_counts()
         result = tune(func, target, config)
         cold = repro_cache.delta_since(before)
-        for name in ("meta.features", "schedule.uniquify"):
-            assert cold.get(name, {}).get("hits", 0) > 0, name
+        assert cold.get("meta.features", {}).get("hits", 0) > 0
         before = repro_cache.snapshot_counts()
         again = tune(func, target, config)
         warm = repro_cache.delta_since(before)
@@ -174,8 +172,9 @@ class TestMemoOracle:
         repro_cache.clear_all()
         for _ in range(2):  # the miss, then the hit
             for args, (cand, rejection, _) in built:
+                *key_args, prefix = args
                 got, got_rejection, _ = _build_candidate_cached(
-                    *args, names_fingerprint(args[0])
+                    *key_args, names_fingerprint(args[0]), lambda: prefix
                 )
                 assert got_rejection == rejection
                 if cand is not None:
@@ -192,11 +191,6 @@ class TestMemoOracle:
                 # like the memoized one.
                 fresh = tir.parse_script(tir.script(f))
                 assert tir.structural_hash(fresh) == tir.structural_hash(f)
-            probe = Schedule(func, record_trace=False)
-            uniq = _Uniquifier()
-            assert tir.script(probe.func) == tir.script(
-                func.with_body(uniq.rewrite_stmt(func.body))
-            )
             bw = canonicalize(ops.matmul(56, 64, 64), BucketSpec.pow2("n"))
             assert tir.script(bw.representative) == tir.script(func)
 

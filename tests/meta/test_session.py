@@ -22,7 +22,7 @@ from repro.meta.sketch import GpuScalarSketch
 from repro.sim import SimGPU
 from repro.tir import script
 
-from ..common import search_width
+from ..common import one_search_per_worker, search_width
 
 
 def _gemm_layer(name, n, m, k, count=1):
@@ -358,7 +358,7 @@ class TestDeterminism:
             session = TuningSession(SimGPU(), config)
             session.add(ops.matmul(32, 32, 32), name="a")
             session.add(ops.matmul(48, 48, 48), name="b")
-            with search_width(width):
+            with one_search_per_worker(width):
                 report = session.run()
             return report, [(t.name, t.status, t.sketch, t.cycles) for t in report.tasks]
 
@@ -446,7 +446,7 @@ class TestSearchWidth:
 
     def test_no_worker_outlives_run(self):
         session = _two_task_session()
-        with search_width(2):
+        with one_search_per_worker(2):
             report = session.run()
         lanes = _worker_lanes(report)
         assert len(lanes) == 2

@@ -17,6 +17,7 @@ from repro.meta import (
     tune,
 )
 from repro.meta.feature import FEATURE_NAMES
+from repro.meta.sketch import apply_sketch
 from repro.runtime import random_args, run
 from repro.schedule import Schedule, verify
 from repro.sim import SimCPU, SimGPU, estimate
@@ -72,8 +73,9 @@ class TestSketchGeneration:
 class TestSketchApplication:
     def test_tensor_core_sketch_valid_and_correct(self):
         for seed in (3, 11):
-            sch = Schedule(build_matmul(128, 128, 128, dtype="float16"), seed=seed)
-            TensorCoreSketch().apply(sch)
+            sch = apply_sketch(
+                build_matmul(128, 128, 128, dtype="float16"), TensorCoreSketch(), seed=seed
+            )
             # May exceed shared memory for some samples; skip those.
             problems = verify(sch.func, SimGPU())
             if problems:
@@ -85,8 +87,9 @@ class TestSketchApplication:
             np.testing.assert_allclose(args["C"].astype(np.float32), ref, atol=0.2)
 
     def test_tensor_core_sketch_uses_all_memory_levels(self):
-        sch = Schedule(build_matmul(128, 128, 128, dtype="float16"), seed=3)
-        TensorCoreSketch().apply(sch)
+        sch = apply_sketch(
+            build_matmul(128, 128, 128, dtype="float16"), TensorCoreSketch(), seed=3
+        )
         scopes = set()
         for rv in sch.get_blocks():
             for region in sch.block_of(rv).writes:
@@ -98,8 +101,7 @@ class TestSketchApplication:
         # The tensorized sketch routes the output through an accumulator
         # write-back; the elementwise epilogue must fold into that copy.
         f = build_matmul_relu(128, dtype="float16")
-        sch = Schedule(f, seed=3)
-        TensorCoreSketch().apply(sch)
+        sch = apply_sketch(f, TensorCoreSketch(), seed=3)
         names = [rv.name for rv in sch.get_blocks()]
         assert "D" not in names  # relu collapsed into the write-back
         args = random_args(sch.func)
@@ -116,10 +118,8 @@ class TestSketchApplication:
 
         sch = None
         for seed in range(8):
-            cand = Schedule(build_matmul_relu(64), seed=seed)
             try:
-                GpuScalarSketch().apply(cand)
-                sch = cand
+                sch = apply_sketch(build_matmul_relu(64), GpuScalarSketch(), seed=seed)
                 break
             except ScheduleError:
                 continue
@@ -130,8 +130,7 @@ class TestSketchApplication:
         np.testing.assert_allclose(args["D"], ref, rtol=1e-3, atol=1e-4)
 
     def test_cpu_sdot_sketch_correct(self):
-        sch = Schedule(qgemm_func(64), seed=2)
-        CpuSdotSketch().apply(sch)
+        sch = apply_sketch(qgemm_func(64), CpuSdotSketch(), seed=2)
         assert verify(sch.func, SimCPU()) == []
         args = random_args(sch.func)
         run(sch.func, args)
@@ -139,8 +138,7 @@ class TestSketchApplication:
         np.testing.assert_array_equal(args["C"], ref)
 
     def test_cpu_scalar_sketch_correct(self):
-        sch = Schedule(build_matmul(64, 64, 64), seed=4)
-        CpuScalarSketch().apply(sch)
+        sch = apply_sketch(build_matmul(64, 64, 64), CpuScalarSketch(), seed=4)
         assert verify(sch.func, SimCPU()) == []
         args = random_args(sch.func)
         run(sch.func, args)
@@ -150,15 +148,13 @@ class TestSketchApplication:
 
 class TestCostModelFeatures:
     def test_feature_vector_shape(self):
-        sch = Schedule(build_matmul(64, 64, 64, dtype="float16"), seed=3)
-        TensorCoreSketch().apply(sch)
+        sch = apply_sketch(build_matmul(64, 64, 64, dtype="float16"), TensorCoreSketch(), seed=3)
         vec = extract_features(sch.func, SimGPU())
         assert vec.shape == (len(FEATURE_NAMES),)
         assert np.isfinite(vec).all()
 
     def test_tensorized_feature_flag(self):
-        sch = Schedule(build_matmul(64, 64, 64, dtype="float16"), seed=3)
-        TensorCoreSketch().apply(sch)
+        sch = apply_sketch(build_matmul(64, 64, 64, dtype="float16"), TensorCoreSketch(), seed=3)
         vec = extract_features(sch.func, SimGPU())
         idx = FEATURE_NAMES.index("n_tensorized")
         assert vec[idx] >= 2  # mma + fill (+ load/store intrins)
@@ -168,8 +164,9 @@ class TestCostModelFeatures:
         model = CostModel(target, min_data=8)
         funcs, cycles = [], []
         for seed in range(14):
-            sch = Schedule(build_matmul(128, 128, 128, dtype="float16"), seed=seed)
-            TensorCoreSketch().apply(sch)
+            sch = apply_sketch(
+                build_matmul(128, 128, 128, dtype="float16"), TensorCoreSketch(), seed=seed
+            )
             funcs.append(sch.func)
             cycles.append(estimate(sch.func, target).cycles)
         model.update(funcs[:10], cycles[:10])
@@ -203,7 +200,7 @@ class TestSearch:
             def applicable(self, sch):
                 return True
 
-            def apply(self, sch):
+            def apply(self, sch, state):
                 i, j, k = sch.get_loops(sch.get_block("C"))
                 sch.bind(i, "threadIdx.x")  # 4096 threads: over the limit
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.frontend import ops
 from repro.meta import CpuScalarSketch, CpuSdotSketch, GpuScalarSketch, TensorCoreSketch
-from repro.meta.search import _build_candidate
+from repro.meta.search import _build_candidate, _prefix_of
 from repro.sim import SimCPU, SimGPU
 
 from .test_bucket_replay import _oracle_matches
@@ -47,8 +47,10 @@ CASES = [
 @settings(max_examples=3, deadline=None)
 @given(seed=st.integers(0, (1 << 30) - 1))
 def test_candidate_is_oracle_equal_or_typed_rejection(build, sketch, target, seed):
-    func = build()
-    cand, rejection, _ = _build_candidate(func, sketch(), seed, None, target(), True)
+    func, sk = build(), sketch()
+    cand, rejection, _ = _build_candidate(
+        func, sk, seed, None, target(), True, _prefix_of(func, sk)
+    )
     if cand is None:
         assert re.fullmatch(r"TIR\d{3}", rejection[1]), rejection
     else:

@@ -53,9 +53,9 @@ class TestRecordingIsPassive:
         exactly the ``Sketch.apply`` calls of an unrecorded one."""
         calls = []
         for cls in SKETCHES.values():
-            def counted(self, sch, _apply=cls.apply):
+            def counted(self, sch, state, _apply=cls.apply):
                 calls.append(type(self).__name__)
-                return _apply(self, sch)
+                return _apply(self, sch, state)
             monkeypatch.setattr(cls, "apply", counted)
 
         def applies(recorder):

@@ -60,7 +60,7 @@ def _apply_recorded(sketch, make_func):
     for seed in range(16):
         sch = Schedule(make_func(), seed=seed, record_trace=True)
         try:
-            sketch.apply(sch)
+            sketch.apply(sch, sketch.prefix(sch))
         except ScheduleError:
             continue
         return sch

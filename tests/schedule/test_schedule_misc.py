@@ -75,3 +75,41 @@ class TestCopy:
         # The clone still sees the original three loops.
         assert len(clone.get_loops(clone.get_block("C"))) == 3
         assert len(sch.get_loops(sch.get_block("C"))) == 4
+
+    def test_copy_keeps_the_name_counters(self):
+        """A name the program no longer holds stays taken in a fork, so
+        continuing the fork names what continuing the parent would."""
+        sch = Schedule(build_matmul(16, 16, 16), seed=0)
+        i = sch.get_loops(sch.get_block("C"))[0]
+        sch.fuse(*sch.split(i, [None, 4]))
+        clone = sch.copy()
+        assert clone.fresh_var("i_0").name == sch.fresh_var("i_0").name == "i_0_1"
+        assert clone.fresh_block_name("C") == sch.fresh_block_name("C") == "C_1"
+
+    def test_copy_keeps_decisions_position_and_diagnostics(self):
+        sch = Schedule(build_matmul(16, 16, 16), seed=0)
+        sch.forced_decisions = [1, 2]
+        sch.sample_categorical([1, 2, 4])
+        i, _, _ = sch.get_loops(sch.get_block("C"))
+        with pytest.raises(ScheduleError):
+            sch.split(i, [None, None])
+        clone = sch.copy()
+        assert clone.decisions == sch.decisions == [1]
+        assert [d.code for d in clone.diagnostics] == [d.code for d in sch.diagnostics]
+        assert len(clone.diagnostics) == 1
+        # The fork reads the next forced decision, and owns its state.
+        assert clone.sample_categorical([1, 2, 4]) == 4
+        assert sch.decisions == [1] and clone.decisions == [1, 2]
+        with pytest.raises(ScheduleError):
+            clone.split(i, [None, None])
+        assert len(sch.diagnostics) == 1
+
+    def test_copy_records_a_trace_only_when_the_parent_does(self):
+        quiet = Schedule(build_matmul(16, 16, 16), record_trace=False)
+        assert quiet.copy().trace is None
+        loud = Schedule(build_matmul(16, 16, 16))
+        loud.split(loud.get_loops(loud.get_block("C"))[0], [None, 4])
+        clone = loud.copy()
+        clone.split(clone.get_loops(clone.get_block("C"))[0], [None, 2])
+        assert [inst.name for inst in loud.trace.instructions] == ["split"]
+        assert len(clone.trace.instructions) == 2

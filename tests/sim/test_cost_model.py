@@ -6,6 +6,7 @@ tests pin the orderings the evaluation depends on.
 
 import pytest
 
+from repro.meta.sketch import apply_sketch
 from repro.schedule import Schedule
 from repro.sim import CostModelError, PerfReport, SimCPU, SimGPU, estimate
 
@@ -15,9 +16,9 @@ from ..common import build_matmul
 def _tensorized_gemm(n, seed=0):
     from repro.meta.sketch import TensorCoreSketch
 
-    sch = Schedule(build_matmul(n, n, n, dtype="float16"), seed=seed)
-    TensorCoreSketch().apply(sch)
-    return sch.func
+    return apply_sketch(
+        build_matmul(n, n, n, dtype="float16"), TensorCoreSketch(), seed=seed
+    ).func
 
 
 def _scalar_gemm(n, seed=0):
@@ -25,10 +26,10 @@ def _scalar_gemm(n, seed=0):
     from repro.schedule import ScheduleError
 
     for s in range(seed, seed + 10):
-        sch = Schedule(build_matmul(n, n, n, dtype="float16"), seed=s)
         try:
-            GpuScalarSketch().apply(sch)
-            return sch.func
+            return apply_sketch(
+                build_matmul(n, n, n, dtype="float16"), GpuScalarSketch(), seed=s
+            ).func
         except ScheduleError:
             continue
     raise AssertionError("no valid scalar schedule found")
@@ -154,10 +155,8 @@ class TestEstimates:
                     )
             return b.finish()
 
-        sdot = Schedule(qgemm(), seed=1)
-        CpuSdotSketch().apply(sdot)
-        scalar = Schedule(qgemm(), seed=1)
-        CpuScalarSketch().apply(scalar)
+        sdot = apply_sketch(qgemm(), CpuSdotSketch(), seed=1)
+        scalar = apply_sketch(qgemm(), CpuScalarSketch(), seed=1)
         t = SimCPU()
         assert estimate(sdot.func, t).cycles < estimate(scalar.func, t).cycles
 
