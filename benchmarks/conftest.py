@@ -199,7 +199,7 @@ def cpu_graph_sessions():
 
 @pytest.fixture(scope="session")
 def net_gpu_systems() -> Dict[str, System]:
-    """Lighter trial budgets for the per-layer end-to-end sweeps."""
+    """Lighter trial budgets for the end-to-end graph sweeps."""
     return {
         "TensorIR": TensorIRSystem(trials=NETWORK_TRIALS),
         "TVM": AnsorBaseline(trials=NETWORK_TVM_TRIALS),

@@ -100,7 +100,6 @@ def main() -> int:
     ):
         check(hasattr(diagnostics, name), f"repro.diagnostics.{name} missing")
 
-    from repro.frontend import network_latency  # noqa: F401
     from repro.sim import SimCPU, SimGPU, estimate  # noqa: F401
 
     # --- the graph-fusion layer ---------------------------------------
@@ -133,15 +132,41 @@ def main() -> int:
         "per_op_overhead" in latency_params,
         "graph_latency(...per_op_overhead...) missing",
     )
-    net_latency_params = inspect.signature(frontend.network_latency).parameters
-    check(
-        "fold_fusible" in net_latency_params,
-        "network_latency(...fold_fusible...) missing",
-    )
     check(
         callable(getattr(repro.TuningSession, "add_graph", None)),
         "TuningSession.add_graph missing",
     )
+    # A network has one form, its dataflow graph: the layer tables, their
+    # builders and accounting, and the session intake for them are gone.
+    from repro.frontend import graph as graph_mod, networks as networks_mod
+
+    for module, names in (
+        (frontend, ("LayerSpec", "NetworkSpec", "network_latency", "gpu_network",
+                    "cpu_network")),
+        (frontend.ops, ("elementwise_unary",)),
+        (graph_mod, ("LayerSpec", "NetworkSpec", "network_latency")),
+        (networks_mod, ("gpu_network", "cpu_network", "GPU_NETWORKS", "CPU_NETWORKS",
+                        "resnet50", "mobilenet_v2", "bert_large", "bert_base", "vit",
+                        "_conv", "_dep", "_gemm", "_bmm", "_ew", "_softmax",
+                        "_layernorm")),
+    ):
+        for name in names:
+            check(
+                not hasattr(module, name), f"{module.__name__}.{name} must not exist"
+            )
+    check(
+        not hasattr(repro.TuningSession, "add_network"),
+        "TuningSession.add_network must not exist",
+    )
+    # Exact shape: a task is one workload; a key shared by several tasks
+    # weighs as many, so no caller passes a weight.
+    add_params = list(inspect.signature(repro.TuningSession.add).parameters)
+    check(
+        add_params == ["self", "func", "name"],
+        f"TuningSession.add takes {add_params[1:]}",
+    )
+    task_fields = list(getattr(meta.TaskReport, "__dataclass_fields__", {}))
+    check("weight" not in task_fields, "TaskReport.weight must not exist")
 
     # --- the performance layer (structural hashing + caches) ---------
     check(hasattr(repro.tir, "structural_hash"), "repro.tir.structural_hash missing")

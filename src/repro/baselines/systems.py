@@ -121,7 +121,7 @@ class TensorIRSystem(System):
         return TuneConfig(trials=self.trials, seed=seed)
 
     def compile_op(self, func: PrimFunc, target: Target, seed: int = 0) -> OpResult:
-        result = tune(func, target, TuneConfig(trials=self.trials, seed=seed))
+        result = tune(func, target, self.tune_config(seed))
         if result.best_report is None:
             raise UnsupportedWorkload(f"search found no valid program for {func.name}")
         return OpResult(
@@ -135,7 +135,7 @@ class TensorIRSystem(System):
         )
 
 
-class AnsorBaseline(System):
+class AnsorBaseline(TensorIRSystem):
     """TVM's auto-scheduler: the same search without tensorization.
 
     The search space is larger relative to the work it can express (the
@@ -147,28 +147,10 @@ class AnsorBaseline(System):
     name = "TVM"
 
     def __init__(self, trials: int = 48):
-        self.trials = trials
+        super().__init__(trials)
 
     def tune_config(self, seed: int = 0) -> TuneConfig:
-        return TuneConfig(trials=self.trials, seed=seed, allow_tensorize=False)
-
-    def compile_op(self, func: PrimFunc, target: Target, seed: int = 0) -> OpResult:
-        result = tune(
-            func,
-            target,
-            TuneConfig(trials=self.trials, seed=seed, allow_tensorize=False),
-        )
-        if result.best_report is None:
-            raise UnsupportedWorkload(f"search found no valid program for {func.name}")
-        return OpResult(
-            self.name,
-            func.name,
-            result.best_cycles,
-            result.best_report.seconds,
-            tuning_seconds=result.tuning_seconds,
-            trials=result.stats.measured,
-            note=result.best_sketch or "",
-        )
+        return super().tune_config(seed).with_(allow_tensorize=False)
 
 
 class AmosBaseline(System):

@@ -14,16 +14,8 @@ from .fuse import (
     run_graph,
     run_plan,
 )
-from .graph import (
-    Graph,
-    GraphError,
-    LayerSpec,
-    NetworkSpec,
-    OpNode,
-    TensorNode,
-    network_latency,
-)
-from .networks import cpu_graph, cpu_network, gpu_graph, gpu_network
+from .graph import Graph, GraphError, OpNode, TensorNode
+from .networks import cpu_graph, gpu_graph
 from .shapes import (
     BucketedWorkload,
     BucketSpec,
@@ -37,9 +29,6 @@ from .workloads import CPU_WORKLOADS, GPU_WORKLOADS, cpu_workload, gpu_workload
 
 __all__ = [
     "ops",
-    "LayerSpec",
-    "NetworkSpec",
-    "network_latency",
     "Graph",
     "GraphError",
     "OpNode",
@@ -55,8 +44,6 @@ __all__ = [
     "random_graph_inputs",
     "run_graph",
     "run_plan",
-    "gpu_network",
-    "cpu_network",
     "gpu_graph",
     "cpu_graph",
     "GPU_WORKLOADS",

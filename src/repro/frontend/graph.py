@@ -1,115 +1,29 @@
-"""Operator-graph layer for end-to-end evaluation (§5.2).
+"""Dataflow graphs for end-to-end evaluation (§5.2).
 
-Two representations live here:
-
-* The *layer list*: a network is a list of :class:`LayerSpec`
-  (name, PrimFunc builder, count) entries and end-to-end latency is the
-  per-layer sum.  ``network_latency(fold_fusible=True)`` zero-costs
-  fusible layers, an accounting model used for baseline rows.
-
-* The *dataflow graph*: :class:`Graph` holds :class:`OpNode` /
-  :class:`TensorNode` nodes with actual producer→consumer edges, built
-  from the same ``frontend.ops`` builders.  :mod:`repro.frontend.fuse`
-  partitions a graph into anchor+prologue/epilogue groups and lowers
-  each group to a single fused :class:`~repro.tir.PrimFunc`, so fused
-  latency comes from *measured* fused programs.
+A network is a :class:`Graph` of :class:`OpNode` / :class:`TensorNode`
+nodes with actual producer→consumer edges, built from the
+``frontend.ops`` builders.  :mod:`repro.frontend.fuse` partitions a
+graph into anchor+prologue/epilogue groups and lowers each group to a
+single fused :class:`~repro.tir.PrimFunc`, so every end-to-end number —
+latency (Figures 12/14) and tuning time (Table 1) — comes from the
+measured fused programs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..diagnostics import DiagnosticError
-from ..tir import PrimFunc, structural_hash
+from ..tir import PrimFunc
 
-__all__ = [
-    "LayerSpec",
-    "NetworkSpec",
-    "network_latency",
-    "GraphError",
-    "TensorNode",
-    "OpNode",
-    "Graph",
-]
+__all__ = ["GraphError", "TensorNode", "OpNode", "Graph"]
 
 
 class GraphError(DiagnosticError):
     """Graph construction or fusion-legality failure (``TIR6xx``)."""
 
     default_code = "TIR604"
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """One layer kind in a network."""
-
-    name: str
-    builder: Callable[[], PrimFunc]
-    count: int = 1
-    #: elementwise layers can be fused into their producer by engines
-    #: with graph-level fusion.
-    fusible: bool = False
-
-
-@dataclass
-class NetworkSpec:
-    name: str
-    layers: List[LayerSpec]
-
-    def unique_layers(self) -> List[LayerSpec]:
-        """Layers deduplicated by workload identity (structural hash of
-        the built PrimFunc); counts of merged duplicates accumulate onto
-        the first occurrence."""
-        order: List[str] = []
-        merged: Dict[str, LayerSpec] = {}
-        for layer in self.layers:
-            key = "%016x" % structural_hash(layer.builder())
-            if key in merged:
-                prev = merged[key]
-                merged[key] = replace(prev, count=prev.count + layer.count)
-            else:
-                order.append(key)
-                merged[key] = layer
-        return [merged[k] for k in order]
-
-    def total_ops(self) -> int:
-        return sum(layer.count for layer in self.layers)
-
-
-def network_latency(
-    net: NetworkSpec,
-    op_latency,
-    per_op_overhead: float = 0.0,
-    fold_fusible: bool = False,
-) -> float:
-    """End-to-end latency in seconds.
-
-    ``op_latency`` maps a layer to one invocation's latency.  It is
-    either a callable ``layer -> seconds`` or a tuned
-    :class:`~repro.meta.session.SessionReport` whose task names match
-    the layer names (the default path: tune the network once with a
-    ``TuningSession``, then aggregate here).
-
-    ``fold_fusible`` zero-costs layers marked fusible — an *accounting
-    model* of a fusing engine (TensorRT-like) used for baseline rows.
-    Real measured fusion lives in :func:`repro.frontend.fuse.fuse_graph`
-    / :func:`~repro.frontend.fuse.graph_latency`.
-    """
-    if not callable(op_latency):
-        report = op_latency
-        op_latency = lambda layer: report.seconds_for(layer.name)  # noqa: E731
-    total = 0.0
-    for layer in net.layers:
-        if fold_fusible and layer.fusible:
-            continue
-        total += layer.count * (op_latency(layer) + per_op_overhead)
-    return total
-
-
-# --------------------------------------------------------------------------
-# Dataflow graph
-# --------------------------------------------------------------------------
 
 
 @dataclass

@@ -1,27 +1,25 @@
-"""Network definitions for the end-to-end evaluation (§5.2 / §5.3).
+"""The §5 networks as dataflow graphs (§5.2 / §5.3).
 
-Layer tables (representative, batch 1) for the four GPU models —
-ResNet-50, MobileNet-V2, BERT-large and ViT — and the int8 CPU variants.
-The paper imports these models from frameworks; the evaluation only
-needs the operator multiset, which we encode directly.  Spatial inputs
-are pre-padded (+2 for 3x3 convs).  Elementwise/normalisation layers
-are marked ``fusible``: engines with graph-level fusion (TensorRT-like)
-fold them into producers.
+ResNet-50, MobileNet-V2, BERT-large and ViT (float16, Figure 12 and
+Table 1) and the int8 ResNet-50, MobileNet-V2 and BERT-base (Figure 14),
+batch 1.  The paper imports these models from frameworks; here each is
+built from the ``frontend.ops`` builders as a real producer→consumer
+:class:`~repro.frontend.graph.Graph`.  Compute layers
+(conv/matmul/softmax/layer_norm) are wired through the elementwise glue
+— bias adds, activations, residual adds, requantisation casts — that
+:func:`repro.frontend.fuse.fuse_graph` folds into its anchors.  Shape
+parameters are overridable so tests can build miniature instances with
+the identical topology.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import ops
-from .graph import Graph, LayerSpec, NetworkSpec, TensorNode
+from .graph import Graph, TensorNode
 
 __all__ = [
-    "gpu_network",
-    "cpu_network",
-    "GPU_NETWORKS",
-    "CPU_NETWORKS",
     "resnet50_graph",
     "mobilenet_v2_graph",
     "bert_large_graph",
@@ -32,160 +30,6 @@ __all__ = [
     "GPU_GRAPHS",
     "CPU_GRAPHS",
 ]
-
-
-def _conv(name, h, ci, co, k, count, stride=1, dtype="float16", acc=None):
-    pad = h + (k - 1)
-    return LayerSpec(
-        name,
-        partial(
-            ops.conv2d, 1, pad, pad, ci, co, k, k, stride=stride, dtype=dtype,
-            acc_dtype=acc, name=name,
-        ),
-        count,
-    )
-
-
-def _dep(name, h, c, k, count, stride=1, dtype="float16", acc=None):
-    pad = h + (k - 1)
-    return LayerSpec(
-        name,
-        partial(ops.depthwise_conv2d, 1, pad, pad, c, k, k, stride=stride, dtype=dtype, acc_dtype=acc),
-        count,
-    )
-
-
-def _gemm(name, n, m, k, count, dtype="float16", acc=None):
-    return LayerSpec(name, partial(ops.matmul, n, m, k, dtype=dtype, acc_dtype=acc), count)
-
-
-def _bmm(name, b, n, m, k, count, dtype="float16", acc=None):
-    return LayerSpec(
-        name, partial(ops.batch_matmul, b, n, m, k, dtype=dtype, acc_dtype=acc), count
-    )
-
-
-def _ew(name, numel, count, op="relu", dtype="float16"):
-    return LayerSpec(
-        name, partial(ops.elementwise_unary, (numel,), op, dtype, name), count, fusible=True
-    )
-
-
-def _softmax(name, n, m, count):
-    return LayerSpec(name, partial(ops.softmax, n, m, "float32"), count)
-
-
-def _layernorm(name, n, m, count):
-    return LayerSpec(name, partial(ops.layer_norm, n, m, "float32"), count, fusible=True)
-
-
-def resnet50(dtype: str = "float16", acc=None) -> NetworkSpec:
-    layers = [
-        _conv("stem7x7", 112, 16, 64, 7, 1, dtype=dtype, acc=acc),  # 7x7/2 folded to 112 out
-        _conv("c2_3x3", 56, 64, 64, 3, 3, dtype=dtype, acc=acc),
-        _conv("c2_1x1_up", 56, 64, 256, 1, 3, dtype=dtype, acc=acc),
-        _conv("c2_1x1_down", 56, 256, 64, 1, 3, dtype=dtype, acc=acc),
-        _conv("c3_3x3", 28, 128, 128, 3, 4, dtype=dtype, acc=acc),
-        _conv("c3_1x1_up", 28, 128, 512, 1, 4, dtype=dtype, acc=acc),
-        _conv("c3_1x1_down", 28, 512, 128, 1, 4, dtype=dtype, acc=acc),
-        _conv("c4_3x3", 14, 256, 256, 3, 6, dtype=dtype, acc=acc),
-        _conv("c4_1x1_up", 14, 256, 1024, 1, 6, dtype=dtype, acc=acc),
-        _conv("c4_1x1_down", 14, 1024, 256, 1, 6, dtype=dtype, acc=acc),
-        _conv("c5_3x3", 7, 512, 512, 3, 3, dtype=dtype, acc=acc),
-        _conv("c5_1x1_up", 7, 512, 2048, 1, 3, dtype=dtype, acc=acc),
-        _conv("c5_1x1_down", 7, 2048, 512, 1, 3, dtype=dtype, acc=acc),
-        _gemm("fc", 16, 1000, 2048, 1, dtype=dtype, acc=acc),
-        _ew("relu56", 56 * 56 * 256, 16, dtype=dtype),
-        _ew("relu28", 28 * 28 * 512, 16, dtype=dtype),
-        _ew("relu14", 14 * 14 * 1024, 17, dtype=dtype),
-    ]
-    return NetworkSpec("ResNet-50", layers)
-
-
-def mobilenet_v2(dtype: str = "float16", acc=None) -> NetworkSpec:
-    layers = [
-        _conv("stem", 112, 16, 32, 3, 1, stride=1, dtype=dtype, acc=acc),
-        _dep("dep112", 112, 32, 3, 1, dtype=dtype, acc=acc),
-        _conv("pw112", 112, 32, 16, 1, 1, dtype=dtype, acc=acc),
-        _conv("exp56a", 56, 16, 96, 1, 1, dtype=dtype, acc=acc),
-        _dep("dep56", 56, 96, 3, 3, dtype=dtype, acc=acc),
-        _conv("proj56", 56, 96, 32, 1, 3, dtype=dtype, acc=acc),
-        _conv("exp28", 28, 32, 192, 1, 3, dtype=dtype, acc=acc),
-        _dep("dep28", 28, 192, 3, 3, dtype=dtype, acc=acc),
-        _conv("proj28", 28, 192, 32, 1, 3, dtype=dtype, acc=acc),
-        _conv("exp14", 14, 64, 384, 1, 7, dtype=dtype, acc=acc),
-        _dep("dep14", 14, 384, 3, 7, dtype=dtype, acc=acc),
-        _conv("proj14", 14, 384, 64, 1, 7, dtype=dtype, acc=acc),
-        _conv("exp7", 7, 160, 960, 1, 3, dtype=dtype, acc=acc),
-        _dep("dep7", 7, 960, 3, 3, dtype=dtype, acc=acc),
-        _conv("proj7", 7, 960, 160, 1, 3, dtype=dtype, acc=acc),
-        _conv("head", 7, 320, 1280, 1, 1, dtype=dtype, acc=acc),
-        _gemm("fc", 16, 1000, 1280, 1, dtype=dtype, acc=acc),
-        _ew("relu6_big", 112 * 112 * 96, 4, dtype=dtype),
-        _ew("relu6_mid", 28 * 28 * 192, 13, dtype=dtype),
-        _ew("relu6_small", 14 * 14 * 384, 17, dtype=dtype),
-    ]
-    return NetworkSpec("MobileNet-V2", layers)
-
-
-def bert_large(dtype: str = "float16", acc=None, seq: int = 384, layers_n: int = 24) -> NetworkSpec:
-    hidden, heads = 1024, 16
-    head_dim = hidden // heads
-    layers = [
-        _gemm("qkv_out_proj", seq, hidden, hidden, 4 * layers_n, dtype=dtype, acc=acc),
-        _gemm("ffn_up", seq, 4 * hidden, hidden, layers_n, dtype=dtype, acc=acc),
-        _gemm("ffn_down", seq, hidden, 4 * hidden, layers_n, dtype=dtype, acc=acc),
-        _bmm("attn_qk", heads, seq, seq, head_dim, layers_n, dtype=dtype, acc=acc),
-        _bmm("attn_v", heads, seq, head_dim, seq, layers_n, dtype=dtype, acc=acc),
-        _softmax("attn_softmax", heads * seq, seq, layers_n),
-        _layernorm("layernorm", seq, hidden, 2 * layers_n),
-        _ew("gelu", seq * 4 * hidden, layers_n, op="gelu", dtype=dtype),
-    ]
-    return NetworkSpec("BERT-large", layers)
-
-
-def bert_base(dtype: str = "int8", acc="int32", seq: int = 128, layers_n: int = 12) -> NetworkSpec:
-    hidden, heads = 768, 12
-    head_dim = hidden // heads
-    layers = [
-        _gemm("qkv_out_proj", seq, hidden, hidden, 4 * layers_n, dtype=dtype, acc=acc),
-        _gemm("ffn_up", seq, 4 * hidden, hidden, layers_n, dtype=dtype, acc=acc),
-        _gemm("ffn_down", seq, hidden, 4 * hidden, layers_n, dtype=dtype, acc=acc),
-        _bmm("attn_qk", heads, seq, seq, head_dim, layers_n, dtype=dtype, acc=acc),
-        _bmm("attn_v", heads, seq, head_dim, seq, layers_n, dtype=dtype, acc=acc),
-        _softmax("attn_softmax", heads * seq, seq, layers_n),
-        _layernorm("layernorm", seq, hidden, 2 * layers_n),
-    ]
-    return NetworkSpec("BERT-base", layers)
-
-
-def vit(dtype: str = "float16", acc=None, seq: int = 196, layers_n: int = 12) -> NetworkSpec:
-    hidden, heads = 768, 12
-    head_dim = hidden // heads
-    layers = [
-        _gemm("patch_embed", seq, hidden, 768, 1, dtype=dtype, acc=acc),
-        _gemm("qkv_out_proj", seq, hidden, hidden, 4 * layers_n, dtype=dtype, acc=acc),
-        _gemm("mlp_up", seq, 4 * hidden, hidden, layers_n, dtype=dtype, acc=acc),
-        _gemm("mlp_down", seq, hidden, 4 * hidden, layers_n, dtype=dtype, acc=acc),
-        _bmm("attn_qk", heads, seq, seq, head_dim, layers_n, dtype=dtype, acc=acc),
-        _bmm("attn_v", heads, seq, head_dim, seq, layers_n, dtype=dtype, acc=acc),
-        _softmax("attn_softmax", heads * seq, seq, layers_n),
-        _layernorm("layernorm", seq, hidden, 2 * layers_n),
-        _ew("gelu", seq * 4 * hidden, layers_n, op="gelu", dtype=dtype),
-    ]
-    return NetworkSpec("ViT", layers)
-
-
-# --------------------------------------------------------------------------
-# Dataflow-graph builders
-#
-# The same networks as real producer→consumer graphs.  Compute layers
-# (conv/matmul/softmax/layer_norm) are wired through the elementwise
-# glue — bias adds, activations, residual adds, requantisation casts —
-# that :func:`repro.frontend.fuse.fuse_graph` folds into its anchors.
-# Shape parameters are overridable so tests can build miniature
-# instances with the identical topology.
-# --------------------------------------------------------------------------
 
 
 def _requant(g: Graph, t: TensorNode, dtype: str, acc: Optional[str]) -> TensorNode:
@@ -399,7 +243,8 @@ CPU_GRAPHS: Dict[str, Graph] = {}
 
 
 def gpu_graph(name: str) -> Graph:
-    """The fig. 12 networks as dataflow graphs (float16), cached."""
+    """The fig. 12 and Table 1 networks as dataflow graphs (float16),
+    cached."""
     builders = {
         "ResNet-50": resnet50_graph,
         "MobileNet-V2": mobilenet_v2_graph,
@@ -421,30 +266,3 @@ def cpu_graph(name: str) -> Graph:
     if name not in CPU_GRAPHS:
         CPU_GRAPHS[name] = builders[name]()
     return CPU_GRAPHS[name]
-
-
-GPU_NETWORKS: Dict[str, NetworkSpec] = {}
-CPU_NETWORKS: Dict[str, NetworkSpec] = {}
-
-
-def gpu_network(name: str) -> NetworkSpec:
-    builders = {
-        "ResNet-50": lambda: resnet50(),
-        "MobileNet-V2": lambda: mobilenet_v2(),
-        "BERT-large": lambda: bert_large(),
-        "ViT": lambda: vit(),
-    }
-    if name not in GPU_NETWORKS:
-        GPU_NETWORKS[name] = builders[name]()
-    return GPU_NETWORKS[name]
-
-
-def cpu_network(name: str) -> NetworkSpec:
-    builders = {
-        "ResNet-50": lambda: resnet50(dtype="int8", acc="int32"),
-        "MobileNet-V2": lambda: mobilenet_v2(dtype="int8", acc="int32"),
-        "BERT-base": lambda: bert_base(),
-    }
-    if name not in CPU_NETWORKS:
-        CPU_NETWORKS[name] = builders[name]()
-    return CPU_NETWORKS[name]

@@ -26,7 +26,6 @@ __all__ = [
     "depthwise_conv2d",
     "group_conv2d",
     "conv2d_transposed",
-    "elementwise_unary",
     "elementwise",
     "bias_add",
     "requantize",
@@ -451,29 +450,6 @@ def min_expr_(a, b):
     return min_expr(a, b)
 
 
-def elementwise_unary(
-    shape: Sequence[int], op: str = "relu", dtype: str = "float16", name: Optional[str] = None
-) -> PrimFunc:
-    """Unary elementwise op over a flat view of ``shape``."""
-    total = 1
-    for s in shape:
-        total *= s
-    b = IRBuilder(name or op)
-    A = b.arg_buffer("A", (total,), dtype)
-    C = b.arg_buffer("C", (total,), dtype)
-    with b.grid(total) as i:
-        with b.block(op) as blk:
-            vi = blk.spatial(total, i)
-            if op == "relu":
-                value = max_expr(A[vi], const(0, dtype))
-            elif op == "gelu":
-                value = A[vi] * call("sigmoid", A[vi] * 1.702, dtype=dtype)
-            else:
-                value = call(op, A[vi], dtype=dtype)
-            b.store(C, (vi,), value)
-    return b.finish().with_attrs(op="elementwise")
-
-
 def _ew_value(op: str, a, dtype: str):
     """The scalar expression for one elementwise ``op`` applied to ``a``."""
     if op == "identity":
@@ -496,7 +472,7 @@ def _spatial_idx(blk, shape, ivs):
 def elementwise(
     shape: Sequence[int], op: str = "relu", dtype: str = "float16", name: Optional[str] = None
 ) -> PrimFunc:
-    """Unary elementwise op preserving ``shape`` (the fusible ND form)."""
+    """Unary elementwise op preserving ``shape``, so fusible as an epilogue."""
     shape = tuple(shape)
     b = IRBuilder(name or op)
     A = b.arg_buffer("A", shape, dtype)

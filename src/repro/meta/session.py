@@ -1,8 +1,9 @@
 """Multi-workload tuning orchestration: the §5.2 evaluation loop as a
 first-class subsystem.
 
-A :class:`TuningSession` takes a set of workloads (or a whole
-``NetworkSpec``), deduplicates them by :func:`~repro.meta.database.workload_key`,
+A :class:`TuningSession` takes a set of workloads (or every fusion
+group of a dataflow graph), deduplicates them by
+:func:`~repro.meta.database.workload_key`,
 searches the unique ones (in parallel, see below), and replays
 every duplicate from the shared
 :class:`~repro.meta.database.TuningDatabase` instead of re-searching —
@@ -15,8 +16,9 @@ step: replay the record (adaptively at an in-bucket shape), else, for
 an in-bucket shape where it is infeasible, :func:`fallback_tune` — the
 fresh tune the schedule server falls back through too.  Given a total
 trial budget, it allocates trials across tasks
-proportionally to each layer's estimated cost share (heavy layers get
-the search time; a 1x1 conv does not get a GEMM's budget).
+proportionally to each workload's estimated cost share, counted once
+per task that shares it (heavy workloads get the search time; a 1x1
+conv does not get a GEMM's budget).
 
 The distinct searches run in parallel, one whole ``tune()`` per worker
 process, on a fork pool made for the run and closed before it returns;
@@ -70,7 +72,6 @@ from .telemetry import Span, Telemetry
 from .tune import replay_result, tune
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..frontend.graph import NetworkSpec
     from ..frontend.shapes import BucketedWorkload, BucketSpec
 
 __all__ = ["TuningSession", "SessionReport", "TaskReport", "estimated_cost"]
@@ -186,7 +187,6 @@ def _search_width(searches: int) -> int:
 class _Task:
     name: str
     func: PrimFunc
-    weight: float
     key: str = ""
     #: the shape-bucket mapping when the session runs with a
     #: :class:`~repro.frontend.shapes.BucketSpec` — ``None`` otherwise.
@@ -208,7 +208,6 @@ class TaskReport:
     name: str
     key: str
     status: str  # "searched" | "replayed" | "failed"
-    weight: float
     sketch: Optional[str] = None
     cycles: Optional[float] = None
     seconds: Optional[float] = None
@@ -285,7 +284,7 @@ class TuningSession:
 
     >>> session = TuningSession(SimGPU(), TuneConfig(trials=16))
     >>> session.add(ops.matmul(512, 512, 512), name="gemm")
-    >>> session.add_network(gpu_network("ResNet-50"))
+    >>> session.add_graph(fuse_graph(gpu_graph("ResNet-50")))
     >>> report = session.run()
     >>> report.tuning_seconds, report.totals["tasks_replayed"]
     """
@@ -327,7 +326,7 @@ class TuningSession:
         return self.recorder.save(path, telemetry=self.telemetry)
 
     # -- workload intake -----------------------------------------------
-    def add(self, func: PrimFunc, name: Optional[str] = None, weight: float = 1.0) -> str:
+    def add(self, func: PrimFunc, name: Optional[str] = None) -> str:
         """Register one workload; returns the (unique) task name."""
         base = name or func.name
         task_name = base
@@ -336,17 +335,8 @@ class TuningSession:
         while task_name in existing:
             suffix += 1
             task_name = f"{base}#{suffix}"
-        self._tasks.append(_Task(task_name, func, weight))
+        self._tasks.append(_Task(task_name, func))
         return task_name
-
-    def add_network(self, net: "NetworkSpec", include_fusible: bool = True) -> List[str]:
-        """Register every layer of a network (weight = occurrence count)."""
-        names = []
-        for layer in net.layers:
-            if not include_fusible and layer.fusible:
-                continue
-            names.append(self.add(layer.builder(), name=layer.name, weight=layer.count))
-        return names
 
     def add_graph(self, plan_or_graph, fuse: bool = True) -> List[str]:
         """Register one task per fusion group of a dataflow graph.
@@ -367,14 +357,14 @@ class TuningSession:
 
     # -- budget allocation ---------------------------------------------
     def _allocate(
-        self, uniques: List[_Task], weights: Dict[str, float], total_trials: Optional[int]
+        self, uniques: List[_Task], shares: Counter, total_trials: Optional[int]
     ) -> Dict[str, int]:
         """Trials per unique workload key: proportional to estimated
-        cost x occurrence weight when a total budget is given, else
-        ``config.trials`` each."""
+        cost x the number of tasks sharing the key when a total budget
+        is given, else ``config.trials`` each."""
         if total_trials is None:
             return {t.key: self.config.trials for t in uniques}
-        costs = {t.key: estimated_cost(t.search_func) * weights[t.key] for t in uniques}
+        costs = {t.key: estimated_cost(t.search_func) * shares[t.key] for t in uniques}
         total_cost = sum(costs.values()) or 1.0
         return {
             key: max(MIN_TRIALS_PER_TASK, round(total_trials * cost / total_cost))
@@ -449,13 +439,12 @@ class TuningSession:
                 # so the whole family dedups into one search.
                 task.key = workload_key(task.search_func, self.target)
             uniques: List[_Task] = []
-            weights: Dict[str, float] = {}
+            shares: Counter = Counter()
             for task in self._tasks:
-                if task.key not in weights:
-                    weights[task.key] = 0.0
+                if task.key not in shares:
                     uniques.append(task)
-                weights[task.key] += task.weight
-            budgets = self._allocate(uniques, weights, total_trials)
+                shares[task.key] += 1
+            budgets = self._allocate(uniques, shares, total_trials)
 
         to_search = [t for t in uniques if self.database.get(t.key) is None]
         reports: Dict[str, TaskReport] = {}
@@ -470,7 +459,7 @@ class TuningSession:
                 result = outcome.result
                 if result is None:
                     reports[task.name] = TaskReport(
-                        task.name, task.key, "failed", task.weight,
+                        task.name, task.key, "failed",
                         trials_allocated=trials, error=outcome.error,
                     )
                     continue
@@ -478,7 +467,7 @@ class TuningSession:
                 self.results[task.name] = result
                 if result.best_sketch is None or result.best_decisions is None:
                     reports[task.name] = TaskReport(
-                        task.name, task.key, "failed", task.weight,
+                        task.name, task.key, "failed",
                         trials_allocated=trials,
                         measured=result.stats.measured,
                         tuning_seconds=result.tuning_seconds,
@@ -501,7 +490,7 @@ class TuningSession:
                     )
                     continue
                 reports[task.name] = TaskReport(
-                    task.name, task.key, "searched", task.weight,
+                    task.name, task.key, "searched",
                     sketch=result.best_sketch,
                     cycles=result.best_cycles,
                     seconds=result.best_report.seconds,
@@ -519,7 +508,7 @@ class TuningSession:
             if entry is None:
                 searched = reports.get(self._name_for_key(task.key))
                 reports[task.name] = TaskReport(
-                    task.name, task.key, "failed", task.weight,
+                    task.name, task.key, "failed",
                     error=searched.error if searched else "no database record",
                 )
                 continue
@@ -641,20 +630,20 @@ class TuningSession:
                     )
                 except Exception as err:  # noqa: BLE001 — per-task isolation
                     return TaskReport(
-                        task.name, task.key, "failed", task.weight,
+                        task.name, task.key, "failed",
                         trials_allocated=trials, error=str(err),
                     )
                 rejected.update(fresh.stats.rejected_by_code)
         if result is None:
             return TaskReport(
-                task.name, task.key, "failed", task.weight,
+                task.name, task.key, "failed",
                 error=f"stored record for {task.key} (sketch {entry.sketch!r}) "
                 f"did not replay",
             )
         self.results[task.name] = result
         searches = [r for r in (searched, fresh) if r is not None]
         return TaskReport(
-            task.name, task.key, "searched" if searches else "replayed", task.weight,
+            task.name, task.key, "searched" if searches else "replayed",
             sketch=result.best_sketch,
             cycles=result.best_cycles,
             seconds=result.best_report.seconds,

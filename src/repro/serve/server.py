@@ -25,7 +25,9 @@ server keeps), the pending depth in :meth:`health`, memo-cache activity
 in :mod:`repro.cache`, recovered database lines in the database's
 ``diagnostics``, and each request leaves a span in the server's
 :class:`~repro.meta.telemetry.Telemetry`.  Every waiter is resolved:
-a failure while serving one waiter fails that waiter alone.
+a failure while serving one waiter fails that waiter alone, and a
+tuning run that raises anything, ``SystemExit`` included, fails its
+batch's waiters while the miss worker keeps draining.
 """
 
 from __future__ import annotations
@@ -269,7 +271,10 @@ class ScheduleServer:
                 batch.append(nxt)
             try:
                 self._tune_batch(batch)
-            except Exception as err:  # noqa: BLE001 — the worker must survive
+            except BaseException as err:  # noqa: BLE001 — the worker must survive
+                # Not re-raised, ``SystemExit`` included: this thread is
+                # the server's one miss worker, and ending it would leave
+                # every later miss waiting until ``close()``.
                 self._fail_batch(batch, err)
             if stop:
                 return
@@ -328,7 +333,7 @@ class ScheduleServer:
             for index, (future, request) in enumerate(pending.waiters):
                 try:
                     response = self._serve_waiter(key, entry, task, index, request)
-                except Exception as err:  # noqa: BLE001 — fails this waiter only
+                except BaseException as err:  # noqa: BLE001 — fails this waiter only
                     self._fail(future, err)
                 else:
                     future.set_result(response)
@@ -371,14 +376,21 @@ class ScheduleServer:
             raise RuntimeError(f"replay failed for workload {key}")
         return response
 
-    def _fail(self, future: Future, err: Exception) -> None:
-        """Resolve one waiter with ``err`` and count the failure."""
+    def _fail(self, future: Future, err: BaseException) -> None:
+        """Resolve one waiter with ``err`` and count the failure.  A
+        ``SystemExit`` or other non-``Exception`` reaches the waiter as
+        a ``RuntimeError`` chained from it, never raised as itself in a
+        client thread."""
+        if not isinstance(err, Exception):
+            failure = RuntimeError(f"tuning aborted: {type(err).__name__}: {err}")
+            failure.__cause__ = err
+            err = failure
         with self._lock:
             self._stats.failures += 1
         if not future.done():
             future.set_exception(err)
 
-    def _fail_batch(self, keys: List[str], err: Exception) -> None:
+    def _fail_batch(self, keys: List[str], err: BaseException) -> None:
         for key in keys:
             with self._lock:
                 pending = self._pending.pop(key, None)

@@ -12,7 +12,9 @@ from repro.baselines import (
     TorchLikeFramework,
     UnsupportedWorkload,
 )
-from repro.frontend import ops
+from repro.frontend import fuse_graph, ops
+from repro.frontend.networks import bert_large_graph
+from repro.meta import TuningSession, tune
 from repro.sim import SimCPU, SimGPU
 
 
@@ -35,6 +37,23 @@ class TestGpuSystems:
     def test_tvm_never_tensorizes(self, gemm):
         r = AnsorBaseline(trials=8).compile_op(gemm, SimGPU(), seed=0)
         assert r.note == "gpu-scalar"
+
+    def test_compile_op_tunes_with_the_table1_config(self):
+        """Both searching systems compile an op with ``tune_config(seed)``,
+        the config Table 1's sessions use, and TVM's differs from
+        TensorIR's only in forbidding tensorization."""
+        func = ops.matmul(64, 64, 64)
+        tir, tvm = TensorIRSystem(trials=4), AnsorBaseline(trials=4)
+        assert tvm.tune_config(3) == tir.tune_config(3).with_(allow_tensorize=False)
+        for system in (tir, tvm):
+            op = system.compile_op(func, SimGPU(), seed=3)
+            direct = tune(func, SimGPU(), system.tune_config(3))
+            assert (op.cycles, op.tuning_seconds, op.trials, op.note) == (
+                direct.best_cycles,
+                direct.tuning_seconds,
+                direct.stats.measured,
+                direct.best_sketch,
+            )
 
     def test_tensorir_beats_tvm(self):
         # Large enough that compute dominates launch overheads.
@@ -97,3 +116,32 @@ class TestCpuSystems:
         tir = TensorIRSystem(trials=8).compile_op(qgemm, SimCPU(), seed=0)
         assert torch.note == "no-sdot"
         assert torch.cycles > tir.cycles
+
+
+class TestTable1Path:
+    """Table 1's call on a miniature fused BERT-large graph: each system
+    tunes the graph's unique fused groups through a session of its own,
+    with the 2:1 trial ratio of the bench."""
+
+    def test_both_systems_tune_the_same_unique_fused_groups(self):
+        plan = fuse_graph(bert_large_graph(seq=16, hidden=32, heads=2, layers_n=1))
+        reports = {}
+        for system in (AnsorBaseline(trials=4), TensorIRSystem(trials=2)):
+            session = TuningSession(SimGPU(), system.tune_config())
+            session.add_graph(plan)
+            reports[system.name] = session.run()
+        searched = {
+            name: [(t.name, t.key) for t in report.tasks if t.status == "searched"]
+            for name, report in reports.items()
+        }
+        assert searched["TVM"] == searched["TensorIR"]
+        unique = {t.key for t in reports["TVM"].tasks}
+        assert len(searched["TVM"]) == len(unique) < len(plan.groups)
+        for report in reports.values():
+            assert len(report.tasks) == len(plan.groups)
+            assert report.totals["tasks_failed"] == 0
+            assert report.tuning_seconds == pytest.approx(
+                sum(t.tuning_seconds for t in report.tasks), rel=1e-9
+            )
+        assert {t.sketch for t in reports["TVM"].tasks} == {"gpu-scalar"}
+        assert "tensor-core" in {t.sketch for t in reports["TensorIR"].tasks}

@@ -18,6 +18,7 @@ from repro.frontend.networks import (
     bert_base_graph,
     bert_large_graph,
     cpu_graph,
+    gpu_graph,
     mobilenet_v2_graph,
     resnet50_graph,
     vit_graph,
@@ -312,6 +313,20 @@ class TestFullNetworkGraphs:
         unfused = {workload_key(op.func, target) for op in g.ops}
         fused = {workload_key(compose_group(grp), target) for grp in plan.groups}
         assert len(fused) <= 0.8 * len(unfused), (len(fused), len(unfused))
+
+    def test_table1_task_sets_are_the_documented_unique_groups(self):
+        """Table 1 searches each Figure 12 graph's unique fused groups;
+        EXPERIMENTS cites these counts beside its rows."""
+        from repro.meta.database import workload_key
+
+        target = SimGPU()
+        unique = {}
+        for name in ("ResNet-50", "MobileNet-V2", "BERT-large", "ViT"):
+            funcs = fuse_graph(gpu_graph(name)).lower()
+            unique[name] = len({workload_key(f, target) for f in funcs})
+        assert unique == {
+            "ResNet-50": 21, "MobileNet-V2": 43, "BERT-large": 11, "ViT": 12,
+        }
 
 
 class TestFusedTensorize:

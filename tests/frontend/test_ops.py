@@ -166,11 +166,11 @@ class TestConvs:
 
 class TestElementwiseAndNorms:
     def test_relu(self):
-        func = ops.elementwise_unary((64,), "relu", "float32")
+        func = ops.elementwise((64,), "relu", "float32")
         _check(func, lambda a: np.maximum(a["A"].astype(np.float64), 0))
 
     def test_gelu_close_to_reference(self):
-        func = ops.elementwise_unary((64,), "gelu", "float32")
+        func = ops.elementwise((64,), "gelu", "float32")
         args = random_args(func)
         run(func, args)
         x = args["A"].astype(np.float64)
@@ -221,44 +221,3 @@ class TestWorkloadsAndNetworks:
 
         for name, fn in CPU_WORKLOADS.items():
             assert verify(fn()) == [], name
-
-    def test_networks_enumerate(self):
-        from repro.frontend import cpu_network, gpu_network
-
-        for name in ("ResNet-50", "MobileNet-V2", "BERT-large", "ViT"):
-            net = gpu_network(name)
-            assert net.total_ops() > 10
-        for name in ("ResNet-50", "MobileNet-V2", "BERT-base"):
-            net = cpu_network(name)
-            assert net.total_ops() > 10
-
-    def test_network_latency_composition(self):
-        from repro.frontend import gpu_network, network_latency
-
-        net = gpu_network("BERT-large")
-        flat = network_latency(net, lambda layer: 1e-3)
-        fused = network_latency(net, lambda layer: 1e-3, fold_fusible=True)
-        overhead = network_latency(net, lambda layer: 1e-3, per_op_overhead=1e-3)
-        assert fused < flat < overhead
-
-    def test_unique_layers_dedup_by_workload_identity(self):
-        from functools import partial
-
-        from repro.frontend.graph import LayerSpec, NetworkSpec
-
-        # Two names, one workload: identical builders must merge, with
-        # counts accumulating onto the first occurrence.
-        same = partial(ops.matmul, 8, 8, 8, dtype="float32")
-        other = partial(ops.matmul, 8, 8, 4, dtype="float32")
-        net = NetworkSpec(
-            "dups",
-            [
-                LayerSpec("a", same, count=2),
-                LayerSpec("b", other, count=1),
-                LayerSpec("c", same, count=3),
-            ],
-        )
-        uniq = net.unique_layers()
-        assert [layer.name for layer in uniq] == ["a", "b"]
-        assert uniq[0].count == 5
-        assert net.total_ops() == 6

@@ -15,7 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro import Telemetry, TuneConfig, TuningDatabase, TuningSession, tune
-from repro.frontend import LayerSpec, NetworkSpec, network_latency, ops
+from repro.frontend import ops
 from repro.meta import estimated_cost
 from repro.meta.database import DatabaseEntry, PersistentDatabase, workload_key
 from repro.meta.sketch import GpuScalarSketch
@@ -25,30 +25,24 @@ from repro.tir import script
 from ..common import one_search_per_worker, search_width
 
 
-def _gemm_layer(name, n, m, k, count=1):
-    from functools import partial
+#: four tasks, two of which are the same workload (128^3 GEMM).
+FOUR_GEMMS = [
+    ("gemm_a", (128, 128, 128)),
+    ("gemm_a_dup", (128, 128, 128)),
+    ("gemm_b", (256, 256, 256)),
+    ("gemm_c", (64, 64, 512)),
+]
 
-    return LayerSpec(name, partial(ops.matmul, n, m, k), count)
 
-
-@pytest.fixture(scope="module")
-def four_layer_net():
-    """Four layers, two of which are the same workload (128^3 GEMM)."""
-    return NetworkSpec(
-        "tiny-net",
-        [
-            _gemm_layer("gemm_a", 128, 128, 128),
-            _gemm_layer("gemm_a_dup", 128, 128, 128),
-            _gemm_layer("gemm_b", 256, 256, 256),
-            _gemm_layer("gemm_c", 64, 64, 512),
-        ],
-    )
+def _add_four_gemms(session):
+    for name, shape in FOUR_GEMMS:
+        session.add(ops.matmul(*shape), name=name)
 
 
 @pytest.fixture(scope="module")
-def session_report(four_layer_net):
+def session_report():
     session = TuningSession(SimGPU(), TuneConfig(trials=6, seed=0))
-    session.add_network(four_layer_net)
+    _add_four_gemms(session)
     return session, session.run()
 
 
@@ -177,14 +171,14 @@ class TestDedupAndReplay:
         session, _ = session_report
         assert len(session.database) == 3
 
-    def test_prepopulated_database_skips_search(self, session_report, four_layer_net):
+    def test_prepopulated_database_skips_search(self, session_report):
         session, _ = session_report
         fresh = TuningSession(
             SimGPU(),
             TuneConfig(trials=6, seed=0),
             database=session.database,
         )
-        fresh.add_network(four_layer_net)
+        _add_four_gemms(fresh)
         report = fresh.run()
         assert report.totals["tasks_searched"] == 0
         assert report.totals["tasks_replayed"] == 4
@@ -464,19 +458,17 @@ class TestTelemetryReport:
         assert len(loaded["tasks"]) == 4
         assert "stage_seconds" in loaded["telemetry"]
 
-    def test_profiling_accounting_matches_table1_arithmetic(self, four_layer_net):
+    def test_profiling_accounting_matches_table1_arithmetic(self):
         """Per-task profiling seconds in the report sum to the same
-        number the Table 1-style loop (tune each unique layer, add the
+        number the Table 1-style loop (tune each unique workload, add the
         tuning_seconds) produces — within 1%."""
         session = TuningSession(SimGPU(), TuneConfig(trials=6, seed=0))
-        session.add_network(four_layer_net)
+        _add_four_gemms(session)
         report = session.run()
         by_hand = 0.0
         seen = set()
-        for layer in four_layer_net.layers:
-            func = layer.builder()
-            from repro.meta.database import workload_key
-
+        for _, shape in FOUR_GEMMS:
+            func = ops.matmul(*shape)
             key = workload_key(func, SimGPU())
             if key in seen:
                 continue
@@ -540,7 +532,17 @@ class TestBudgetAllocation:
         assert big > small
         assert big + small == pytest.approx(40, abs=4)
 
-    def test_weight_scales_share(self):
+    def test_a_key_shared_by_two_tasks_counts_twice(self):
+        session = TuningSession(SimGPU(), TuneConfig(seed=0))
+        session.add(ops.matmul(32, 32, 32), name="square")
+        session.add(ops.matmul(32, 32, 32), name="square_dup")
+        session.add(ops.matmul(64, 32, 32), name="tall")
+        report = session.run(total_trials=16)
+        # Two tasks of 32^3 weigh what one task of 64x32x32 does.
+        assert report.task("square").trials_allocated == 8
+        assert report.task("tall").trials_allocated == 8
+
+    def test_estimated_cost_is_the_iteration_space(self):
         cost = estimated_cost(ops.matmul(128, 128, 128))
         assert cost == pytest.approx(128**3)
 
@@ -549,18 +551,6 @@ class TestBudgetAllocation:
         assert all(
             t.trials_allocated == 6 for t in report.tasks if t.status == "searched"
         )
-
-
-class TestNetworkLatencyFromSession:
-    def test_latency_accepts_report(self, session_report, four_layer_net):
-        _, report = session_report
-        total = network_latency(four_layer_net, report)
-        by_hand = sum(
-            layer.count * report.seconds_for(layer.name)
-            for layer in four_layer_net.layers
-        )
-        assert total == pytest.approx(by_hand)
-        assert total > 0
 
 
 class TestGraphTasks:

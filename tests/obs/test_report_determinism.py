@@ -70,7 +70,7 @@ class TestTelemetryDeterminism:
 def _report() -> SessionReport:
     return SessionReport(
         target="sim-gpu",
-        tasks=[TaskReport(name="gemm", key="k", status="searched", weight=1.0)],
+        tasks=[TaskReport(name="gemm", key="k", status="searched")],
         totals={"tasks_searched": 1},
         cache_stats={"b": {"hits": 1}, "a": {"hits": 2}},
     )

@@ -206,6 +206,31 @@ class TestTuningFailure:
         assert fresh.source == "miss"
         assert fresh.trials > 0
 
+    def test_session_that_exits_fails_its_waiter_and_the_worker_lives(self, monkeypatch):
+        """A tuning run that raises ``SystemExit`` — not an ``Exception``
+        — must not kill the miss worker.  Its waiter gets a
+        ``RuntimeError`` chained from the ``SystemExit`` instead of
+        waiting until ``close()``, nothing stays pending, and a later
+        miss is tuned."""
+        from repro.meta.session import TuningSession
+
+        def exiting_run(self, total_trials=None):
+            raise SystemExit("tuning process told to exit")
+
+        monkeypatch.setattr(TuningSession, "run", exiting_run)
+        with ScheduleServer(SimGPU(), CFG) as server:
+            with pytest.raises(RuntimeError, match="SystemExit") as failure:
+                server.compile(_matmul(64), timeout=10)
+            assert isinstance(failure.value.__cause__, SystemExit)
+            health = server.health()
+            assert health["status"] == "ok"
+            assert health["pending_workloads"] == 0
+            assert health["failures"] == 1
+            monkeypatch.undo()
+            fresh = server.compile(_matmul(64), timeout=120)
+        assert fresh.source == "miss"
+        assert fresh.trials > 0
+
     def test_waiter_that_fails_to_serve_fails_alone(self, monkeypatch):
         """Serving one waiter of a tuned batch can raise (in its replay,
         ``script`` or ``compile_func``).  That waiter fails and counts as
